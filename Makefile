@@ -1,7 +1,8 @@
 # Tier-1 verification flow plus the perf harness.
 #
-#   make tier1   — what every PR must keep green: build, vet, full test
-#                  suite, and race-mode tests on the scan-path packages.
+#   make tier1   — what every PR must keep green: build, vet and gofmt,
+#                  full test suite, race-mode tests on the scan-path
+#                  packages, and the benchmark module's vet and tests.
 #   make chaos   — the fault-injection suite under the race detector:
 #                  hostile servers, malformed protocol input, budget and
 #                  degradation paths.
@@ -23,7 +24,7 @@ CHAOS_PKGS = ./internal/simnet ./internal/ftp ./internal/listparse \
 	./internal/enumerator ./internal/worldgen ./internal/identify \
 	./internal/core ./internal/attacker
 
-.PHONY: build test vet vet-obs race race-full race-sharded race-server tier1 chaos bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
+.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check tier1 chaos bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
 
 build:
 	$(GO) build ./...
@@ -31,8 +32,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # The metrics layer sits on every hot path; vet it on its own so a
 # tier1 failure names the package directly.
@@ -58,12 +62,19 @@ race-sharded:
 		./internal/core ./internal/analysis ./internal/dataset ./internal/obs
 
 # Server core under the race detector: pooled sessions, the connection
-# governor's shared reaper, token buckets, and the in-memory driver are all
-# mutated by concurrent session goroutines.
+# governor's per-session idle timers, token buckets, and the in-memory driver
+# are all mutated by concurrent session goroutines.
 race-server:
 	$(GO) test -race ./internal/ftpserver ./internal/honeypot
 
-tier1: build vet vet-obs test race race-sharded race-server smoke
+# The benchmark is its own module (bench/go.mod), so the root `go test ./...`
+# never compiles it: vet and test it here, so an API break it depends on
+# fails tier-1 instead of the benchmark run.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+tier1: build vet vet-obs test race race-sharded race-server bench-check smoke
 
 # Observability smoke test: a real ftpcensus run with live progress must
 # produce a parseable, non-empty metrics snapshot.

@@ -471,7 +471,7 @@ func BenchmarkAblationTraversal(b *testing.B) {
 	}
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		FS:             vfs.New(root),
+		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
 		PublicIP:       ip,
 		AllowAnonymous: true,
 	})
@@ -511,7 +511,7 @@ func BenchmarkAblationMLSD(b *testing.B) {
 	mk := func(persKey string) *simnet.Network {
 		srv, err := ftpserver.New(ftpserver.Config{
 			Pers:           personality.ByKey(persKey),
-			FS:             vfs.New(root),
+			Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
 			PublicIP:       ip,
 			AllowAnonymous: true,
 		})
@@ -597,7 +597,7 @@ func BenchmarkEnumerateSingleHost(b *testing.B) {
 	}
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		FS:             vfs.New(root),
+		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
 		PublicIP:       ip,
 		AllowAnonymous: true,
 	})

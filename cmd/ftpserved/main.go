@@ -142,7 +142,7 @@ func run() error {
 	}
 	switch *driver {
 	case "vfs":
-		cfg.FS = demoFS()
+		cfg.Driver = ftpserver.NewVFSDriver(demoFS())
 	case "mem":
 		cfg.Driver = ftpserver.MemDriverFromFS(demoFS())
 	default:

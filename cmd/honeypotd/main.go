@@ -41,7 +41,7 @@ func run() error {
 		honeypots    = flag.Int("honeypots", 8, "number of honeypots (paper: 8)")
 		attackers    = flag.Int("attackers", 457, "attacker population (paper: 457 unique IPs)")
 		bots         = flag.Int("bots", 0, "alias for -attackers (fleet-scale naming); takes precedence when set")
-		sessions     = flag.Int64("sessions", 0, "campaign session budget; 0 = legacy one-visit-per-bot-target shape")
+		sessions     = flag.Int64("sessions", 0, "campaign session budget; 0 = one visit per bot-target pair (bots × targets sessions)")
 		concurrency  = flag.Int("concurrency", 0, "in-flight attacker session cap (0 = fleet default)")
 		lureMix      = flag.String("lure-mix", "", "lure strategy weights, e.g. webroot=4,backup=2,media=2,vault=1,bare=1 (empty = default mix)")
 		eventsOut    = flag.String("events-out", "", "stream every honeypot event as JSONL to this file")

@@ -49,9 +49,9 @@ func main() {
 			name: "hardened file server (Serv-U 15.1, TLS, no anonymous)",
 			ip:   simnet.MustParseIP("100.64.0.1"),
 			cfg: ftpserver.Config{
-				Pers: personality.ByKey(personality.KeyServU15),
-				FS:   vfs.New(nil),
-				Cert: pool.Get("unique"),
+				Pers:   personality.ByKey(personality.KeyServU15),
+				Driver: ftpserver.NewVFSDriver(vfs.New(nil)),
+				Cert:   pool.Get("unique"),
 			},
 		},
 		{
@@ -59,7 +59,7 @@ func main() {
 			ip:   simnet.MustParseIP("100.64.0.2"),
 			cfg: ftpserver.Config{
 				Pers:           personality.ByKey(personality.KeyQNAPNAS),
-				FS:             vfs.New(leakyFS),
+				Driver:         ftpserver.NewVFSDriver(vfs.New(leakyFS)),
 				AllowAnonymous: true,
 				Cert:           pool.Get("fleet"),
 				InternalIP:     simnet.MustParseIP("192.168.1.10"),
@@ -70,7 +70,7 @@ func main() {
 			ip:   simnet.MustParseIP("100.64.0.3"),
 			cfg: ftpserver.Config{
 				Pers:           personality.ByKey(personality.KeyHostedHomePL),
-				FS:             vfs.New(nil),
+				Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
 				AllowAnonymous: true,
 				AnonWritable:   true,
 			},

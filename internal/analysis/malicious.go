@@ -151,11 +151,11 @@ func (a *MaliciousAcc) Observe(r *Record) {
 
 // MaliciousSnap is the serializable state of a MaliciousAcc.
 type MaliciousSnap struct {
-	WritableServers, AnonUploadConfirmed          int
-	RATFiles, RATServers, DDoSServers             int
-	HolyBibleServers, HolyBibleWritable           int
-	WarezServers, RamnitServers                   int
-	HTTPOverlap, ScriptingOverlap, TotalFTP       int
+	WritableServers, AnonUploadConfirmed    int
+	RATFiles, RATServers, DDoSServers       int
+	HolyBibleServers, HolyBibleWritable     int
+	WarezServers, RamnitServers             int
+	HTTPOverlap, ScriptingOverlap, TotalFTP int
 	// WritableASes is the writable-AS set as a sorted slice, so a given
 	// accumulator state has one canonical snapshot.
 	WritableASes []uint32

@@ -95,11 +95,12 @@ type Fleet struct {
 	// in the millions of sessions raise this toward the server core's 10k
 	// budget.
 	Concurrency int
-	// Sessions, when positive, switches the fleet into campaign mode: the
-	// bots collectively run exactly this many sessions, cycling over the
-	// targets, instead of the legacy shape (every bot visits every target
-	// exactly once). Session k is deterministically assigned bot k%len(Bots)
-	// and a salted target, so campaigns replay identically.
+	// Sessions is the campaign's session budget: the bots collectively
+	// run exactly this many sessions, session k deterministically assigned
+	// bot k%len(Bots) and a salted target, so campaigns replay identically.
+	// Zero means the paper's schedule — every bot visits every target
+	// exactly once: len(Bots)×len(Targets) sessions, session k running bot
+	// k%len(Bots) against target k/len(Bots).
 	Sessions int64
 	// Now is the campaign clock; nil means time.Now. Injecting a
 	// simulated clock (honeypot.SimClock) makes interaction timelines
@@ -207,7 +208,7 @@ func (f *Fleet) now() time.Time {
 	return time.Now()
 }
 
-// fleetRun is the per-run instrumentation shared by both fleet shapes.
+// fleetRun is the per-run instrumentation.
 type fleetRun struct {
 	stats    *Stats
 	mu       sync.Mutex
@@ -242,11 +243,8 @@ func (r *fleetRun) session(f *Fleet, b Bot, target simnet.IP, timeout time.Durat
 	r.mu.Unlock()
 }
 
-// Run executes the fleet. In the legacy shape every bot visits every target
-// exactly once; in campaign mode (Sessions > 0) the bots collectively run
-// exactly Sessions sessions, session k deterministically assigned to bot
-// k%len(Bots) against a seed-salted target. Cancellation stops the fleet
-// promptly: unclaimed sessions are abandoned and never counted.
+// Run executes the fleet's campaign (see Fleet.Sessions). Cancellation stops
+// the fleet promptly: unclaimed sessions are abandoned and never counted.
 func (f *Fleet) Run(ctx context.Context) Stats {
 	stats := Stats{ByProfile: make(map[Profile]int)}
 	start := f.now()
@@ -265,45 +263,23 @@ func (f *Fleet) Run(ctx context.Context) Stats {
 		inflight: f.Metrics.Gauge("attacker.inflight"),
 		peak:     f.Metrics.Gauge("attacker.inflight_peak"),
 	}
-	if f.Sessions > 0 {
-		f.runCampaign(ctx, run, timeout, conc)
-	} else {
-		f.runLegacy(ctx, run, timeout, conc)
-	}
+	f.runCampaign(ctx, run, timeout, conc)
 	stats.Elapsed = f.now().Sub(start)
 	return stats
 }
 
-// runLegacy is the original fleet shape: one goroutine per bot, every bot
-// visiting every target once, bounded by the concurrency cap.
-func (f *Fleet) runLegacy(ctx context.Context, run *fleetRun, timeout time.Duration, conc int) {
-	botsC := f.Metrics.Counter("attacker.bots")
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, conc)
-	for _, bot := range f.Bots {
-		wg.Add(1)
-		go func(b Bot) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f.runBot(ctx, run, b, timeout)
-			botsC.Inc()
-			run.mu.Lock()
-			run.stats.BotsRun++
-			run.stats.ByProfile[b.Profile]++
-			run.mu.Unlock()
-		}(bot)
-	}
-	wg.Wait()
-}
-
-// runCampaign drives the session-budget shape: conc workers claim session
-// indices from an atomic counter until the budget is spent or the context is
-// canceled. Assignment is deterministic in the session index, so a campaign
-// replays identically regardless of worker interleaving.
+// runCampaign drives the campaign: conc workers claim session indices from
+// an atomic counter until the budget is spent or the context is canceled.
+// Assignment is deterministic in the session index, so a campaign replays
+// identically regardless of worker interleaving.
 func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Duration, conc int) {
-	if len(f.Bots) == 0 || len(f.Targets) == 0 {
+	nb, nt := int64(len(f.Bots)), int64(len(f.Targets))
+	if nb == 0 || nt == 0 {
 		return
+	}
+	budget := f.Sessions
+	if budget <= 0 {
+		budget = nb * nt
 	}
 	botsC := f.Metrics.Counter("attacker.bots")
 	ran := make([]bool, len(f.Bots))
@@ -315,7 +291,7 @@ func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Dur
 			defer wg.Done()
 			for {
 				k := claim.Add(1) - 1
-				if k >= f.Sessions {
+				if k >= budget {
 					return
 				}
 				select {
@@ -323,9 +299,13 @@ func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Dur
 					return
 				default:
 				}
-				bi := int(k % int64(len(f.Bots)))
+				bi := int(k % nb)
 				b := f.Bots[bi]
-				target := f.Targets[int((uint64(k)*0x9e3779b97f4a7c15+b.Seed)%uint64(len(f.Targets)))]
+				ti := k / nb
+				if f.Sessions > 0 {
+					ti = int64((uint64(k)*0x9e3779b97f4a7c15 + b.Seed) % uint64(nt))
+				}
+				target := f.Targets[ti]
 				run.mu.Lock()
 				if !ran[bi] {
 					ran[bi] = true
@@ -339,18 +319,6 @@ func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Dur
 		}()
 	}
 	wg.Wait()
-}
-
-// runBot visits every target per the bot's profile (legacy shape).
-func (f *Fleet) runBot(ctx context.Context, run *fleetRun, b Bot, timeout time.Duration) {
-	for _, target := range f.Targets {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		run.session(f, b, target, timeout)
-	}
 }
 
 // visit runs one bot session against one honeypot. dialed reports whether a

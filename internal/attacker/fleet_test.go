@@ -2,6 +2,8 @@ package attacker
 
 import (
 	"context"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,8 +107,8 @@ func TestCampaignNeverDialedNotCounted(t *testing.T) {
 	}
 }
 
-// TestLegacyNeverDialedNotCounted: the legacy one-visit-per-bot-target shape
-// obeys the same rule.
+// TestLegacyNeverDialedNotCounted: the paper's one-visit-per-bot-target
+// schedule (Sessions zero) obeys the same rule.
 func TestLegacyNeverDialedNotCounted(t *testing.T) {
 	fleet := &Fleet{
 		Network: simnet.NewNetwork(nil),
@@ -161,7 +163,7 @@ func TestChaosCanceledCampaign(t *testing.T) {
 }
 
 // TestChaosCanceledBeforeStart: a context canceled before Run begins yields
-// an empty, well-formed Stats in both fleet shapes.
+// an empty, well-formed Stats for both the default and a budgeted schedule.
 func TestChaosCanceledBeforeStart(t *testing.T) {
 	nw, ip, _ := testTarget(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -227,5 +229,49 @@ func TestSimulatedClockElapsed(t *testing.T) {
 	stats := fleet.Run(context.Background())
 	if stats.Elapsed != time.Second {
 		t.Errorf("Elapsed = %v, want 1s from the logical clock", stats.Elapsed)
+	}
+}
+
+// TestDefaultScheduleVisitsEveryPairOnce: with no session budget the fleet
+// runs the paper's schedule — every bot visits every target exactly once.
+func TestDefaultScheduleVisitsEveryPairOnce(t *testing.T) {
+	type visit struct{ bot, target string }
+	var mu sync.Mutex
+	seen := map[visit]int{}
+	provider := simnet.NewStaticProvider()
+	var targets []simnet.IP
+	for i := 0; i < 4; i++ {
+		ip := simnet.IP(uint64(simnet.MustParseIP("100.64.0.1")) + uint64(i))
+		target := ip.String()
+		provider.Add(ip, 21, simnet.HandlerFunc(func(_ *simnet.Network, nc net.Conn) {
+			defer nc.Close()
+			host, _, _ := net.SplitHostPort(nc.RemoteAddr().String())
+			mu.Lock()
+			seen[visit{host, target}]++
+			mu.Unlock()
+			nc.Write([]byte("220 ready\r\n"))
+		}))
+		targets = append(targets, ip)
+	}
+	bots := DefaultMix(5, 7, 0)
+	for i := range bots {
+		bots[i].Profile = ProfileScannerOnly
+	}
+	stats := (&Fleet{
+		Network:     simnet.NewNetwork(provider),
+		Bots:        bots,
+		Targets:     targets,
+		Concurrency: 3,
+		Timeout:     5 * time.Second,
+	}).Run(context.Background())
+	if stats.Sessions != len(bots)*len(targets) || stats.BotsRun != len(bots) || stats.Errors != 0 {
+		t.Fatalf("stats = %+v, want %d sessions from %d bots", stats, len(bots)*len(targets), len(bots))
+	}
+	for _, b := range bots {
+		for _, ip := range targets {
+			if n := seen[visit{b.Source.String(), ip.String()}]; n != 1 {
+				t.Errorf("bot %s visited %s %d times, want 1", b.Source, ip, n)
+			}
+		}
 	}
 }

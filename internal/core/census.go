@@ -909,9 +909,8 @@ type HoneypotStudyConfig struct {
 	Honeypots    int     // paper: 8
 	Attackers    int     // paper: 457 unique IPs
 	Concentrated float64 // share of attackers from one network (paper: ~0.30)
-	// Sessions, when positive, switches the attacker fleet into campaign
-	// mode: the bots collectively run exactly this many sessions instead of
-	// one visit per bot-target pair.
+	// Sessions, when positive, is the attacker campaign's session budget;
+	// zero means one visit per bot-target pair.
 	Sessions int64
 	// Concurrency caps in-flight attacker sessions; zero means the fleet
 	// default (32).
@@ -925,9 +924,6 @@ type HoneypotStudyConfig struct {
 	// nil means time.Now. Injecting honeypot.SimClock makes timelines
 	// reproducible run to run.
 	Now func() time.Time
-	// Buffered additionally retains per-honeypot event Logs — only sane at
-	// legacy scale (equivalence tests).
-	Buffered bool
 	// Metrics, when non-nil, wires the study into one registry: network
 	// counters (simnet.*), honeypot fold counters (honeypot.*), and
 	// attacker fleet progress (attacker.*).
@@ -936,9 +932,9 @@ type HoneypotStudyConfig struct {
 
 // HoneypotStudy deploys a differentiated honeypot fleet on a fresh network,
 // runs the attacker fleet, and finalizes the streamed report. No event is
-// buffered (unless cfg.Buffered): every session folds into the streaming
-// accumulator as it happens, so live memory is bounded by the population,
-// not the session count.
+// buffered: every session folds into the streaming accumulator as it
+// happens, so live memory is bounded by the population, not the session
+// count.
 func HoneypotStudy(ctx context.Context, cfg HoneypotStudyConfig) (honeypot.Report, error) {
 	if cfg.Honeypots <= 0 {
 		cfg.Honeypots = 8
@@ -952,15 +948,14 @@ func HoneypotStudy(ctx context.Context, cfg HoneypotStudyConfig) (honeypot.Repor
 	provider := simnet.NewStaticProvider()
 	acc := honeypot.NewAccumulator()
 	dep, err := honeypot.DeployFleet(provider, honeypot.FleetConfig{
-		Base:     HoneypotBase,
-		Count:    cfg.Honeypots,
-		Seed:     cfg.Seed,
-		Mix:      cfg.LureMix,
-		Acc:      acc,
-		Events:   cfg.Events,
-		Buffered: cfg.Buffered,
-		Now:      cfg.Now,
-		Metrics:  cfg.Metrics,
+		Base:    HoneypotBase,
+		Count:   cfg.Honeypots,
+		Seed:    cfg.Seed,
+		Mix:     cfg.LureMix,
+		Acc:     acc,
+		Events:  cfg.Events,
+		Now:     cfg.Now,
+		Metrics: cfg.Metrics,
 	})
 	if err != nil {
 		return honeypot.Report{}, err

@@ -37,7 +37,7 @@ func TestEPSVFallback(t *testing.T) {
 
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           epsvOnlyPersonality(),
-		FS:             vfs.New(root),
+		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
 		PublicIP:       srvIP,
 		AllowAnonymous: true,
 	})
@@ -68,7 +68,7 @@ func TestEPSVFallback(t *testing.T) {
 func TestRequestDelayPacesRequests(t *testing.T) {
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyVsftpd302),
-		FS:             vfs.New(nil),
+		Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
 		AllowAnonymous: true,
 	})
 	cfg := enumConfig(nw)
@@ -100,7 +100,7 @@ func TestSymlinksNotTraversed(t *testing.T) {
 
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		FS:             vfs.New(root),
+		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
 		PublicIP:       srvIP,
 		AllowAnonymous: true,
 	})

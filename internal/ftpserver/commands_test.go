@@ -77,7 +77,7 @@ func TestRenameFlow(t *testing.T) {
 	if r, _ := c.Cmd("RNTO", "/pub/renamed.txt"); r.Code != ftp.CodeFileOK {
 		t.Fatalf("RNTO: %+v", r)
 	}
-	if cfg.FS.Lookup("/pub/renamed.txt") == nil || cfg.FS.Lookup("/pub/hello.txt") != nil {
+	if cfg.Driver.Lookup("/pub/renamed.txt") == nil || cfg.Driver.Lookup("/pub/hello.txt") != nil {
 		t.Error("rename did not move the file")
 	}
 }
@@ -228,7 +228,7 @@ func TestAppendBehavesLikeStor(t *testing.T) {
 	dc.Write([]byte("appended"))
 	dc.Close()
 	c.ReadReply()
-	if cfg.FS.Lookup("/incoming/log.txt") == nil {
+	if cfg.Driver.Lookup("/incoming/log.txt") == nil {
 		t.Error("APPE did not create the file")
 	}
 }
@@ -310,7 +310,7 @@ func TestMaxUploadBounded(t *testing.T) {
 	}
 	dc.Close()
 	c.ReadReply()
-	node := cfg.FS.Lookup("/incoming/big.bin")
+	node := cfg.Driver.Lookup("/incoming/big.bin")
 	if node == nil {
 		t.Fatal("upload missing")
 	}

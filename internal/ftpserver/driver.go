@@ -53,7 +53,7 @@ type VFSDriver struct {
 // NewVFSDriver wraps an existing filesystem tree.
 func NewVFSDriver(fs *vfs.FS) *VFSDriver { return &VFSDriver{FS: fs} }
 
-func (d *VFSDriver) Lookup(p string) *vfs.Node        { return d.FS.Lookup(p) }
+func (d *VFSDriver) Lookup(p string) *vfs.Node          { return d.FS.Lookup(p) }
 func (d *VFSDriver) List(p string) ([]*vfs.Node, error) { return d.FS.List(p) }
 
 func (d *VFSDriver) Store(p string, content []byte, perm vfs.Mode, replace bool, owner string, anonUpload bool) (*vfs.Node, error) {

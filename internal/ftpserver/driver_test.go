@@ -196,7 +196,6 @@ func TestRateLimitedDriver(t *testing.T) {
 // be sent.
 func TestServerQuotaReply(t *testing.T) {
 	cfg := anonConfig()
-	cfg.FS = nil
 	cfg.Driver = NewQuotaDriver(MemDriverFromFS(testFS()), 40, 0)
 	cfg.AnonWritable = true
 	env := newEnv(t, cfg)
@@ -237,7 +236,6 @@ func TestServerRateLimitReply(t *testing.T) {
 	rl := NewRateLimitedDriver(MemDriverFromFS(testFS()), 1)
 	rl.ops = NewTokenBucket(1, 1)
 	cfg := anonConfig()
-	cfg.FS = nil
 	cfg.Driver = rl
 	env := newEnv(t, cfg)
 	c, _ := env.dial(t)

@@ -41,10 +41,8 @@ const AnonymousUser = "anonymous"
 type Config struct {
 	// Pers selects the implementation profile. Required.
 	Pers *personality.Personality
-	// FS is the filesystem served to clients. Either FS or Driver is
-	// required; a non-nil FS is wrapped in a VFSDriver when Driver is nil.
-	FS *vfs.FS
-	// Driver is the storage backend. Takes precedence over FS.
+	// Driver is the storage backend. Required; serve a vfs tree with
+	// NewVFSDriver.
 	Driver Driver
 	// HostName substitutes %HOST% in banners.
 	HostName string
@@ -71,12 +69,11 @@ type Config struct {
 	// way, and the enumerator must treat it as refusal of service.
 	RequestLimit int
 	// IdleTimeout bounds inactivity; zero means the engine default of
-	// 60s. Ungoverned sessions enforce it with per-read deadlines;
-	// governed sessions (MaxConns or MaxConnsPerIP set) use the
-	// governor's shared reaper ticker instead.
+	// 60s. Every session enforces it with one idle timer armed at
+	// admission; expiry closes the control and any open data conn.
 	IdleTimeout time.Duration
 	// MaxConns caps concurrent sessions; excess connections are shed
-	// with a polite 421. Zero means ungoverned (no cap, no reaper).
+	// with a polite 421. Zero means no admission limit.
 	MaxConns int
 	// MaxConnsPerIP caps concurrent sessions per remote address.
 	MaxConnsPerIP int
@@ -204,7 +201,6 @@ func resolveMetrics(reg *obs.Registry) serverMetrics {
 // Server is an immutable host definition; each connection gets a session.
 type Server struct {
 	cfg Config
-	drv Driver
 	gov *Governor
 	m   serverMetrics
 
@@ -223,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Pers == nil {
 		return nil, errors.New("ftpserver: config needs a personality")
 	}
-	if cfg.FS == nil && cfg.Driver == nil {
-		return nil, errors.New("ftpserver: config needs a filesystem or driver")
+	if cfg.Driver == nil {
+		return nil, errors.New("ftpserver: config needs a driver")
 	}
 	if cfg.RequireTLS && cfg.Cert == nil {
 		return nil, errors.New("ftpserver: RequireTLS without a certificate")
@@ -232,16 +228,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	if cfg.FS != nil && cfg.Pers.Quirks.CaseInsensitive {
-		cfg.FS.CaseInsensitive = true
+	if vd, ok := cfg.Driver.(*VFSDriver); ok && cfg.Pers.Quirks.CaseInsensitive {
+		vd.FS.CaseInsensitive = true
 	}
-	drv := cfg.Driver
-	if drv == nil {
-		drv = NewVFSDriver(cfg.FS)
-	}
-	s := &Server{cfg: cfg, drv: drv, m: resolveMetrics(cfg.Metrics)}
-	if cfg.MaxConns > 0 || cfg.MaxConnsPerIP > 0 {
-		s.gov = NewGovernor(cfg.MaxConns, cfg.MaxConnsPerIP, cfg.IdleTimeout)
+	s := &Server{
+		cfg: cfg,
+		gov: NewGovernor(cfg.MaxConns, cfg.MaxConnsPerIP, cfg.IdleTimeout),
+		m:   resolveMetrics(cfg.Metrics),
 	}
 	if cfg.BandwidthGlobal > 0 {
 		s.globalBW = NewTokenBucket(float64(cfg.BandwidthGlobal), float64(cfg.BandwidthGlobal))
@@ -267,17 +260,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Governor returns the server's connection governor, or nil when the server
-// is ungoverned (no connection caps configured).
+// Governor returns the server's connection governor.
 func (s *Server) Governor() *Governor { return s.gov }
 
-// Close releases background resources (the governor's reaper). In-flight
-// sessions are left to finish on their own goroutines.
-func (s *Server) Close() {
-	if s.gov != nil {
-		s.gov.Close()
-	}
-}
+// Close stops admitting sessions; later connections are shed with a 421.
+// In-flight sessions are left to finish on their own goroutines.
+func (s *Server) Close() { s.gov.Close() }
 
 // transport abstracts how data channels are established, so the same engine
 // serves simulated and real TCP networks.
@@ -353,8 +341,7 @@ func (s *Server) ServeTCP(conn net.Conn) {
 
 // Serve accepts connections from l until it fails (listener closed), giving
 // each to its own session goroutine. Governance — caps, shedding, idle
-// reaping — happens inside serve, so Serve is the same accept loop whether
-// or not the server is governed. It returns the accept error.
+// expiry — happens inside serve. It returns the accept error.
 func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -407,7 +394,7 @@ type session struct {
 	drv   Driver
 	conn  *ftp.Conn
 	trans transport
-	cs    *connState // non-nil when governed
+	cs    *connState
 
 	remoteIP   string
 	user       string // pending USER argument
@@ -429,6 +416,8 @@ type session struct {
 	scratch []byte
 	// bw shapes this session's data channels; lazily built.
 	bw *TokenBucket
+	// xfer wraps the data conn of the transfer in progress.
+	xfer shapedConn
 }
 
 // sessionPool recycles session state (including reply scratch buffers and
@@ -460,21 +449,17 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 		remoteIP = host
 	}
 
-	// Admission: governed servers shed over-cap connections with a 421
-	// before the banner — polite refusal instead of a silent close or an
+	// Admission: over-cap connections are shed with a 421 before the
+	// banner — polite refusal instead of a silent close or an
 	// accepted-but-starved session.
-	var cs *connState
-	if s.gov != nil {
-		var ok bool
-		if cs, ok = s.gov.Acquire(remoteIP, nc); !ok {
-			s.m.sheds.Inc()
-			c := ftp.NewConn(nc)
-			c.Timeout = 5 * time.Second
-			c.SendRaw(wireShed)
-			return
-		}
-		defer s.gov.Release(cs)
+	cs, ok := s.gov.Acquire(remoteIP, nc)
+	if !ok {
+		s.m.sheds.Inc()
+		nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		nc.Write(wireShed)
+		return
 	}
+	defer s.gov.Release(cs)
 
 	s.m.sessions.Inc()
 	s.m.active.Inc()
@@ -487,7 +472,7 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 	}()
 	sess.srv = s
 	sess.cfg = &s.cfg
-	sess.drv = s.drv
+	sess.drv = s.cfg.Driver
 	sess.trans = trans
 	sess.cs = cs
 	sess.remoteIP = remoteIP
@@ -501,10 +486,6 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 		sess.conn.Reset(nc)
 	}
 	c := sess.conn
-	if cs == nil {
-		// Ungoverned: per-read deadlines enforce the idle timeout.
-		c.Timeout = s.cfg.IdleTimeout
-	}
 
 	defer sess.closeData()
 	sess.observe(Event{Kind: EventConnect})
@@ -519,9 +500,7 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 		if err != nil {
 			return
 		}
-		if cs != nil {
-			cs.touch()
-		}
+		cs.touch()
 		sess.requests++
 		s.m.commands.Inc()
 		sess.observe(Event{Kind: EventCommand, Command: cmd.Name, Arg: cmd.Arg})
@@ -898,11 +877,18 @@ func (s *session) openData() (net.Conn, error) {
 			c, err := l.Accept()
 			ch <- result{conn: c, err: err}
 		}()
+		t := time.NewTimer(5 * time.Second)
+		defer t.Stop()
 		select {
 		case r := <-ch:
 			return r.conn, r.err
-		case <-time.After(5 * time.Second):
+		case <-t.C:
+			// Closing the listener ends the Accept; a conn it won in the
+			// race is closed rather than leaked.
 			l.Close()
+			if r := <-ch; r.conn != nil {
+				r.conn.Close()
+			}
 			return nil, errors.New("ftpserver: passive accept timeout")
 		}
 	}
@@ -922,30 +908,27 @@ func (s *session) closeData() {
 
 // withDataConn runs fn over an established data connection, bracketing it
 // with the 150/226 replies. The connection is bandwidth-shaped when the
-// server or session carries a cap, and governed sessions stamp activity per
-// chunk so the idle reaper spares long slow transfers.
+// server or session carries a cap, stamps activity per chunk so idle expiry
+// spares long slow transfers, and is registered with the session's idle
+// timer so a transfer stalled on its peer is torn down with the session.
 func (s *session) withDataConn(openingMsg []byte, fn func(dc net.Conn) error) bool {
 	dc, err := s.openData()
 	if err != nil {
 		s.closeData()
 		return s.replyRaw(wireCantOpenData)
 	}
+	s.cs.setData(dc)
 	defer func() {
+		s.cs.setData(nil)
+		s.xfer = shapedConn{}
 		dc.Close()
 		s.closeData()
 	}()
 	if s.replyRaw(openingMsg) {
 		return true
 	}
-	var touch func()
-	if s.cs != nil {
-		touch = s.cs.touch
-	} else {
-		// Ungoverned sessions keep the classic fixed transfer deadline.
-		dc.SetDeadline(time.Now().Add(30 * time.Second))
-	}
-	shaped := shapeData(dc, s.bwBucket(), s.srv.globalBW, touch)
-	if err := fn(shaped); err != nil {
+	s.xfer = shapedConn{Conn: dc, session: s.bwBucket(), global: s.srv.globalBW, cs: s.cs}
+	if err := fn(&s.xfer); err != nil {
 		// Driver rejections surface their classified code (552/450)
 		// instead of the generic transfer abort.
 		switch {

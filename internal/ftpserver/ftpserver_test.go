@@ -107,7 +107,7 @@ func (env *testEnv) openPassive(t *testing.T, c *ftp.Conn) net.Conn {
 func anonConfig() Config {
 	return Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		FS:             testFS(),
+		Driver:         NewVFSDriver(testFS()),
 		HostName:       "test.example.org",
 		AllowAnonymous: true,
 	}
@@ -360,7 +360,7 @@ func TestUploadRenameSuffix(t *testing.T) {
 		dc.Close()
 		c.ReadReply()
 	}
-	fs := cfg.FS
+	fs := cfg.Driver.(*VFSDriver).FS
 	if fs.Lookup("/incoming/name") == nil || fs.Lookup("/incoming/name.1") == nil {
 		t.Error("upload-rename suffix files missing")
 	}
@@ -611,14 +611,14 @@ func TestDOSListingStyle(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{FS: testFS()}); err == nil {
+	if _, err := New(Config{Driver: NewVFSDriver(testFS())}); err == nil {
 		t.Error("missing personality accepted")
 	}
 	if _, err := New(Config{Pers: personality.ByKey(personality.KeyProFTPD135)}); err == nil {
-		t.Error("missing FS accepted")
+		t.Error("missing driver accepted")
 	}
 	if _, err := New(Config{
-		Pers: personality.ByKey(personality.KeyProFTPD135), FS: testFS(), RequireTLS: true,
+		Pers: personality.ByKey(personality.KeyProFTPD135), Driver: NewVFSDriver(testFS()), RequireTLS: true,
 	}); err == nil {
 		t.Error("RequireTLS without cert accepted")
 	}
@@ -772,5 +772,24 @@ func TestObserverDeleteEvents(t *testing.T) {
 			t.Errorf("event %v stamped %v, want injected clock time %v", e.Kind, e.Time, stamp)
 			break
 		}
+	}
+}
+
+// TestCaseInsensitiveQuirkThroughDriver: an iis-7.5 server whose storage
+// is set through Driver still gets its personality's case-insensitive path
+// semantics, so CWD PUB resolves to /pub.
+func TestCaseInsensitiveQuirkThroughDriver(t *testing.T) {
+	env := newEnv(t, Config{
+		Pers:           personality.ByKey(personality.KeyIIS75),
+		Driver:         NewVFSDriver(testFS()),
+		AllowAnonymous: true,
+	})
+	c, _ := env.dial(t)
+	login(t, c)
+	if r, _ := c.Cmd("CWD", "PUB"); r.Code != ftp.CodeFileOK {
+		t.Fatalf("CWD PUB: %+v", r)
+	}
+	if r, _ := c.Cmd("SIZE", "hello.txt"); r.Code != 213 || r.Text() != "11" {
+		t.Fatalf("SIZE under /PUB: %+v", r)
 	}
 }

@@ -7,161 +7,163 @@ import (
 	"time"
 )
 
-// connState is the governor's per-connection record: the raw conn (so the
-// reaper can tear it down) and an activity stamp the session updates with
-// one atomic store per command or transfer chunk. Sessions under a governor
-// never arm per-read deadlines — at 10k concurrent sessions, resetting a
-// runtime timer per command is measurable; one shared ticker scanning
-// coarse-grained stamps is not.
+// connState is the governor's per-connection record: the raw conn (so idle
+// expiry can tear it down), the session's open data conn (torn down with
+// it, so a transfer stalled on a peer that never reads cannot pin the
+// session), an activity stamp the session updates with one atomic store per
+// command or transfer chunk, and the session's idle timer. Sessions never
+// arm per-read deadlines — at 10k concurrent sessions, resetting a runtime
+// timer per command is measurable; one timer per session that fires once per
+// idle window and re-arms for the remainder is not.
 type connState struct {
+	g          *Governor
 	nc         net.Conn
 	ip         string
 	lastActive atomic.Int64 // unix nanos
+
+	mu       sync.Mutex
+	timer    *time.Timer
+	data     net.Conn // open data conn, nil between transfers
+	expired  bool
+	released bool
 }
 
 // touch stamps the connection as active now.
 func (cs *connState) touch() { cs.lastActive.Store(time.Now().UnixNano()) }
 
+// setData registers dc as the session's open data conn (nil clears it). A
+// session that already expired gets dc closed at once.
+func (cs *connState) setData(dc net.Conn) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.expired && dc != nil {
+		dc.Close()
+		return
+	}
+	cs.data = dc
+}
+
+// idleCheck runs when the session's idle timer fires: a session active
+// within the window re-arms for the remainder, an idle one is expired — its
+// control and data conns closed, so blocked reads and writes fail and the
+// session unwinds through its normal teardown.
+func (cs *connState) idleCheck() {
+	idle := cs.g.IdleTimeout
+	cs.mu.Lock()
+	if cs.released {
+		cs.mu.Unlock()
+		return
+	}
+	if rest := time.Until(time.Unix(0, cs.lastActive.Load()).Add(idle)); rest > 0 {
+		cs.timer.Reset(rest)
+		cs.mu.Unlock()
+		return
+	}
+	cs.expired = true
+	data := cs.data
+	cs.mu.Unlock()
+	// Close outside the lock: Close may synchronize with a session blocked
+	// mid-read on the same connection.
+	cs.nc.Close()
+	if data != nil {
+		data.Close()
+	}
+}
+
 // Governor enforces connection caps and idle timeouts for a server: a
-// global concurrent-connection ceiling, a per-IP ceiling, and one shared
-// reaper ticker that closes connections idle past the deadline. Connections
+// global concurrent-connection ceiling, a per-IP ceiling, and a per-session
+// idle timer that closes connections idle past the deadline. Connections
 // over a cap are shed politely (the server sends a 421 and closes) instead
-// of being accepted and starved.
+// of being accepted and starved. An uncapped governor keeps no per-address
+// state and runs no goroutine of its own.
 type Governor struct {
-	// MaxConns caps concurrent governed connections; zero means unlimited.
+	// MaxConns caps concurrent connections; zero means unlimited.
 	MaxConns int
 	// MaxConnsPerIP caps concurrent connections from one remote address;
 	// zero means unlimited.
 	MaxConnsPerIP int
 	// IdleTimeout closes connections with no activity for this long;
-	// zero disables the reaper.
+	// zero disables idle expiry.
 	IdleTimeout time.Duration
 
 	mu     sync.Mutex
 	total  int
-	perIP  map[string]int
-	conns  map[*connState]struct{}
-	done   chan struct{}
-	reaper bool
+	perIP  map[string]int // nil unless MaxConnsPerIP > 0
+	closed bool
 }
 
 // NewGovernor builds a governor with the given limits.
 func NewGovernor(maxConns, maxPerIP int, idle time.Duration) *Governor {
-	return &Governor{
-		MaxConns:      maxConns,
-		MaxConnsPerIP: maxPerIP,
-		IdleTimeout:   idle,
-		perIP:         make(map[string]int),
-		conns:         make(map[*connState]struct{}),
+	g := &Governor{MaxConns: maxConns, MaxConnsPerIP: maxPerIP, IdleTimeout: idle}
+	if maxPerIP > 0 {
+		g.perIP = make(map[string]int)
 	}
+	return g
 }
 
-// Active returns the number of governed connections currently open.
+// Active returns the number of connections currently admitted.
 func (g *Governor) Active() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.total
 }
 
-// Acquire admits a connection, registering it for idle reaping, or reports
-// that it must be shed. The returned state must be passed to Release when
-// the session ends.
+// Acquire admits a connection, arming its idle timer, or reports that it
+// must be shed. The returned state must be passed to Release when the
+// session ends.
 func (g *Governor) Acquire(ip string, nc net.Conn) (*connState, bool) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.done != nil {
-		select {
-		case <-g.done:
-			return nil, false // closed governor admits nobody
-		default:
-		}
-	}
-	if g.MaxConns > 0 && g.total >= g.MaxConns {
+	if g.closed ||
+		(g.MaxConns > 0 && g.total >= g.MaxConns) ||
+		(g.perIP != nil && g.perIP[ip] >= g.MaxConnsPerIP) {
+		g.mu.Unlock()
 		return nil, false
 	}
-	if g.MaxConnsPerIP > 0 && g.perIP[ip] >= g.MaxConnsPerIP {
-		return nil, false
-	}
-	cs := &connState{nc: nc, ip: ip}
-	cs.touch()
 	g.total++
-	g.perIP[ip]++
-	g.conns[cs] = struct{}{}
-	if g.IdleTimeout > 0 && !g.reaper {
-		g.reaper = true
-		if g.done == nil {
-			g.done = make(chan struct{})
-		}
-		go g.reap()
+	if g.perIP != nil {
+		g.perIP[ip]++
+	}
+	g.mu.Unlock()
+
+	cs := &connState{g: g, nc: nc, ip: ip}
+	cs.touch()
+	if g.IdleTimeout > 0 {
+		// Armed under cs.mu so a timer firing at once still sees it set.
+		cs.mu.Lock()
+		cs.timer = time.AfterFunc(g.IdleTimeout, cs.idleCheck)
+		cs.mu.Unlock()
 	}
 	return cs, true
 }
 
-// Release returns a connection's slot.
+// Release returns a connection's slot and disarms its idle timer.
 func (g *Governor) Release(cs *connState) {
 	if cs == nil {
 		return
 	}
+	cs.mu.Lock()
+	cs.released = true
+	if cs.timer != nil {
+		cs.timer.Stop()
+	}
+	cs.mu.Unlock()
+
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	delete(g.conns, cs)
 	g.total--
-	if n := g.perIP[cs.ip]; n <= 1 {
-		delete(g.perIP, cs.ip)
-	} else {
-		g.perIP[cs.ip] = n - 1
+	if g.perIP != nil {
+		if n := g.perIP[cs.ip]; n <= 1 {
+			delete(g.perIP, cs.ip)
+		} else {
+			g.perIP[cs.ip] = n - 1
+		}
 	}
 }
 
-// Close stops the reaper. Open connections are left to their sessions.
+// Close stops admission: later Acquire calls are shed. Open connections are
+// left to their sessions, idle expiry included.
 func (g *Governor) Close() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.done == nil {
-		g.done = make(chan struct{})
-		close(g.done)
-		return
-	}
-	select {
-	case <-g.done:
-	default:
-		close(g.done)
-	}
-}
-
-// reap scans all governed connections on a shared ticker and closes the
-// expired ones; their blocked reads fail and the sessions unwind through
-// their normal teardown. Tick granularity is a quarter of the timeout,
-// capped at one second — idle enforcement needs no better resolution.
-func (g *Governor) reap() {
-	tick := g.IdleTimeout / 4
-	if tick > time.Second {
-		tick = time.Second
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.done:
-			return
-		case now := <-t.C:
-			deadline := now.Add(-g.IdleTimeout).UnixNano()
-			g.mu.Lock()
-			var expired []net.Conn
-			for cs := range g.conns {
-				if cs.lastActive.Load() < deadline {
-					expired = append(expired, cs.nc)
-				}
-			}
-			g.mu.Unlock()
-			// Close outside the lock: Close may synchronize with a
-			// session blocked mid-read on the same connection.
-			for _, nc := range expired {
-				nc.Close()
-			}
-		}
-	}
+	g.closed = true
 }

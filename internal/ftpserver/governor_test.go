@@ -1,7 +1,10 @@
 package ftpserver
 
 import (
+	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,9 +14,10 @@ import (
 	"ftpcloud/internal/obs"
 	"ftpcloud/internal/personality"
 	"ftpcloud/internal/simnet"
+	"ftpcloud/internal/vfs"
 )
 
-// fakeConn is a net.Conn stub recording Close for reaper tests.
+// fakeConn is a net.Conn stub recording Close for idle-expiry tests.
 type fakeConn struct {
 	net.Conn
 	mu     sync.Mutex
@@ -120,7 +124,7 @@ func governedEnv(t *testing.T, mutate func(*Config)) (*testEnv, *obs.Registry) {
 	reg := obs.NewRegistry()
 	cfg := Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		FS:             testFS(),
+		Driver:         NewVFSDriver(testFS()),
 		HostName:       "gov.example.org",
 		AllowAnonymous: true,
 		Metrics:        reg,
@@ -198,9 +202,9 @@ func TestServerPerIPCap(t *testing.T) {
 	}
 }
 
-// TestServerReapsIdleSession checks the governed idle path end to end: a
-// session that goes quiet is torn down by the reaper (its blocked read
-// fails), while a chatty one survives.
+// TestServerReapsIdleSession checks idle expiry end to end on a capped
+// server: a session that goes quiet is torn down by its idle timer (its
+// blocked read fails), while a chatty one survives.
 func TestServerReapsIdleSession(t *testing.T) {
 	env, _ := governedEnv(t, func(cfg *Config) {
 		cfg.MaxConns = 10
@@ -306,4 +310,209 @@ func TestServerBandwidthShaping(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 500*time.Millisecond {
 		t.Fatalf("shaped 128KiB upload finished in %v, want ≥500ms", elapsed)
 	}
+}
+
+// TestGovernorExpiryClosesDataConn: idle expiry tears down the session's
+// open data conn with its control conn, and a data conn registered after
+// expiry is closed at once.
+func TestGovernorExpiryClosesDataConn(t *testing.T) {
+	g := NewGovernor(0, 0, 20*time.Millisecond)
+	ctrl, data := &fakeConn{}, &fakeConn{}
+	cs, ok := g.Acquire("1.1.1.1", ctrl)
+	if !ok {
+		t.Fatal("acquire refused")
+	}
+	defer g.Release(cs)
+	cs.setData(data)
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) && !(ctrl.wasClosed() && data.wasClosed()) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !ctrl.wasClosed() || !data.wasClosed() {
+		t.Fatalf("after expiry: control closed %v, data closed %v", ctrl.wasClosed(), data.wasClosed())
+	}
+	late := &fakeConn{}
+	cs.setData(late)
+	if !late.wasClosed() {
+		t.Fatal("data conn registered after expiry left open")
+	}
+}
+
+// TestGovernorUncappedKeepsNoPerIPState: a governor without caps admits
+// everyone and keeps no per-address map.
+func TestGovernorUncappedKeepsNoPerIPState(t *testing.T) {
+	g := NewGovernor(0, 0, time.Minute)
+	var held []*connState
+	for i := 0; i < 100; i++ {
+		cs, ok := g.Acquire("7.7.7.7", &fakeConn{})
+		if !ok {
+			t.Fatalf("uncapped governor shed connection %d", i)
+		}
+		held = append(held, cs)
+	}
+	if g.perIP != nil {
+		t.Error("uncapped governor allocated a per-IP map")
+	}
+	for _, cs := range held {
+		g.Release(cs)
+	}
+	if got := g.Active(); got != 0 {
+		t.Fatalf("Active = %d after releasing every session, want 0", got)
+	}
+}
+
+// waitGauge polls g until it reads want or the deadline passes.
+func waitGauge(t *testing.T, g *obs.Gauge, want int64, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for g.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("gauge = %d after %v, want %d", g.Load(), within, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServerStalledDataConnReaped: a RETR into a passive data conn the
+// client never reads blocks the session mid-write once the pipe buffer
+// fills. Idle expiry must close the data conn too, so the session unwinds
+// within a few idle windows instead of hanging forever.
+func TestServerStalledDataConnReaped(t *testing.T) {
+	root := vfs.NewDir("/", vfs.Perm755)
+	root.Add(vfs.NewFileContent("big.bin", vfs.Perm644, make([]byte, 1<<20)))
+	env, reg := governedEnv(t, func(cfg *Config) {
+		cfg.Driver = NewVFSDriver(vfs.New(root))
+		cfg.MaxConns = 10
+		cfg.IdleTimeout = 50 * time.Millisecond
+	})
+	c, _ := env.dial(t)
+	login(t, c)
+	env.openPassive(t, c) // never read
+	if r, err := c.Cmd("RETR", "/big.bin"); err != nil || r.Code != ftp.CodeDataOpen {
+		t.Fatalf("RETR: %v %v", r, err)
+	}
+	waitGauge(t, reg.Gauge("ftpserver.active"), 0, 2*time.Second)
+	if _, err := c.ReadReply(); err == nil {
+		// The abort reply may race the close; the conn must end next.
+		if _, err := c.ReadReply(); err == nil {
+			t.Fatal("control conn survived idle expiry")
+		}
+	}
+}
+
+// TestUncappedServerReapsIdle: a server with no connection caps — the
+// honeypot and world-host configuration — still expires idle sessions.
+func TestUncappedServerReapsIdle(t *testing.T) {
+	env, reg := governedEnv(t, func(cfg *Config) {
+		cfg.IdleTimeout = 50 * time.Millisecond
+	})
+	c, _ := env.dial(t)
+	login(t, c)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.ReadReply()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("idle session got a reply instead of teardown")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("idle session on an uncapped server was not reaped")
+	}
+	waitGauge(t, reg.Gauge("ftpserver.active"), 0, 2*time.Second)
+}
+
+// TestSessionsLeaveNoGoroutines: 1,000 sessions across 100 servers, each
+// with a passive LIST, must leave the goroutine count at its baseline — no
+// per-server reaper, no leaked accept or timer goroutine.
+func TestSessionsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	provider := simnet.NewStaticProvider()
+	var ips []simnet.IP
+	for i := 0; i < 100; i++ {
+		ip := simnet.IP(uint64(simnet.MustParseIP("10.9.0.1")) + uint64(i))
+		srv, err := New(Config{
+			Pers:           personality.ByKey(personality.KeyProFTPD135),
+			Driver:         NewVFSDriver(testFS()),
+			PublicIP:       ip,
+			AllowAnonymous: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		provider.Add(ip, 21, srv.SimHandler())
+		ips = append(ips, ip)
+	}
+	nw := simnet.NewNetwork(provider)
+	client := simnet.MustParseIP(clientIPStr)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(ips))
+	for _, ip := range ips {
+		wg.Add(1)
+		go func(ip simnet.IP) {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				if err := listSession(nw, client, ip); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(ip)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after 1,000 sessions, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// listSession runs one anonymous session with a passive LIST and a QUIT.
+func listSession(nw *simnet.Network, client, server simnet.IP) error {
+	nc, err := nw.DialFrom(client, server, 21)
+	if err != nil {
+		return err
+	}
+	defer nc.Close()
+	c := ftp.NewConn(nc)
+	c.Timeout = 5 * time.Second
+	if _, err := c.ReadReply(); err != nil {
+		return err
+	}
+	c.Cmd("USER", "anonymous")
+	if r, err := c.Cmd("PASS", "x@x"); err != nil || r.Code != ftp.CodeLoggedIn {
+		return fmt.Errorf("login: %v %v", r, err)
+	}
+	r, err := c.Cmd("PASV", "")
+	if err != nil || r.Code != ftp.CodePassive {
+		return fmt.Errorf("PASV: %v %v", r, err)
+	}
+	hp, err := ftp.ParsePASVReply(r.Text())
+	if err != nil {
+		return err
+	}
+	dc, err := nw.Dial(client, hp.Addr())
+	if err != nil {
+		return err
+	}
+	defer dc.Close()
+	if r, err := c.Cmd("LIST", "/"); err != nil || !r.Preliminary() {
+		return fmt.Errorf("LIST: %v %v", r, err)
+	}
+	if _, err := io.Copy(io.Discard, dc); err != nil {
+		return err
+	}
+	if r, err := c.ReadReply(); err != nil || r.Code != ftp.CodeTransferOK {
+		return fmt.Errorf("LIST completion: %v %v", r, err)
+	}
+	_, err = c.Cmd("QUIT", "")
+	return err
 }

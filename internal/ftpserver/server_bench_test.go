@@ -15,7 +15,7 @@ import (
 	"ftpcloud/internal/simnet"
 )
 
-// benchServer builds a governed, metrics-instrumented server backed by the
+// benchServer builds a capped, metrics-instrumented server backed by the
 // in-memory driver — the configuration the 10k-session target is specified
 // against.
 func benchServer(b *testing.B, maxConns int) (*Server, *obs.Registry) {

@@ -80,21 +80,14 @@ const shapeChunk = 32 << 10
 // shapedConn wraps a data connection with per-session and global token
 // buckets. Either bucket may be nil (no cap at that scope). Writes and reads
 // are chunked; the debt from both buckets is served with one sleep per
-// chunk, so a session is throttled by whichever scope is tighter.
+// chunk, so a session is throttled by whichever scope is tighter, and each
+// chunk stamps the session active so idle expiry spares live transfers.
+// Sessions embed one and reuse it for every transfer.
 type shapedConn struct {
 	net.Conn
 	session *TokenBucket
 	global  *TokenBucket
-	touch   func() // keeps the idle reaper off active transfers; may be nil
-}
-
-// shapeData wraps dc if any bucket is configured; otherwise returns dc
-// unchanged so the unshaped path stays wrapper-free.
-func shapeData(dc net.Conn, session, global *TokenBucket, touch func()) net.Conn {
-	if session == nil && global == nil && touch == nil {
-		return dc
-	}
-	return &shapedConn{Conn: dc, session: session, global: global, touch: touch}
+	cs      *connState
 }
 
 // pay charges n bytes to both buckets and sleeps off the larger debt.
@@ -106,9 +99,7 @@ func (c *shapedConn) pay(n int) {
 	if wait > 0 {
 		time.Sleep(wait)
 	}
-	if c.touch != nil {
-		c.touch()
-	}
+	c.cs.touch()
 }
 
 func (c *shapedConn) Write(p []byte) (int, error) {

@@ -185,7 +185,7 @@ func buildLure(strategy LureStrategy, i int, salt uint64) lureProfile {
 			personality: pick(personality.KeyProFTPD135, personality.KeyProFTPD134a),
 			hostname:    fmt.Sprintf("honeypot-%d.example.edu", i),
 			writable:    true,
-			fs:          baitFS(),
+			fs:          webrootFS(),
 		}
 	}
 }
@@ -193,6 +193,20 @@ func buildLure(strategy LureStrategy, i int, salt uint64) lureProfile {
 // baitSize derives a plausible salted file size.
 func baitSize(salt uint64, min, spread int64) int64 {
 	return min + int64(salt%uint64(spread))
+}
+
+// webrootFS builds the paper's bait tree: writable root plus the web-root
+// directories the paper populated after observing attackers' blind
+// traversals (cgi-bin, www, public_html).
+func webrootFS() *vfs.FS {
+	root := vfs.NewDir("/", vfs.Perm777)
+	for _, name := range []string{"cgi-bin", "www", "public_html", "incoming"} {
+		d := root.Add(vfs.NewDir(name, vfs.Perm777))
+		d.Add(vfs.NewFile("index.html", vfs.Perm644, 1024))
+	}
+	docs := root.Add(vfs.NewDir("files", vfs.Perm755))
+	docs.Add(vfs.NewFile("readme.txt", vfs.Perm644, 512))
+	return vfs.New(root)
 }
 
 // backupFS builds the backup-dump bait tree.
@@ -245,10 +259,6 @@ type FleetConfig struct {
 	Acc *Accumulator
 	// Events, when non-nil, additionally persists every event as JSONL.
 	Events *EventStream
-	// Buffered additionally retains the legacy per-honeypot Logs — only
-	// sane at legacy scale (equivalence tests); fatal at millions of
-	// sessions.
-	Buffered bool
 	// Now is the fleet clock for deploy stamps and event times; nil means
 	// time.Now.
 	Now func() time.Time
@@ -261,7 +271,7 @@ type FleetConfig struct {
 // DeployFleet installs a differentiated honeypot fleet on the provider:
 // every honeypot draws its lure strategy, personality, hostname, bait tree,
 // and writability from its salt, registers with the streaming accumulator,
-// and (optionally) tees events into a JSONL stream and a buffered Log.
+// and (optionally) tees events into a JSONL stream.
 func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment, error) {
 	if cfg.Count <= 0 {
 		return nil, fmt.Errorf("honeypot: count must be positive")
@@ -284,7 +294,6 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 		idle = 20 * time.Second
 	}
 	d := &Deployment{
-		Logs:  make(map[simnet.IP]*Log),
 		Lures: make(map[simnet.IP]LureStrategy, cfg.Count),
 		Acc:   cfg.Acc,
 	}
@@ -296,23 +305,18 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 
 		ipStr := ip.String()
 		cfg.Acc.Register(ipStr, strategy, now())
-		// The stream and log observers run BEFORE the accumulator: once an
-		// event has folded into Acc it is durably in every other sink, so
+		// The stream observer runs BEFORE the accumulator: once an event
+		// has folded into Acc it is durably in the stream too, so
 		// Acc.Quiesce doubles as the close barrier for the event stream.
 		var observers []ftpserver.Observer
 		if cfg.Events != nil {
 			observers = append(observers, cfg.Events.Observer(ipStr, strategy))
 		}
-		if cfg.Buffered {
-			log := &Log{}
-			d.Logs[ip] = log
-			observers = append(observers, log)
-		}
 		observers = append(observers, cfg.Acc.Observer(ipStr))
 
 		srv, err := ftpserver.New(ftpserver.Config{
 			Pers:           personality.ByKey(prof.personality),
-			FS:             prof.fs,
+			Driver:         ftpserver.NewVFSDriver(prof.fs),
 			HostName:       prof.hostname,
 			PublicIP:       ip,
 			AllowAnonymous: true,

@@ -16,9 +16,7 @@ import (
 	"ftpcloud/internal/simnet"
 )
 
-// deployFleetTest stands up a differentiated fleet with the buffered Logs
-// retained, so streamed and buffered summaries can be compared on identical
-// traffic.
+// deployFleetTest stands up a differentiated fleet of count honeypots.
 func deployFleetTest(t *testing.T, count int, cfg FleetConfig) (*simnet.Network, *Deployment) {
 	t.Helper()
 	provider := simnet.NewStaticProvider()
@@ -71,43 +69,53 @@ func quiesce(t *testing.T, acc *Accumulator) {
 	t.Fatal("accumulator never quiesced")
 }
 
-// TestStreamedMatchesBufferedSummary is the tentpole equivalence check: the
-// streaming accumulator and the buffered replay must produce byte-identical
-// tables on the same traffic, because they share one fold implementation.
-func TestStreamedMatchesBufferedSummary(t *testing.T) {
-	nw, dep := deployFleetTest(t, 16, FleetConfig{Seed: 9, Buffered: true})
-	runFleet(t, nw, dep, 150, nil)
+// TestStreamedMatchesEventStreamRefold is the fold equivalence check: the
+// live accumulator and a fresh accumulator fed the run's JSONL event stream,
+// decoded line by line, must produce identical reports — the stream carries
+// everything the tables need, and the fold does not depend on arrival order.
+func TestStreamedMatchesEventStreamRefold(t *testing.T) {
+	var buf bytes.Buffer
+	stream := NewEventStream(dataset.NewLines(&buf))
+	clock := SimClock(time.Unix(1_450_000_000, 0), time.Millisecond)
+	nw, dep := deployFleetTest(t, 16, FleetConfig{Seed: 9, Events: stream, Now: clock})
+	runFleet(t, nw, dep, 150, func(f *attacker.Fleet) { f.Now = clock })
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live := dep.Acc
 
-	streamed := dep.Acc
-	// Rebuild a purely buffered deployment view (no accumulator) and
-	// replay its retained Logs through a fresh fold.
-	buffered := Replay(&Deployment{IPs: dep.IPs, Logs: dep.Logs, Lures: dep.Lures})
+	kinds := map[string]ftpserver.EventKind{}
+	for k := ftpserver.EventConnect; k <= ftpserver.EventDelete; k++ {
+		kinds[k.String()] = k
+	}
+	refold := NewAccumulator()
+	for ip, hp := range live.Snapshot().Honeypots {
+		refold.Register(ip, hp.Lure, hp.Deployed)
+	}
+	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var se StreamEvent
+		if err := json.Unmarshal(line, &se); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		kind, ok := kinds[se.Kind]
+		if !ok {
+			t.Fatalf("line %d: unknown kind %q", i, se.Kind)
+		}
+		refold.observe(se.Honeypot, ftpserver.Event{
+			Kind: kind, RemoteIP: se.RemoteIP, Command: se.Command, Arg: se.Arg, User: se.User,
+			Pass: se.Pass, Path: se.Path, Detail: se.Detail, Bytes: se.Bytes, Time: se.Time,
+		})
+	}
 
-	if got, want := Render(streamed.Summary()), Render(buffered.Summary()); got != want {
-		t.Errorf("streamed summary diverges from buffered replay:\nstreamed:\n%s\nbuffered:\n%s", got, want)
+	got, want := refold.Report(), live.Report()
+	if g, w := Render(got.Summary), Render(want.Summary); g != w {
+		t.Errorf("re-folded summary diverges from the live fold:\nrefold:\n%s\nlive:\n%s", g, w)
 	}
-	if got, want := streamed.CredReuse(0), buffered.CredReuse(0); !reflect.DeepEqual(got, want) {
-		t.Errorf("cred clusters diverge:\nstreamed: %+v\nbuffered: %+v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("re-folded report diverges:\nrefold: %+v\nlive:   %+v", got, want)
 	}
-	if got, want := streamed.Attribution(), buffered.Attribution(); !reflect.DeepEqual(got, want) {
-		t.Errorf("attribution diverges:\nstreamed: %+v\nbuffered: %+v", got, want)
-	}
-	if streamed.Events() != buffered.Events() {
-		t.Errorf("event counts diverge: streamed %d, buffered %d", streamed.Events(), buffered.Events())
-	}
-}
-
-// TestSummarizePrefersAccumulator: a streaming deployment summarizes from
-// its accumulator even when no Logs were retained.
-func TestSummarizePrefersAccumulator(t *testing.T) {
-	nw, dep := deployFleetTest(t, 4, FleetConfig{Seed: 5})
-	runFleet(t, nw, dep, 40, nil)
-	if len(dep.Logs) != 0 {
-		t.Fatalf("streaming deployment retained %d logs", len(dep.Logs))
-	}
-	s := Summarize(dep)
-	if s.UniqueScanners == 0 {
-		t.Error("accumulator-backed summary saw no scanners")
+	if want.Events == 0 {
+		t.Error("the run folded no events")
 	}
 }
 
@@ -155,7 +163,7 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 	if r, _ := c.Cmd("DELE", "/no-such-file.txt"); !r.Negative() {
 		t.Fatalf("DELE of missing file succeeded: %+v", r)
 	}
-	s := Summarize(dep)
+	s := dep.Acc.Summary()
 	if s.Deletes != 0 {
 		t.Fatalf("failed DELE counted: Deletes = %d, want 0", s.Deletes)
 	}
@@ -169,7 +177,7 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 	}
 	fleet.Run(context.Background())
 	quiesce(t, dep.Acc)
-	s = Summarize(dep)
+	s = dep.Acc.Summary()
 	if s.Uploads != 1 || s.Deletes != 1 {
 		t.Errorf("write probe: uploads/deletes = %d/%d, want 1/1", s.Uploads, s.Deletes)
 	}
@@ -245,7 +253,7 @@ func TestVaultLureRejectsWrites(t *testing.T) {
 	if stats.Errors == 0 {
 		t.Error("write probe against read-only vault reported no error")
 	}
-	s := Summarize(dep)
+	s := dep.Acc.Summary()
 	if s.Uploads != 0 {
 		t.Errorf("vault accepted %d uploads", s.Uploads)
 	}

@@ -100,7 +100,7 @@ func (w *World) materialize(t HostTruth) *hostEntry {
 
 	cfg := ftpserver.Config{
 		Pers:           pers,
-		FS:             fs,
+		Driver:         ftpserver.NewVFSDriver(fs),
 		HostName:       t.HostName,
 		PublicIP:       t.IP,
 		InternalIP:     t.InternalIP,
