@@ -2,7 +2,8 @@
 #
 #   make tier1   — what every PR must keep green: build, vet and gofmt,
 #                  full test suite, race-mode tests on the scan-path
-#                  packages, and the benchmark module's vet and tests.
+#                  packages, the benchmark module's vet and tests, and one
+#                  run of the pipe and listing microbenchmarks.
 #   make chaos   — the fault-injection suite under the race detector:
 #                  hostile servers, malformed protocol input, budget and
 #                  degradation paths.
@@ -24,7 +25,7 @@ CHAOS_PKGS = ./internal/simnet ./internal/ftp ./internal/listparse \
 	./internal/enumerator ./internal/worldgen ./internal/identify \
 	./internal/core ./internal/attacker
 
-.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check tier1 chaos bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
+.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
 
 build:
 	$(GO) build ./...
@@ -74,7 +75,14 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-tier1: build vet vet-obs test race race-sharded race-server bench-check smoke
+# The per-connection and per-listing microbenchmarks, run once each so a
+# benchmark that no longer compiles or fails at run time fails tier-1.
+# Their numbers come from `go test -bench` with a real -benchtime.
+bench-micro:
+	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing' -benchtime 1x ./internal/vfs
+
+tier1: build vet vet-obs test race race-sharded race-server bench-check bench-micro smoke
 
 # Observability smoke test: a real ftpcensus run with live progress must
 # produce a parseable, non-empty metrics snapshot.

@@ -414,19 +414,21 @@ func BenchmarkAblationPermutation(b *testing.B) {
 }
 
 // BenchmarkAblationPipe compares the buffered simnet pipe against the
-// stdlib's unbuffered net.Pipe for bulk transfer.
+// stdlib's unbuffered net.Pipe for a bulk transfer (1 MiB) and for one
+// listing-sized data connection (36 KiB, a ~512-entry LIST), each over a
+// fresh connection pair.
 func BenchmarkAblationPipe(b *testing.B) {
-	const payload = 1 << 20
 	buf := make([]byte, 32<<10)
-	run := func(b *testing.B, mk func() (net.Conn, net.Conn)) {
-		b.SetBytes(payload)
+	chunk := make([]byte, 32<<10) // only ever read by the writers
+	run := func(b *testing.B, payload int, mk func() (net.Conn, net.Conn)) {
+		b.SetBytes(int64(payload))
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cw, cr := mk()
 			go func() {
-				chunk := make([]byte, 32<<10)
 				total := 0
 				for total < payload {
-					n, err := cw.Write(chunk)
+					n, err := cw.Write(chunk[:min(len(chunk), payload-total)])
 					total += n
 					if err != nil {
 						return
@@ -445,15 +447,20 @@ func BenchmarkAblationPipe(b *testing.B) {
 			cr.Close()
 		}
 	}
-	b.Run("simnet-buffered", func(b *testing.B) {
-		run(b, func() (net.Conn, net.Conn) {
-			a, c := simnet.NewConnPair(simnet.Addr{IP: 1, Port: 1}, simnet.Addr{IP: 2, Port: 2})
-			return a, c
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"1MiB", 1 << 20}, {"36KiB", 36 << 10}} {
+		b.Run("simnet-buffered/"+size.name, func(b *testing.B) {
+			run(b, size.bytes, func() (net.Conn, net.Conn) {
+				a, c := simnet.NewConnPair(simnet.Addr{IP: 1, Port: 1}, simnet.Addr{IP: 2, Port: 2})
+				return a, c
+			})
 		})
-	})
-	b.Run("net-pipe-unbuffered", func(b *testing.B) {
-		run(b, func() (net.Conn, net.Conn) { return net.Pipe() })
-	})
+		b.Run("net-pipe-unbuffered/"+size.name, func(b *testing.B) {
+			run(b, size.bytes, func() (net.Conn, net.Conn) { return net.Pipe() })
+		})
+	}
 }
 
 // BenchmarkAblationTraversal compares capped BFS against an uncapped crawl

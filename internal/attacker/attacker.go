@@ -16,6 +16,7 @@ import (
 	"crypto/tls"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,14 +219,14 @@ type fleetRun struct {
 	peak     *obs.Gauge
 }
 
-// session runs one bot visit with inflight accounting. Sessions count only
-// visits that actually dialed: a canceled or refused dial is an error, not a
-// session, so stats never claim interactions that produced no server-side
-// events.
-func (r *fleetRun) session(f *Fleet, b Bot, target simnet.IP, timeout time.Duration) {
+// session runs one bot visit over the worker's control-conn wrapper c, with
+// inflight accounting. Sessions count only visits that actually dialed: a
+// canceled or refused dial is an error, not a session, so stats never claim
+// interactions that produced no server-side events.
+func (r *fleetRun) session(f *Fleet, c *ftp.Conn, b Bot, target simnet.IP, timeout time.Duration) {
 	r.inflight.Inc()
 	r.peak.SetMax(r.inflight.Load())
-	dialed, err := f.visit(b, target, timeout)
+	dialed, err := f.visit(c, b, target, timeout)
 	r.inflight.Dec()
 	if dialed {
 		r.sessions.Inc()
@@ -271,7 +272,9 @@ func (f *Fleet) Run(ctx context.Context) Stats {
 // runCampaign drives the campaign: conc workers claim session indices from
 // an atomic counter until the budget is spent or the context is canceled.
 // Assignment is deterministic in the session index, so a campaign replays
-// identically regardless of worker interleaving.
+// identically regardless of worker interleaving. Each worker owns one
+// ftp.Conn and rebinds it per visit, as the server's session pool does, so a
+// session costs no fresh bufio buffers.
 func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Duration, conc int) {
 	nb, nt := int64(len(f.Bots)), int64(len(f.Targets))
 	if nb == 0 || nt == 0 {
@@ -289,6 +292,7 @@ func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Dur
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			c := ftp.NewConn(nil)
 			for {
 				k := claim.Add(1) - 1
 				if k >= budget {
@@ -314,22 +318,28 @@ func (f *Fleet) runCampaign(ctx context.Context, run *fleetRun, timeout time.Dur
 					botsC.Inc()
 				}
 				run.mu.Unlock()
-				run.session(f, b, target, timeout)
+				run.session(f, c, b, target, timeout)
+				// Let the honeypot goroutine our close just woke end its
+				// session now. Otherwise this worker's dial/reply
+				// ping-pong keeps the P, and closed sessions queue by the
+				// hundred behind it, each holding its server state.
+				runtime.Gosched()
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// visit runs one bot session against one honeypot. dialed reports whether a
-// connection was established — callers count sessions only when it is true.
-func (f *Fleet) visit(b Bot, target simnet.IP, timeout time.Duration) (dialed bool, err error) {
+// visit runs one bot session against one honeypot, rebinding c to the new
+// connection. dialed reports whether a connection was established — callers
+// count sessions only when it is true.
+func (f *Fleet) visit(c *ftp.Conn, b Bot, target simnet.IP, timeout time.Duration) (dialed bool, err error) {
 	nc, err := f.Network.DialFrom(b.Source, target, 21)
 	if err != nil {
 		return false, err
 	}
 	defer nc.Close()
-	c := ftp.NewConn(nc)
+	c.Reset(nc)
 	c.Timeout = timeout
 
 	if _, err := c.ReadReply(); err != nil {

@@ -48,7 +48,8 @@ type Conn struct {
 }
 
 // NewConn wraps a network connection. The wrapped connection is used for
-// both directions; callers retain responsibility for closing it.
+// both directions; callers retain responsibility for closing it. nc may be
+// nil for a wrapper that is bound to each connection in turn with Reset.
 func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc: nc,
@@ -61,13 +62,13 @@ func NewConn(nc net.Conn) *Conn {
 func (c *Conn) NetConn() net.Conn { return c.nc }
 
 // Upgrade replaces the underlying connection (after a TLS handshake) while
-// preserving the wrapper. Any bytes buffered from the old connection are
-// discarded; AUTH TLS semantics guarantee the server sends nothing between
-// its 234 reply and the handshake.
+// preserving the wrapper, its buffers and its timeout. Any bytes buffered
+// from the old connection are discarded; AUTH TLS semantics guarantee the
+// server sends nothing between its 234 reply and the handshake.
 func (c *Conn) Upgrade(nc net.Conn) {
 	c.nc = nc
-	c.r = bufio.NewReaderSize(nc, 4096)
-	c.w = bufio.NewWriterSize(nc, 4096)
+	c.r.Reset(nc)
+	c.w.Reset(nc)
 }
 
 // Close closes the underlying connection.

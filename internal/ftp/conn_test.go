@@ -143,6 +143,43 @@ func TestConnCmd(t *testing.T) {
 	}
 }
 
+// TestConnUpgradeDiscardsBufferedBytes: bytes read ahead from the old
+// connection before Upgrade are dropped, the reused buffers serve the new
+// connection in both directions, and the timeout survives.
+func TestConnUpgradeDiscardsBufferedBytes(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	client := NewConn(a)
+	client.Timeout = 5 * time.Second
+	// One write, so the stray line lands in the reader's buffer together
+	// with the 234 reply.
+	go b.Write([]byte("234 AUTH TLS ok\r\n999 stray\r\n"))
+	if r, err := client.ReadReply(); err != nil || r.Code != 234 {
+		t.Fatalf("ReadReply = %+v, %v", r, err)
+	}
+	x, y := net.Pipe()
+	defer x.Close()
+	defer y.Close()
+	client.Upgrade(x)
+	if client.NetConn() != x || client.Timeout != 5*time.Second {
+		t.Fatal("Upgrade did not rebind the conn or lost the timeout")
+	}
+	server := NewConn(y)
+	go func() {
+		if cmd, err := server.ReadCommand(); err == nil && cmd.Name == "PBSZ" {
+			server.SendReply(NewReply(200, "PBSZ=0"))
+		}
+	}()
+	r, err := client.Cmd("PBSZ", "0")
+	if err != nil || r.Code != 200 {
+		t.Fatalf("Cmd after Upgrade = %+v, %v; the stray line must be discarded", r, err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { client.Upgrade(x) }); allocs != 0 {
+		t.Errorf("Upgrade allocates %.0f times", allocs)
+	}
+}
+
 // Property: every encodable HostPort survives Encode → ParseHostPort and
 // FormatPASVReply → ParsePASVReply unchanged.
 func TestHostPortRoundTripProperty(t *testing.T) {

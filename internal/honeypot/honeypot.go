@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
 )
 
@@ -21,11 +20,6 @@ type Deployment struct {
 	// Acc is the streaming accumulator every honeypot folds into.
 	Acc *Accumulator
 }
-
-// BindMetrics mirrors the deployment's event stream into the registry by
-// binding the accumulator's instruments. Bind before the attacker fleet
-// runs.
-func (d *Deployment) BindMetrics(reg *obs.Registry) { d.Acc.BindMetrics(reg) }
 
 // Summary is §VIII's statistics, finalized by Accumulator.Summary.
 type Summary struct {

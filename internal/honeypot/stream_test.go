@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -116,6 +117,33 @@ func TestStreamedMatchesEventStreamRefold(t *testing.T) {
 	}
 	if want.Events == 0 {
 		t.Error("the run folded no events")
+	}
+}
+
+// TestCampaignLeavesNoTeardownBacklog: on one P, a campaign worker lets
+// each honeypot session end before it dials the next. Without that, the
+// worker's dial/reply ping-pong keeps the P and closed sessions queue
+// behind it by the hundred, each holding its server state.
+func TestCampaignLeavesNoTeardownBacklog(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	nw, dep := deployFleetTest(t, 10, FleetConfig{Seed: 5})
+	fleet := &attacker.Fleet{
+		Network:      nw,
+		Bots:         attacker.DefaultMix(457, 77, 0.30),
+		Targets:      dep.IPs,
+		BounceTarget: ftp.HostPort{IP: [4]byte{203, 0, 113, 66}, Port: 9999},
+		Timeout:      5 * time.Second,
+		Concurrency:  1,
+		Sessions:     3000,
+	}
+	stats := fleet.Run(context.Background())
+	if backlog := uint64(stats.Sessions) - dep.Acc.Closed(); backlog > 8 {
+		t.Errorf("%d of %d sessions still open when the campaign returned", backlog, stats.Sessions)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !dep.Acc.Quiesce(ctx, uint64(stats.Sessions)) {
+		t.Fatal("accumulator never quiesced")
 	}
 }
 

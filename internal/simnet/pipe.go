@@ -26,13 +26,22 @@ func (timeoutError) Error() string   { return "simnet: i/o timeout" }
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
+// pipeBufs recycles queue buffers between pipes. A halfPipe holds one only
+// while bytes are queued, so idle control connections hold nothing and a
+// fresh data connection reuses a buffer a drained one gave back.
+var pipeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // halfPipe is one direction of a duplex connection: a bounded byte queue
 // with blocking reads/writes, close semantics, and deadline support.
 type halfPipe struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte // ring-free: simple slice queue, compacted on read
-	closed bool   // write side closed: reads drain then EOF, writes fail
+	mu   sync.Mutex
+	cond *sync.Cond
+	// buf[off:] is the queue. buf is taken from pipeBufs by the first
+	// write into an empty pipe and given back by the read that drains it;
+	// nil while nothing is queued.
+	buf    *[]byte
+	off    int
+	closed bool // write side closed: reads drain then EOF, writes fail
 
 	readDeadline  deadline
 	writeDeadline deadline
@@ -46,8 +55,17 @@ func newHalfPipe() *halfPipe {
 	return h
 }
 
+// queued reports the number of bytes waiting to be read.
+func (h *halfPipe) queued() int {
+	if h.buf == nil {
+		return 0
+	}
+	return len(*h.buf) - h.off
+}
+
 // deadline manages a single settable deadline; when it fires it wakes
-// blocked goroutines so they can observe expiry.
+// blocked goroutines so they can observe expiry. Its timer is created once
+// and re-armed with Reset, since ftp.Conn moves the deadline on every line.
 type deadline struct {
 	t     time.Time
 	timer *time.Timer
@@ -55,30 +73,30 @@ type deadline struct {
 }
 
 func (d *deadline) set(t time.Time) {
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
-	}
+	d.stop()
 	d.t = t
 	if t.IsZero() {
 		return
 	}
 	dur := time.Until(t)
-	if dur <= 0 {
+	switch {
+	case dur <= 0:
 		d.wake()
-		return
+	case d.timer == nil:
+		d.timer = time.AfterFunc(dur, d.wake)
+	default:
+		d.timer.Reset(dur)
 	}
-	d.timer = time.AfterFunc(dur, d.wake)
 }
 
-// stop cancels a pending timer without clearing the deadline itself.
-// Called on close: a stopped timer is released from the runtime timer heap
+// stop cancels a pending wake-up without clearing the deadline itself.
+// On close, a stopped timer is released from the runtime timer heap
 // immediately, instead of pinning the pipe (via the wake closure) until the
-// deadline would have fired.
+// deadline would have fired. A wake-up already under way is only a
+// spurious Broadcast: waiters re-check their condition.
 func (d *deadline) stop() {
 	if d.timer != nil {
 		d.timer.Stop()
-		d.timer = nil
 	}
 }
 
@@ -91,17 +109,26 @@ func (h *halfPipe) write(p []byte) (int, error) {
 	defer h.mu.Unlock()
 	total := 0
 	for len(p) > 0 {
-		switch {
+		switch q := h.queued(); {
 		case h.closed:
 			return total, io.ErrClosedPipe
 		case h.writeDeadline.expired():
 			return total, timeoutError{}
-		case len(h.buf) < pipeBufSize:
-			n := pipeBufSize - len(h.buf)
-			if n > len(p) {
-				n = len(p)
+		case q < pipeBufSize:
+			n := min(pipeBufSize-q, len(p))
+			if h.buf == nil {
+				h.buf = pipeBufs.Get().(*[]byte)
 			}
-			h.buf = append(h.buf, p[:n]...)
+			b := *h.buf
+			if cap(b)-len(b) < n && h.off > 0 {
+				// Compact only when the tail lacks room: the queue
+				// then stays within pipeBufSize of the front, so a
+				// reader that never fully drains keeps the buffer
+				// bounded.
+				b = b[:copy(b, b[h.off:])]
+				h.off = 0
+			}
+			*h.buf = append(b, p[:n]...)
 			p = p[n:]
 			total += n
 			h.cond.Broadcast()
@@ -117,10 +144,14 @@ func (h *halfPipe) read(p []byte) (int, error) {
 	defer h.mu.Unlock()
 	for {
 		switch {
-		case len(h.buf) > 0:
-			n := copy(p, h.buf)
-			rest := copy(h.buf, h.buf[n:])
-			h.buf = h.buf[:rest]
+		case h.queued() > 0:
+			n := copy(p, (*h.buf)[h.off:])
+			h.off += n
+			if h.off == len(*h.buf) {
+				*h.buf = (*h.buf)[:0]
+				pipeBufs.Put(h.buf)
+				h.buf, h.off = nil, 0
+			}
 			h.cond.Broadcast()
 			return n, nil
 		case h.closed:

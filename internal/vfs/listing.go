@@ -32,6 +32,10 @@ func (s ListStyle) String() string {
 	}
 }
 
+// permTriplets holds the eight rwx groups, three bytes each, indexed by
+// 3×(the group's three permission bits).
+const permTriplets = "---" + "--x" + "-w-" + "-wx" + "r--" + "r-x" + "rw-" + "rwx"
+
 // appendPerm appends "drwxr-xr-x"-style mode text.
 func appendPerm(dst []byte, n *Node) []byte {
 	kind := byte('-')
@@ -42,13 +46,9 @@ func appendPerm(dst []byte, n *Node) []byte {
 		kind = 'l'
 	}
 	dst = append(dst, kind)
-	const bits = "rwxrwxrwx"
-	for i := 0; i < 9; i++ {
-		if n.Perm&(1<<(8-i)) != 0 {
-			dst = append(dst, bits[i])
-		} else {
-			dst = append(dst, '-')
-		}
+	for shift := 6; shift >= 0; shift -= 3 {
+		g := 3 * (int(n.Perm>>shift) & 7)
+		dst = append(dst, permTriplets[g:g+3]...)
 	}
 	return dst
 }
@@ -60,9 +60,25 @@ func permString(n *Node) string {
 }
 
 // appendPadInt appends v right-aligned in a space-padded field of width w.
+// Non-negative values are rendered by a digit loop; negative ones (never a
+// real size, but a Driver may report one) go through strconv.
 func appendPadInt(dst []byte, v int64, w int) []byte {
 	var tmp [20]byte
-	num := strconv.AppendInt(tmp[:0], v, 10)
+	var num []byte
+	if v < 0 {
+		num = strconv.AppendInt(tmp[:0], v, 10)
+	} else {
+		i := len(tmp)
+		for {
+			i--
+			tmp[i] = byte('0' + v%10)
+			v /= 10
+			if v == 0 {
+				break
+			}
+		}
+		num = tmp[i:]
+	}
 	for pad := w - len(num); pad > 0; pad-- {
 		dst = append(dst, ' ')
 	}
@@ -85,6 +101,31 @@ func listDate(t, now time.Time) time.Time {
 		return now.Add(-365 * 24 * time.Hour)
 	}
 	return t
+}
+
+// monthAbbrevs holds the three-letter month names, three bytes each.
+const monthAbbrevs = "JanFebMarAprMayJunJulAugSepOctNovDec"
+
+// appendLsDate appends t in t's own zone as ls -l does: "Jan _2 15:04" when
+// recent, "Jan _2  2006" otherwise. The fields are rendered by hand; a year
+// outside 1000–9999 falls back to time.AppendFormat.
+func appendLsDate(dst []byte, t time.Time, recent bool) []byte {
+	year, month, day := t.Date()
+	if !recent && (year < 1000 || year > 9999) {
+		return t.AppendFormat(dst, "Jan _2  2006")
+	}
+	m := 3 * (int(month) - 1)
+	dst = append(dst, monthAbbrevs[m:m+3]...)
+	if day < 10 {
+		dst = append(dst, ' ', ' ', byte('0'+day), ' ')
+	} else {
+		dst = append(dst, ' ', byte('0'+day/10), byte('0'+day%10), ' ')
+	}
+	if recent {
+		hour, minute, _ := t.Clock()
+		return append(dst, byte('0'+hour/10), byte('0'+hour%10), ':', byte('0'+minute/10), byte('0'+minute%10))
+	}
+	return append(dst, ' ', byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10))
 }
 
 // AppendUnixLine appends one node as an ls -l line (no terminator).
@@ -110,11 +151,8 @@ func AppendUnixLine(dst []byte, n *Node, now time.Time) []byte {
 	dst = appendPadInt(dst, size, 12)
 	dst = append(dst, ' ')
 	t := listDate(n.MTime, now)
-	if d := now.Sub(t); d < 180*24*time.Hour && d > -180*24*time.Hour {
-		dst = t.AppendFormat(dst, "Jan _2 15:04")
-	} else {
-		dst = t.AppendFormat(dst, "Jan _2  2006")
-	}
+	d := now.Sub(t)
+	dst = appendLsDate(dst, t, d < 180*24*time.Hour && d > -180*24*time.Hour)
 	dst = append(dst, ' ')
 	dst = append(dst, n.Name...)
 	if n.LinkTarget != "" {
