@@ -8,6 +8,8 @@
 #                  hostile servers, malformed protocol input, budget and
 #                  degradation paths.
 #   make bench   — regenerate the scan-path benchmark numbers (BENCH json).
+#   make fuzz-smoke — every native fuzz target for FUZZTIME each (default
+#                  10s); not part of tier1.
 
 GO ?= go
 
@@ -25,7 +27,7 @@ CHAOS_PKGS = ./internal/simnet ./internal/ftp ./internal/listparse \
 	./internal/enumerator ./internal/worldgen ./internal/identify \
 	./internal/core ./internal/attacker
 
-.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
+.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos fuzz-smoke bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
 
 build:
 	$(GO) build ./...
@@ -75,12 +77,13 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The per-connection and per-listing microbenchmarks, run once each so a
-# benchmark that no longer compiles or fails at run time fails tier-1.
-# Their numbers come from `go test -bench` with a real -benchtime.
+# The per-connection, per-listing and ledger-codec microbenchmarks, run once
+# each so a benchmark that no longer compiles or fails at run time fails
+# tier-1. Their numbers come from `go test -bench` with a real -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing' -benchtime 1x ./internal/vfs
+	$(GO) test -run '^$$' -bench 'BenchmarkReadAll|BenchmarkWriterWrite' -benchtime 1x ./internal/dataset
 
 tier1: build vet vet-obs test race race-sharded race-server bench-check bench-micro smoke
 
@@ -95,6 +98,11 @@ smoke:
 # *and* hostile worlds and demands byte-identical recovery.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Hostile|Benign|Malformed|Truncated|Oversized|MidReply|UnexpectedEOF|KillAndResume' $(CHAOS_PKGS)
+
+# Fuzz smoke run, not part of tier1: each native fuzz target for FUZZTIME.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	GO=$(GO) FUZZTIME=$(FUZZTIME) scripts/fuzz-smoke.sh
 
 bench:
 	scripts/bench.sh

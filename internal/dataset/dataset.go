@@ -3,11 +3,20 @@
 // toolchain captured per host: banner, login outcome, robots.txt, directory
 // listings with permissions, HELP/FEAT/SITE output, FTPS certificate, PASV
 // posture, and PORT-validation results.
+//
+// The store is JSON lines, one HostRecord per line, written and read by a
+// hand-written codec (codec.go) rather than encoding/json: the struct tags
+// are the schema's documentation and the tests' oracle. The Writer's bytes
+// are exactly encoding/json's, and every line ReadAll accepts, encoding/json
+// accepts with the same result. ReadAll is stricter in two ways: keys match
+// exactly (encoding/json folds case, so a key differing from a field only in
+// case is an error here), and a bare null line is an error rather than an
+// empty record.
 package dataset
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -167,19 +176,29 @@ func (r *HostRecord) FTPSCert() *CertInfo {
 type Writer struct {
 	w   *bufio.Writer
 	n   int
-	enc *json.Encoder
+	buf []byte // one encoded line, reused
 }
+
+// maxKeptLine bounds the line buffer a Writer keeps between records, so one
+// huge listing does not pin its encoding for the rest of a census.
+const maxKeptLine = 1 << 20
 
 // NewWriter wraps an io.Writer.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	return &Writer{w: bw, enc: json.NewEncoder(bw)}
+	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // Write appends one record.
 func (w *Writer) Write(rec *HostRecord) error {
-	if err := w.enc.Encode(rec); err != nil {
+	line, err := AppendRecord(w.buf[:0], rec)
+	if err != nil {
 		return fmt.Errorf("dataset: encoding record for %s: %w", rec.IP, err)
+	}
+	if cap(line) <= maxKeptLine {
+		w.buf = line
+	}
+	if _, err := w.w.Write(line); err != nil {
+		return fmt.Errorf("dataset: writing record for %s: %w", rec.IP, err)
 	}
 	w.n++
 	return nil
@@ -191,25 +210,39 @@ func (w *Writer) Count() int { return w.n }
 // Flush drains buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// ReadAll parses a JSONL stream back into records.
+// ReadAll parses a JSONL stream back into records. Lines may be of any
+// length; a trailing "\r" is dropped and empty lines are skipped. An error
+// names the 1-based line it failed on.
 func ReadAll(r io.Reader) ([]*HostRecord, error) {
-	var out []*HostRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	var (
+		out  []*HostRecord
+		d    decoder
+		long []byte // a line longer than the read buffer, reassembled
+	)
+	br := bufio.NewReaderSize(r, 1<<16)
+	for n := 1; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
 		}
-		rec := &HostRecord{}
-		if err := json.Unmarshal(sc.Bytes(), rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("dataset: reading line %d: %w", n, err)
 		}
-		out = append(out, rec)
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+		if len(line) > 0 {
+			rec := &HostRecord{}
+			if derr := d.decodeRecord(line, rec); derr != nil {
+				return nil, fmt.Errorf("dataset: line %d: %w", n, derr)
+			}
+			out = append(out, rec)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scanning: %w", err)
-	}
-	return out, nil
 }

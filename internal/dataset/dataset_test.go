@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -91,5 +92,36 @@ func TestOmitEmpty(t *testing.T) {
 		if strings.Contains(line, `"`+absent+`"`) {
 			t.Errorf("empty field %q serialized: %s", absent, line)
 		}
+	}
+}
+
+// TestReadAllLongLine: one host's listing can run past any fixed line cap
+// (the enumerator's byte budget is 64 MiB of listing data), so a record the
+// Writer wrote must read back whatever its length.
+func TestReadAllLongLine(t *testing.T) {
+	huge := &HostRecord{IP: "10.0.0.1", FTP: true, AnonymousOK: true}
+	name := strings.Repeat("n", 200)
+	for len(huge.Files)*2*len(name) < 17<<20 {
+		huge.Files = append(huge.Files, FileEntry{Path: "/pub/" + name, Name: name, Size: int64(len(huge.Files))})
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, rec := range []*HostRecord{sampleRecord(), huge, sampleRecord()} {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() <= 16<<20 {
+		t.Fatalf("ledger is only %d bytes", buf.Len())
+	}
+	recs, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || !reflect.DeepEqual(recs[1], huge) || recs[2].IP != "10.1.2.3" {
+		t.Fatalf("read %d records; the long one round-tripped: %v", len(recs), len(recs) > 1 && reflect.DeepEqual(recs[1], huge))
 	}
 }

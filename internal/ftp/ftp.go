@@ -43,6 +43,9 @@ func ParseCommand(line string) (Command, error) {
 	if i := strings.IndexByte(line, ' '); i >= 0 {
 		verb, arg = line[:i], strings.TrimLeft(line[i+1:], " ")
 	}
+	if verb == "" {
+		return Command{}, fmt.Errorf("ftp: command line %q has no verb", line)
+	}
 	for _, r := range verb {
 		if (r < 'a' || r > 'z') && (r < 'A' || r > 'Z') && r != '-' {
 			return Command{}, fmt.Errorf("ftp: malformed command verb %q", verb)
