@@ -1,4 +1,5 @@
-# Tier-1 verification flow plus the perf harness.
+# Tier-1 verification flow. The benchmark lives in bench/ (ftpbench; see
+# bench/README.md); the microbenchmarks run with `go test -bench`.
 #
 #   make tier1   — what every PR must keep green: build, vet and gofmt,
 #                  full test suite, race-mode tests on the scan-path
@@ -7,7 +8,6 @@
 #   make chaos   — the fault-injection suite under the race detector:
 #                  hostile servers, malformed protocol input, budget and
 #                  degradation paths.
-#   make bench   — regenerate the scan-path benchmark numbers (BENCH json).
 #   make fuzz-smoke — every native fuzz target for FUZZTIME each (default
 #                  10s); not part of tier1.
 
@@ -27,7 +27,7 @@ CHAOS_PKGS = ./internal/simnet ./internal/ftp ./internal/listparse \
 	./internal/enumerator ./internal/worldgen ./internal/identify \
 	./internal/core ./internal/attacker
 
-.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos fuzz-smoke bench bench-server bench-identify bench-longitudinal bench-honeypot smoke
+.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos fuzz-smoke smoke
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,7 @@ vet-obs:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Extended race coverage: the pipeline, the parallel analysis layer, and
+# Extended race coverage: the pipeline, the analysis layer, and
 # the delta engine.
 race-full: race
 	$(GO) test -race ./internal/core ./internal/analysis ./internal/delta
@@ -103,35 +103,3 @@ chaos:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	GO=$(GO) FUZZTIME=$(FUZZTIME) scripts/fuzz-smoke.sh
-
-bench:
-	scripts/bench.sh
-
-# Server-core benchmark: concurrent-session throughput (100/1k/10k tiers
-# over simnet and loopback TCP) plus per-command steady-state allocations.
-bench-server:
-	PKG=./internal/ftpserver \
-	BENCH='BenchmarkServerConcurrentSessions|BenchmarkSessionCommands' \
-	BENCHTIME=20000x scripts/bench.sh BENCH_7.json
-
-# Staged-funnel benchmark: per-class identification round-trips, the
-# shed-vs-enumerate trade on one service host, and the full mixed-world
-# census with the legacy two-stage pipeline versus the staged funnel.
-bench-identify:
-	BENCH='BenchmarkIdentifyRoundTrip|BenchmarkShedVsEnumerate|BenchmarkMixedCensus' \
-	BENCHTIME=3x scripts/bench.sh BENCH_8.json
-
-# Longitudinal benchmark: checkpoint frame encode/decode, the resume-time
-# aggregate merge, and a 100k-host ledger diff.
-bench-longitudinal:
-	PKG=./internal/delta \
-	BENCH='BenchmarkCheckpointEncode|BenchmarkCheckpointDecode|BenchmarkResumeMerge|BenchmarkDiffLedgers' \
-	BENCHTIME=100x scripts/bench.sh BENCH_9.json
-
-# Honeypot fleet benchmark: 100 differentiated honeypots absorbing a
-# million-session attacker campaign through the streaming accumulators —
-# live-B/session must stay fractional (population-bounded memory) — plus
-# the legacy-scale §VIII study for the report tables.
-bench-honeypot:
-	BENCH='BenchmarkHoneypotFleetMemory|BenchmarkSectionVIII_Honeypot' \
-	BENCHTIME=1x scripts/bench.sh BENCH_10.json

@@ -2,10 +2,10 @@
 // evaluation, plus ablations for the design decisions DESIGN.md calls out.
 //
 // Each table benchmark runs over a shared census fixture (a full
-// scan + enumerate at FTPCLOUD_BENCH_SCALE, default 1:8192) and prints its
-// table once, so `go test -bench .` regenerates the paper's rows while
-// measuring the analysis cost. BenchmarkPipeline_FullCensus times the
-// entire pipeline end to end.
+// scan + enumerate at FTPCLOUD_BENCH_SCALE, default 1:8192, folded into the
+// streaming accumulators) and prints its table once, so `go test -bench .`
+// regenerates the paper's rows while measuring that table's finalize cost.
+// BenchmarkPipeline_FullCensus times the entire pipeline end to end.
 package ftpcloud
 
 import (
@@ -49,29 +49,38 @@ func benchScale() int {
 }
 
 var (
-	fixtureOnce   sync.Once
-	fixtureCensus *core.Census
-	fixtureResult *core.Result
-	fixtureErr    error
+	fixtureOnce    sync.Once
+	fixtureResult  *core.Result
+	fixtureAgg     *analysis.Aggregator
+	fixtureScanned uint64
+	fixtureErr     error
 )
 
-// fixture runs the shared census once per process.
-func fixture(b *testing.B) (*core.Census, *core.Result) {
+// fixture runs the shared streaming census once per process. It returns
+// the result, an aggregator restored from the run's snapshot — so each
+// table benchmark can time its own finalize — and the sweep size.
+func fixture(b *testing.B) (*core.Result, *analysis.Aggregator, uint64) {
 	b.Helper()
 	fixtureOnce.Do(func() {
-		fixtureCensus, fixtureErr = core.NewCensus(core.CensusConfig{
+		census, err := core.NewCensus(core.CensusConfig{
 			Seed:  42,
 			Scale: benchScale(),
 		})
-		if fixtureErr != nil {
+		if err != nil {
+			fixtureErr = err
 			return
 		}
-		fixtureResult, fixtureErr = fixtureCensus.Run(context.Background())
+		if fixtureResult, fixtureErr = census.Run(context.Background()); fixtureErr != nil {
+			return
+		}
+		fixtureAgg = analysis.NewAggregator(nil, nil)
+		fixtureAgg.MergeSnapshot(fixtureResult.Snapshot())
+		fixtureScanned = census.World.ScanSize
 	})
 	if fixtureErr != nil {
 		b.Fatal(fixtureErr)
 	}
-	return fixtureCensus, fixtureResult
+	return fixtureResult, fixtureAgg, fixtureScanned
 }
 
 // printOnce emits a table exactly once across all bench iterations.
@@ -85,11 +94,11 @@ func printTable(name, body string) {
 
 // BenchmarkTableI_ScanFunnel regenerates Table I.
 func BenchmarkTableI_ScanFunnel(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, scanned := fixture(b)
 	var f analysis.Funnel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFunnel(res.Input)
+		f = agg.Funnel(scanned)
 	}
 	b.ReportMetric(float64(f.FTPServers), "ftp-servers")
 	b.ReportMetric(f.PctAnonymous, "pct-anon")
@@ -98,11 +107,11 @@ func BenchmarkTableI_ScanFunnel(b *testing.B) {
 
 // BenchmarkTableII_Classification regenerates Table II.
 func BenchmarkTableII_Classification(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var c analysis.Classification
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = analysis.ComputeClassification(res.Input)
+		c = agg.Classification()
 	}
 	b.ReportMetric(float64(c.TotalFTP), "classified")
 	printTable("table2", report.Classification(c))
@@ -110,11 +119,11 @@ func BenchmarkTableII_Classification(b *testing.B) {
 
 // BenchmarkTableIII_ASConcentration regenerates Table III.
 func BenchmarkTableIII_ASConcentration(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var a analysis.ASConcentration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = analysis.ComputeASConcentration(res.Input)
+		a = agg.ASConcentration()
 	}
 	b.ReportMetric(float64(a.ASesForHalfAll), "ases-for-half")
 	printTable("table3", report.ASConcentration(a))
@@ -122,11 +131,11 @@ func BenchmarkTableIII_ASConcentration(b *testing.B) {
 
 // BenchmarkTableV_ProviderDevices regenerates Tables IV and V.
 func BenchmarkTableV_ProviderDevices(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var d analysis.DeviceBreakdown
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = analysis.ComputeDevices(res.Input)
+		d = agg.Devices()
 	}
 	b.ReportMetric(float64(len(d.Provider)), "provider-models")
 	printTable("table45_7", report.Devices(d))
@@ -134,11 +143,11 @@ func BenchmarkTableV_ProviderDevices(b *testing.B) {
 
 // BenchmarkTableVI_TopASes regenerates Table VI.
 func BenchmarkTableVI_TopASes(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var rows []analysis.TopAS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = analysis.ComputeTopASes(res.Input, 10)
+		rows = agg.TopASes(10)
 	}
 	if len(rows) > 0 {
 		b.ReportMetric(float64(rows[0].AnonServers), "top-as-anon")
@@ -149,22 +158,22 @@ func BenchmarkTableVI_TopASes(b *testing.B) {
 // BenchmarkTableVII_ConsumerDevices regenerates Table VII (shares the
 // device computation but reports the consumer side).
 func BenchmarkTableVII_ConsumerDevices(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var d analysis.DeviceBreakdown
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = analysis.ComputeDevices(res.Input)
+		d = agg.Devices()
 	}
 	b.ReportMetric(float64(len(d.Consumer)), "consumer-models")
 }
 
 // BenchmarkTableVIII_Extensions regenerates Table VIII.
 func BenchmarkTableVIII_Extensions(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var e analysis.Exposure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e = analysis.ComputeExposure(res.Input)
+		e = agg.Exposure()
 	}
 	b.ReportMetric(float64(len(e.Extensions)), "extensions")
 	printTable("table8", report.Extensions(e, 10))
@@ -172,11 +181,11 @@ func BenchmarkTableVIII_Extensions(b *testing.B) {
 
 // BenchmarkTableIX_Sensitive regenerates Table IX.
 func BenchmarkTableIX_Sensitive(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var e analysis.Exposure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e = analysis.ComputeExposure(res.Input)
+		e = agg.Exposure()
 	}
 	sensServers := 0
 	for _, s := range e.Sensitive {
@@ -189,11 +198,11 @@ func BenchmarkTableIX_Sensitive(b *testing.B) {
 
 // BenchmarkTableX_ExposureByDevice regenerates Table X.
 func BenchmarkTableX_ExposureByDevice(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var x analysis.ExposureByDevice
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x = analysis.ComputeExposureByDevice(res.Input)
+		x = agg.ExposureByDevice()
 	}
 	b.ReportMetric(float64(x.Totals["All"]), "exposing-servers")
 	printTable("table10", report.ExposureByDevice(x))
@@ -201,11 +210,11 @@ func BenchmarkTableX_ExposureByDevice(b *testing.B) {
 
 // BenchmarkTableXI_CVEs regenerates Table XI.
 func BenchmarkTableXI_CVEs(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var c analysis.CVEExposure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = analysis.ComputeCVEs(res.Input)
+		c = agg.CVEs()
 	}
 	b.ReportMetric(float64(c.VulnerableIPs), "vulnerable-ips")
 	printTable("table11", report.CVEs(c))
@@ -213,11 +222,11 @@ func BenchmarkTableXI_CVEs(b *testing.B) {
 
 // BenchmarkTableXII_FTPSCerts regenerates Tables XII and XIII plus §IX.
 func BenchmarkTableXII_FTPSCerts(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var f analysis.FTPS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFTPS(res.Input, 10)
+		f = agg.FTPS(10)
 	}
 	b.ReportMetric(float64(f.UniqueCerts), "unique-certs")
 	b.ReportMetric(f.PctSelfSigned, "pct-self-signed")
@@ -227,22 +236,22 @@ func BenchmarkTableXII_FTPSCerts(b *testing.B) {
 // BenchmarkTableXIII_SharedCerts isolates the Table XIII device-cert
 // grouping on the same computation.
 func BenchmarkTableXIII_SharedCerts(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var f analysis.FTPS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFTPS(res.Input, 10)
+		f = agg.FTPS(10)
 	}
 	b.ReportMetric(float64(len(f.DeviceCerts)), "device-cert-families")
 }
 
 // BenchmarkFigure1_ASCDF regenerates Figure 1.
 func BenchmarkFigure1_ASCDF(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var a analysis.ASConcentration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = analysis.ComputeASConcentration(res.Input)
+		a = agg.ASConcentration()
 	}
 	b.ReportMetric(float64(len(a.CDFAll)), "ases")
 	printTable("figure1", report.Figure1(a))
@@ -250,11 +259,11 @@ func BenchmarkFigure1_ASCDF(b *testing.B) {
 
 // BenchmarkSectionVI_Malicious regenerates §VI.
 func BenchmarkSectionVI_Malicious(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var m analysis.Malicious
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m = analysis.ComputeMalicious(res.Input)
+		m = agg.Malicious()
 	}
 	b.ReportMetric(float64(m.WritableServers), "writable-servers")
 	printTable("section6", report.Malicious(m))
@@ -262,11 +271,11 @@ func BenchmarkSectionVI_Malicious(b *testing.B) {
 
 // BenchmarkSectionVII_PortBounce regenerates §VII.B.
 func BenchmarkSectionVII_PortBounce(b *testing.B) {
-	_, res := fixture(b)
+	_, agg, _ := fixture(b)
 	var p analysis.PortBounce
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p = analysis.ComputePortBounce(res.Input)
+		p = agg.PortBounce()
 	}
 	b.ReportMetric(p.PctNotValidated, "pct-unvalidated")
 	b.ReportMetric(p.HomePLShare, "homepl-share")
@@ -303,7 +312,7 @@ func BenchmarkPipeline_FullCensus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(res.Records)), "hosts")
+		b.ReportMetric(float64(res.Observed), "hosts")
 	}
 }
 
@@ -324,7 +333,6 @@ func BenchmarkShardedCensus(b *testing.B) {
 					ScanWorkers:      32,
 					EnumWorkers:      8,
 					RealisticLatency: true,
-					RetainRecords:    core.RetainNone,
 				}, workers)
 				if err != nil {
 					b.Fatal(err)
@@ -690,7 +698,7 @@ func BenchmarkProbeClosedPort(b *testing.B) {
 // accumulators, so iterations measure the finalize step alone — the cost
 // that remains on the critical path after a run.
 func BenchmarkComputeTables(b *testing.B) {
-	_, res := fixture(b)
+	res, _, _ := fixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tables := res.ComputeTables()
@@ -698,59 +706,6 @@ func BenchmarkComputeTables(b *testing.B) {
 			b.Fatal("empty tables")
 		}
 	}
-}
-
-// BenchmarkCensusMemory contrasts the live heap a finished census pins in
-// the two retention modes. Each iteration builds a world, runs the census,
-// releases the world, forces a GC, and reports the surviving heap bytes per
-// observed host: in retained mode the Result pins every record and listing;
-// in streaming mode only the accumulator state survives.
-func BenchmarkCensusMemory(b *testing.B) {
-	// settle runs the collector twice so floating garbage from earlier
-	// benchmarks (the shared census fixture, finalizer chains) cannot
-	// skew a baseline read.
-	settle := func(ms *runtime.MemStats) {
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(ms)
-	}
-	run := func(b *testing.B, retain core.Retention) {
-		var perHost float64
-		for i := 0; i < b.N; i++ {
-			var before, after runtime.MemStats
-			settle(&before)
-
-			census, err := core.NewCensus(core.CensusConfig{
-				Seed:          42,
-				Scale:         benchScale(),
-				RetainRecords: retain,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := census.Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Observed == 0 {
-				b.Fatal("census observed no hosts")
-			}
-
-			// Drop the world; what survives the GC is what the Result pins.
-			census = nil //nolint:ineffassign // releases the world for the GC below
-			settle(&after)
-
-			live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-			if live < 0 {
-				live = 0
-			}
-			perHost = float64(live) / float64(res.Observed)
-			runtime.KeepAlive(res)
-		}
-		b.ReportMetric(perHost, "live-B/host")
-	}
-	b.Run("retained", func(b *testing.B) { run(b, core.RetainAll) })
-	b.Run("streaming", func(b *testing.B) { run(b, core.RetainNone) })
 }
 
 // --- Staged discovery funnel ----------------------------------------------

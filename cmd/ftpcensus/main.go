@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"ftpcloud/internal/analysis"
+	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/core"
 	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/enumerator"
@@ -29,73 +30,84 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "ftpcensus: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("ftpcensus", flag.ExitOnError)
 	var (
-		seed     = flag.Uint64("seed", 42, "world and scan-order seed")
-		scale    = flag.Int("scale", 2048, "divisor of the paper's full-Internet population")
-		epoch    = flag.Uint64("epoch", 0, "world epoch: later epochs churn hosts, upgrade versions, and reallocate tail ASes deterministically")
-		workers  = flag.Int("workers", 64, "enumeration worker count")
-		retries  = flag.Int("retries", 2, "discovery probe retries")
-		rate     = flag.Int("rate", 0, "cap discovery probes per second across all shards (0 = unthrottled)")
-		loss     = flag.Float64("loss", 0.02, "simulated probe loss rate")
-		out      = flag.String("out", "", "write the per-host dataset (JSONL) to this file")
-		notifyTo = flag.String("notify", "", "write per-AS disclosure notices to this file")
-		csvTo    = flag.String("figure1-csv", "", "write Figure 1's CDF series (CSV) to this file")
-		quiet    = flag.Bool("quiet", false, "suppress the table report")
-		timeout  = flag.Duration("timeout", 30*time.Minute, "overall run deadline")
-		shards   = flag.Int("shards", 1,
+		seed     = fs.Uint64("seed", 42, "world and scan-order seed")
+		scale    = fs.Int("scale", 2048, "divisor of the paper's full-Internet population")
+		epoch    = fs.Uint64("epoch", 0, "world epoch: later epochs churn hosts, upgrade versions, and reallocate tail ASes deterministically")
+		workers  = fs.Int("workers", 64, "enumeration worker count")
+		retries  = fs.Int("retries", 2, "discovery probe retries")
+		rate     = fs.Int("rate", 0, "cap discovery probes per second across all shards (0 = unthrottled)")
+		loss     = fs.Float64("loss", 0.02, "simulated probe loss rate")
+		out      = fs.String("out", "", "write the per-host dataset (JSONL) to this file")
+		notifyTo = fs.String("notify", "", "write per-AS disclosure notices, built from the -out ledger, to this file")
+		csvTo    = fs.String("figure1-csv", "", "write Figure 1's CDF series (CSV) to this file")
+		quiet    = fs.Bool("quiet", false, "suppress the table report")
+		timeout  = fs.Duration("timeout", 30*time.Minute, "overall run deadline")
+		shards   = fs.Int("shards", 1,
 			"fan the census out over this many cooperating shard pipelines")
-		snapshotOut = flag.String("snapshot-out", "",
+		snapshotOut = fs.String("snapshot-out", "",
 			"write the merged aggregate snapshot (binary checkpoint) to this file")
-		checkpointTo = flag.String("checkpoint", "",
+		checkpointTo = fs.String("checkpoint", "",
 			"write a resumable checkpoint to this file on truncation (and periodically); removed after a clean finish")
-		checkpointEvery = flag.Duration("checkpoint-every", 30*time.Second,
+		checkpointEvery = fs.Duration("checkpoint-every", 30*time.Second,
 			"periodic checkpoint interval when -checkpoint is set (0 = truncation-only)")
-		resumeFrom = flag.String("resume", "",
+		resumeFrom = fs.String("resume", "",
 			"resume a truncated census from this checkpoint file; -out is trimmed to the checkpointed ledger and appended to")
 
-		serviceMix = flag.String("service-mix", "",
+		serviceMix = fs.String("service-mix", "",
 			"put non-FTP services on port 21: \"default\" or weights like http=4,tls=2,ssh=2,telnet=1,garbage=2,silent=1 (empty = off)")
-		identifyOn = flag.Bool("identify", false,
+		identifyOn = fs.Bool("identify", false,
 			"insert the LZR-style identification stage: fingerprint each discovered endpoint and shed non-FTP services before enumeration")
-		identifyWait = flag.Duration("identify-wait", 0,
+		identifyWait = fs.Duration("identify-wait", 0,
 			"identification banner wait before sending the trigger (0 = default 2s)")
-		identifyWorkers = flag.Int("identify-workers", 0,
+		identifyWorkers = fs.Int("identify-workers", 0,
 			"identification worker count per shard (0 = default 32)")
 
-		hostile = flag.Float64("hostile", 0,
+		hostile = fs.Float64("hostile", 0,
 			"fraction of FTP hosts given a hostile fault personality")
-		faultMix = flag.String("fault-mix", "",
+		faultMix = fs.String("fault-mix", "",
 			"hostile class weights, e.g. latency=1,drip=2,rst=1,stall=1,garbage=1,eof=1")
-		enumTimeout = flag.Duration("enum-timeout", 0,
+		enumTimeout = fs.Duration("enum-timeout", 0,
 			"per-operation enumerator timeout (0 = default 15s)")
-		enumRetries = flag.Int("enum-retries", 0,
+		enumRetries = fs.Int("enum-retries", 0,
 			"enumerator transport retry attempts (0 = default)")
-		hostBudget = flag.Duration("host-budget", 0,
+		hostBudget = fs.Duration("host-budget", 0,
 			"wall-clock budget per enumerated host (0 = default 2m, negative = off)")
-		byteBudget = flag.Int64("byte-budget", 0,
+		byteBudget = fs.Int64("byte-budget", 0,
 			"data-channel byte budget per host (0 = default 64MiB, negative = off)")
 
-		progress = flag.Duration("progress", 0,
+		progress = fs.Duration("progress", 0,
 			"emit a progress line to stderr at this interval (0 = off)")
-		debugAddr = flag.String("debug-addr", "",
+		debugAddr = fs.String("debug-addr", "",
 			"serve /debug/pprof, /debug/vars and /metrics on this address")
-		metricsOut = flag.String("metrics-out", "",
+		metricsOut = fs.String("metrics-out", "",
 			"write the final metrics snapshot (JSON) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	// Shard counts outside [1,63] are config errors: zero or negative
 	// pipelines cannot carry a census, and beyond 63 the per-shard probe
 	// floor (1/s) makes the aggregate rate wildly overshoot -rate.
 	if *shards < 1 || *shards > 63 {
 		return fmt.Errorf("-shards %d out of range: must be between 1 and 63", *shards)
+	}
+	// A scale below 1 divides the population by nothing meaningful; the
+	// library would quietly substitute its default and run a census far
+	// larger than the one asked for.
+	if *scale < 1 {
+		return fmt.Errorf("-scale %d out of range: must be at least 1", *scale)
+	}
+	// Notices are built from the finished ledger, so they need one.
+	if *notifyTo != "" && *out == "" {
+		return fmt.Errorf("-notify needs -out: notices are built from the JSONL ledger")
 	}
 
 	mix, err := worldgen.ParseFaultMix(*faultMix)
@@ -137,10 +149,8 @@ func run() error {
 	}
 
 	// The dataset is persisted by streaming each record into the JSONL
-	// file as its enumeration finishes — and unless another consumer
-	// needs the retained slice (the notify builder does), the census
-	// runs in streaming-only mode so listings never pile up in memory.
-	// A resume appends to the interrupted ledger after trimming it to
+	// file as its enumeration finishes, so listings never pile up in
+	// memory. A resume appends to the interrupted ledger after trimming it to
 	// exactly the records the checkpoint accounts for, so the finished
 	// file carries no duplicates and no post-checkpoint stragglers.
 	var streamSink *dataset.WriterSink
@@ -177,10 +187,6 @@ func run() error {
 				os.Remove(*out)
 			}
 		}()
-	}
-	retain := core.RetainNone
-	if *notifyTo != "" {
-		retain = core.RetainAll
 	}
 
 	if *debugAddr != "" {
@@ -241,7 +247,6 @@ func run() error {
 		LossRate:        *loss,
 		Checkpoint:      policy,
 		Resume:          resumeSnap,
-		RetainRecords:   retain,
 		StreamTo:        streamTo,
 		ServiceMix:      svcMix,
 		Identify:        *identifyOn,
@@ -328,21 +333,11 @@ func run() error {
 	}
 
 	if *notifyTo != "" {
-		f, err := os.Create(*notifyTo)
+		n, err := writeNotices(*out, *notifyTo, census.World.ASDB)
 		if err != nil {
 			return err
 		}
-		notices := notify.Build(result.Input)
-		for i, n := range notices {
-			if i > 0 {
-				fmt.Fprintln(f, strings.Repeat("-", 72))
-			}
-			fmt.Fprintln(f, notify.Render(n))
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ftpcensus: wrote %d notices to %s\n", len(notices), *notifyTo)
+		fmt.Fprintf(os.Stderr, "ftpcensus: wrote %d notices to %s\n", n, *notifyTo)
 	}
 
 	tables := result.ComputeTables()
@@ -420,6 +415,37 @@ func censusProgress(w io.Writer, delta, cur obs.Snapshot, elapsed time.Duration)
 		fmt.Fprintf(w, " failures: %s", strings.Join(parts, " "))
 	}
 	fmt.Fprintln(w)
+}
+
+// writeNotices builds the per-AS disclosure notices from the finished JSONL
+// ledger and writes them to path, returning how many it wrote. Reading the
+// ledger back, rather than the records of this process, covers a resumed
+// census whole: the ledger holds the records streamed before the cut too.
+func writeNotices(ledger, path string, db *asdb.DB) (int, error) {
+	lf, err := os.Open(ledger)
+	if err != nil {
+		return 0, err
+	}
+	records, err := dataset.ReadAll(lf)
+	lf.Close()
+	if err != nil {
+		return 0, fmt.Errorf("reading ledger %s: %w", ledger, err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	notices := notify.Build(records, db)
+	for i, n := range notices {
+		if i > 0 {
+			fmt.Fprintln(f, strings.Repeat("-", 72))
+		}
+		fmt.Fprintln(f, notify.Render(n))
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	return len(notices), nil
 }
 
 // readCheckpoint loads and sanity-checks a resume file. Deep validation

@@ -17,6 +17,7 @@ import (
 
 	"ftpcloud/internal/core"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/fingerprint"
 	"ftpcloud/internal/report"
 )
 
@@ -24,7 +25,10 @@ func main() {
 	scale := flag.Int("scale", 16384, "world scale divisor")
 	flag.Parse()
 
-	census, err := core.NewCensus(core.CensusConfig{Seed: 7, Scale: *scale})
+	// The census streams every record through its analysis; a Collector on
+	// the stream keeps them so the audit can list individual hosts.
+	hosts := &dataset.Collector{}
+	census, err := core.NewCensus(core.CensusConfig{Seed: 7, Scale: *scale, StreamTo: hosts})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,11 +43,11 @@ func main() {
 	// List a sample of vulnerable hosts with their implementations.
 	fmt.Println("\nSample of vulnerable hosts:")
 	shown := 0
-	for _, rec := range result.Records {
+	for _, rec := range hosts.Records {
 		if rec.PortCheck != dataset.PortNotValidated {
 			continue
 		}
-		c := result.Input.Classify(rec)
+		c := fingerprint.Classify(rec)
 		software := c.Software
 		if software == "" {
 			software = "(unidentified)"

@@ -32,8 +32,25 @@ func dir(path, name string) dataset.FileEntry {
 	return dataset.FileEntry{Path: path, Name: name, IsDir: true}
 }
 
+// testInput is a hand-built census: the records plus the join sources an
+// aggregator derives from.
+type testInput struct {
+	// IPsScanned is the discovery sweep size (Table I row 1).
+	IPsScanned uint64
+	Records    []*dataset.HostRecord
+	ASDB       *asdb.DB
+	// HTTP is the external web-scan join keyed by IP string.
+	HTTP map[string]HTTPInfo
+}
+
+// hook answers the aggregator's HTTP join from the test map.
+func (in *testInput) hook(r *Record) (HTTPInfo, bool) {
+	info, ok := in.HTTP[r.Host.IP]
+	return info, ok
+}
+
 // buildInput assembles a small, fully hand-understood dataset.
-func buildInput(t *testing.T) *Input {
+func buildInput(t *testing.T) *testInput {
 	t.Helper()
 	records := []*dataset.HostRecord{
 		// Non-FTP open host.
@@ -122,7 +139,7 @@ func buildInput(t *testing.T) *Input {
 			PortCheck:     dataset.PortNotValidated,
 		},
 	}
-	return &Input{
+	return &testInput{
 		IPsScanned: 1000,
 		Records:    records,
 		ASDB:       testASDB(t),
@@ -134,7 +151,8 @@ func buildInput(t *testing.T) *Input {
 }
 
 func TestFunnel(t *testing.T) {
-	f := ComputeFunnel(buildInput(t))
+	in := buildInput(t)
+	f := observeAll(t, in).Funnel(in.IPsScanned)
 	if f.IPsScanned != 1000 || f.OpenPort21 != 9 || f.FTPServers != 8 || f.AnonServers != 5 {
 		t.Errorf("funnel: %+v", f)
 	}
@@ -144,7 +162,7 @@ func TestFunnel(t *testing.T) {
 }
 
 func TestClassification(t *testing.T) {
-	c := ComputeClassification(buildInput(t))
+	c := observeAll(t, buildInput(t)).Classification()
 	byName := map[string]CategoryCount{}
 	for _, row := range c.Rows {
 		byName[row.Name] = row
@@ -168,7 +186,7 @@ func TestClassification(t *testing.T) {
 }
 
 func TestDevices(t *testing.T) {
-	d := ComputeDevices(buildInput(t))
+	d := observeAll(t, buildInput(t)).Devices()
 	if len(d.Consumer) != 1 || d.Consumer[0].Model != "QNAP Turbo NAS" || d.Consumer[0].Found != 2 || d.Consumer[0].Anon != 1 {
 		t.Errorf("consumer: %+v", d.Consumer)
 	}
@@ -178,7 +196,7 @@ func TestDevices(t *testing.T) {
 }
 
 func TestExposure(t *testing.T) {
-	e := ComputeExposure(buildInput(t))
+	e := observeAll(t, buildInput(t)).Exposure()
 	if e.AnonServers != 5 || e.ExposingServers != 4 {
 		t.Errorf("exposure counts: anon=%d exposing=%d", e.AnonServers, e.ExposingServers)
 	}
@@ -229,7 +247,7 @@ func TestExposure(t *testing.T) {
 }
 
 func TestExposureByDevice(t *testing.T) {
-	x := ComputeExposureByDevice(buildInput(t))
+	x := observeAll(t, buildInput(t)).ExposureByDevice()
 	// Two sensitive-document servers: the QNAP NAS and the generic host
 	// whose exposed /etc/shadow also counts.
 	if x.Totals["Sensitive Documents"] != 2 {
@@ -247,7 +265,7 @@ func TestExposureByDevice(t *testing.T) {
 }
 
 func TestASConcentration(t *testing.T) {
-	a := ComputeASConcentration(buildInput(t))
+	a := observeAll(t, buildInput(t)).ASConcentration()
 	if a.TotalASesAll != 2 || a.TotalASesAnon != 2 {
 		t.Errorf("AS totals: %+v", a)
 	}
@@ -264,7 +282,7 @@ func TestASConcentration(t *testing.T) {
 }
 
 func TestTopASes(t *testing.T) {
-	top := ComputeTopASes(buildInput(t), 10)
+	top := observeAll(t, buildInput(t)).TopASes(10)
 	if len(top) != 2 {
 		t.Fatalf("top ASes: %+v", top)
 	}
@@ -278,7 +296,7 @@ func TestTopASes(t *testing.T) {
 }
 
 func TestMalicious(t *testing.T) {
-	m := ComputeMalicious(buildInput(t))
+	m := observeAll(t, buildInput(t)).Malicious()
 	if m.WritableServers != 2 || m.WritableASes != 2 {
 		t.Errorf("writable: %d servers %d ASes", m.WritableServers, m.WritableASes)
 	}
@@ -303,7 +321,7 @@ func TestMalicious(t *testing.T) {
 }
 
 func TestCVEs(t *testing.T) {
-	c := ComputeCVEs(buildInput(t))
+	c := observeAll(t, buildInput(t)).CVEs()
 	byID := map[string]CVECount{}
 	for _, row := range c.Rows {
 		byID[row.ID] = row
@@ -327,7 +345,7 @@ func TestCVEs(t *testing.T) {
 }
 
 func TestPortBounce(t *testing.T) {
-	b := ComputePortBounce(buildInput(t))
+	b := observeAll(t, buildInput(t)).PortBounce()
 	if b.Tested != 4 || b.NotValidated != 2 {
 		t.Errorf("bounce: %+v", b)
 	}
@@ -349,7 +367,7 @@ func TestPortBounce(t *testing.T) {
 }
 
 func TestFTPS(t *testing.T) {
-	f := ComputeFTPS(buildInput(t), 10)
+	f := observeAll(t, buildInput(t)).FTPS(10)
 	if f.Supported != 3 || f.UniqueCerts != 2 {
 		t.Errorf("ftps: supported=%d unique=%d", f.Supported, f.UniqueCerts)
 	}
@@ -365,17 +383,17 @@ func TestFTPS(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	in := &Input{}
-	if f := ComputeFunnel(in); f.OpenPort21 != 0 || f.PctAnonymous != 0 {
+	agg := NewAggregator(nil, nil)
+	if f := agg.Funnel(0); f.OpenPort21 != 0 || f.PctAnonymous != 0 {
 		t.Errorf("empty funnel: %+v", f)
 	}
-	if c := ComputeClassification(in); c.TotalFTP != 0 {
+	if c := agg.Classification(); c.TotalFTP != 0 {
 		t.Errorf("empty classification: %+v", c)
 	}
-	if a := ComputeASConcentration(in); a.ASesForHalfAll != 0 {
+	if a := agg.ASConcentration(); a.ASesForHalfAll != 0 {
 		t.Errorf("empty concentration: %+v", a)
 	}
-	if f := ComputeFTPS(in, 5); f.Supported != 0 || f.PctSupported != 0 {
+	if f := agg.FTPS(5); f.Supported != 0 || f.PctSupported != 0 {
 		t.Errorf("empty ftps: %+v", f)
 	}
 }

@@ -461,21 +461,6 @@ func (a *ExposureAcc) FinalizeByDevice() ExposureByDevice {
 	return out
 }
 
-// ComputeExposure derives Tables VIII and IX plus §V from a retained
-// dataset.
-func ComputeExposure(in *Input) Exposure {
-	var acc ExposureAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}
-
-// ComputeExposureByDevice derives Table X from a retained dataset.
-func ComputeExposureByDevice(in *Input) ExposureByDevice {
-	var acc ExposureAcc
-	in.fold(&acc)
-	return acc.FinalizeByDevice()
-}
-
 func countMarkers(dirs map[string]bool, markers []string) int {
 	n := 0
 	for _, m := range markers {

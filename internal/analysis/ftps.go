@@ -215,11 +215,3 @@ func (a *FTPSAcc) Finalize(topN int) FTPS {
 	}
 	return f
 }
-
-// ComputeFTPS derives §IX, Table XII, and Table XIII from a retained
-// dataset.
-func ComputeFTPS(in *Input, topN int) FTPS {
-	var acc FTPSAcc
-	in.fold(&acc)
-	return acc.Finalize(topN)
-}

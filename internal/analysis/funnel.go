@@ -63,10 +63,3 @@ func (a *FunnelAcc) Finalize(ipsScanned uint64) Funnel {
 	f.PctAnonymous = percent(f.AnonServers, f.FTPServers)
 	return f
 }
-
-// ComputeFunnel derives Table I from a retained dataset.
-func ComputeFunnel(in *Input) Funnel {
-	var acc FunnelAcc
-	in.fold(&acc)
-	return acc.Finalize(in.IPsScanned)
-}

@@ -9,12 +9,9 @@ import (
 
 // observeAll folds the dataset through a fresh aggregator with the test
 // HTTP-join hook.
-func observeAll(t *testing.T, in *Input) *Aggregator {
+func observeAll(t *testing.T, in *testInput) *Aggregator {
 	t.Helper()
-	agg := NewAggregator(in.ASDB, func(r *Record) (HTTPInfo, bool) {
-		info, ok := in.HTTP[r.Host.IP]
-		return info, ok
-	})
+	agg := NewAggregator(in.ASDB, in.hook)
 	for _, rec := range in.Records {
 		if err := agg.Observe(rec); err != nil {
 			t.Fatal(err)
@@ -81,10 +78,7 @@ func TestAggregatorMergeMatchesSingle(t *testing.T) {
 	for _, parts := range []int{2, 3, 4, 8} {
 		aggs := make([]*Aggregator, parts)
 		for i := range aggs {
-			aggs[i] = NewAggregator(in.ASDB, func(r *Record) (HTTPInfo, bool) {
-				info, ok := in.HTTP[r.Host.IP]
-				return info, ok
-			})
+			aggs[i] = NewAggregator(in.ASDB, in.hook)
 		}
 		for i, rec := range in.Records {
 			if err := aggs[i%parts].Observe(rec); err != nil {

@@ -20,22 +20,6 @@ type tableSet struct {
 	FTPS             FTPS
 }
 
-func computeAll(in *Input) tableSet {
-	return tableSet{
-		Funnel:           ComputeFunnel(in),
-		Classification:   ComputeClassification(in),
-		ASConcentration:  ComputeASConcentration(in),
-		Devices:          ComputeDevices(in),
-		TopASes:          ComputeTopASes(in, 10),
-		Exposure:         ComputeExposure(in),
-		ExposureByDevice: ComputeExposureByDevice(in),
-		CVEs:             ComputeCVEs(in),
-		Malicious:        ComputeMalicious(in),
-		PortBounce:       ComputePortBounce(in),
-		FTPS:             ComputeFTPS(in, 10),
-	}
-}
-
 func finalizeAll(agg *Aggregator, ipsScanned uint64) tableSet {
 	return tableSet{
 		Funnel:           agg.Funnel(ipsScanned),
@@ -52,15 +36,13 @@ func finalizeAll(agg *Aggregator, ipsScanned uint64) tableSet {
 	}
 }
 
-// TestAggregatorMatchesCompute feeds the hand-built dataset through a
-// streaming Aggregator — in reverse order, to prove order independence —
-// and checks every table against the batch Compute path.
-func TestAggregatorMatchesCompute(t *testing.T) {
+// TestAggregatorOrderIndependent feeds the hand-built dataset through a
+// streaming Aggregator in reverse order and checks every table against the
+// in-order fold: a census emits records in completion order, so the tables
+// must not depend on it.
+func TestAggregatorOrderIndependent(t *testing.T) {
 	in := buildInput(t)
-	agg := NewAggregator(in.ASDB, func(r *Record) (HTTPInfo, bool) {
-		info, ok := in.HTTP[r.Host.IP]
-		return info, ok
-	})
+	agg := NewAggregator(in.ASDB, in.hook)
 	for i := len(in.Records) - 1; i >= 0; i-- {
 		if err := agg.Observe(in.Records[i]); err != nil {
 			t.Fatal(err)
@@ -70,9 +52,9 @@ func TestAggregatorMatchesCompute(t *testing.T) {
 		t.Errorf("Observed = %d, want %d", agg.Observed(), len(in.Records))
 	}
 	got := finalizeAll(agg, in.IPsScanned)
-	want := computeAll(in)
+	want := finalizeAll(observeAll(t, in), in.IPsScanned)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("streaming tables diverge from batch tables:\n got %+v\nwant %+v", got, want)
+		t.Errorf("reverse-order tables diverge from in-order tables:\n got %+v\nwant %+v", got, want)
 	}
 
 	// Finalize is pure: a second pass must be identical.
@@ -90,26 +72,27 @@ func TestAggregatorMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestAggregateInputMatchesCompute checks the batch bridge (parallel
-// derivation + sequential fold) against the direct Compute path.
-func TestAggregateInputMatchesCompute(t *testing.T) {
-	in := buildInput(t)
-	agg := AggregateInput(in)
-	got := finalizeAll(agg, in.IPsScanned)
-	want := computeAll(in)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AggregateInput tables diverge:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestAggregatorEmpty: finalizing with no observations must match the
-// batch path over an empty Input.
+// TestAggregatorEmpty: an aggregator that observed nothing finalizes the
+// same tables as one restored from its encoded snapshot — a checkpoint
+// taken before the first record resumes to an empty census.
 func TestAggregatorEmpty(t *testing.T) {
-	in := &Input{IPsScanned: 10}
 	agg := NewAggregator(nil, nil)
-	got := finalizeAll(agg, 10)
-	want := computeAll(in)
+	raw, err := agg.Snapshot().EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshotBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewAggregator(nil, nil)
+	restored.MergeSnapshot(snap)
+	if restored.Observed() != 0 {
+		t.Errorf("restored empty aggregate observed %d records", restored.Observed())
+	}
+	got := finalizeAll(restored, 10)
+	want := finalizeAll(agg, 10)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("empty aggregate diverges:\n got %+v\nwant %+v", got, want)
+		t.Errorf("empty aggregate diverges after a snapshot round trip:\n got %+v\nwant %+v", got, want)
 	}
 }

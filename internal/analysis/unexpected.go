@@ -124,10 +124,3 @@ func (a *UnexpectedAcc) Finalize() UnexpectedServices {
 	})
 	return u
 }
-
-// ComputeUnexpected derives the shed ledger from a retained dataset.
-func ComputeUnexpected(in *Input) UnexpectedServices {
-	var acc UnexpectedAcc
-	in.fold(&acc)
-	return acc.Finalize()
-}

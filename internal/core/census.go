@@ -128,15 +128,16 @@ type CensusConfig struct {
 	HostBudget time.Duration
 	ByteBudget int64
 
-	// RetainRecords chooses what Run keeps after folding each record
-	// into the analysis accumulators. The zero value (RetainAll) is the
-	// legacy buffered mode.
+	// RetainRecords is ignored: every census streams.
+	//
+	// Deprecated: kept only so the benchmark module still compiles; it
+	// goes with the next benchmark change.
 	RetainRecords Retention
 	// StreamTo, when non-nil, receives every record the moment its
 	// enumeration finishes — ahead of the analysis accumulators in the
-	// sink chain. Run closes it when the census ends. Combine with
-	// RetainNone and a dataset.WriterSink for constant-memory
-	// persistence.
+	// sink chain. Run closes it when the census ends. A dataset.WriterSink
+	// persists the census as a JSONL ledger in constant memory; a
+	// dataset.Collector keeps the records for a caller that wants them.
 	StreamTo dataset.Sink
 
 	// Metrics, when non-nil, wires every stage into one registry: the
@@ -164,24 +165,19 @@ type CensusConfig struct {
 	// series is byte-identical to an uninterrupted run. The snapshot must
 	// carry checkpoint state matching this configuration (same seed,
 	// epoch, scale, shard count, and measurement knobs) or Run fails with
-	// ErrCheckpointMismatch. In RetainAll mode only the resumed portion's
-	// records are retained; resume is built for streaming runs.
+	// ErrCheckpointMismatch.
 	Resume *analysis.Snapshot
 }
 
-// Retention selects the census memory model.
+// Retention is the type of the ignored CensusConfig.RetainRecords.
+//
+// Deprecated: every census streams; see CensusConfig.RetainRecords.
 type Retention int
 
-const (
-	// RetainAll keeps every HostRecord: Result.Records and the legacy
-	// analysis Input are populated. The default.
-	RetainAll Retention = iota
-	// RetainNone streams: each record is folded into the analysis
-	// accumulators (and StreamTo) as it arrives and then dropped, so
-	// peak memory is the aggregate state, not the dataset — listings
-	// never accumulate. Result.Records and Result.Input stay nil.
-	RetainNone
-)
+// RetainNone is Retention's only value, the zero value.
+//
+// Deprecated: see CensusConfig.RetainRecords.
+const RetainNone Retention = 0
 
 // Truncation classes recorded in Result.TruncatedBy (and folded into
 // Robustness.Failures) when a run is cut short by its caller.
@@ -301,17 +297,11 @@ func NewCensus(cfg CensusConfig) (*Census, error) {
 	return &Census{Config: cfg, World: world, Network: nw}, nil
 }
 
-// Result is a completed census.
+// Result is a completed census. Every record was folded into the analysis
+// accumulators (and StreamTo) as it arrived and then dropped, so a Result
+// holds the aggregate state, never the dataset.
 type Result struct {
-	// Input and Records are populated only in RetainAll mode; in
-	// streaming mode the records were folded into the accumulators and
-	// released.
-	Input   *analysis.Input
-	Records []*dataset.HostRecord
-
-	// Observed counts the records that flowed through the sink chain —
-	// equal to len(Records) in retained mode, and the only cardinality
-	// available in streaming mode.
+	// Observed counts the records that flowed through the sink chain.
 	Observed int
 
 	// ScanDuration is the time until discovery finished; EnumDuration
@@ -348,10 +338,9 @@ type Result struct {
 // way the paper's toolchain chained ZMap with its libevent enumerator.
 // Every finished record flows through a sink chain in a single pass:
 // first the caller's StreamTo sink (if any), then the analysis
-// accumulators, then — in RetainAll mode only — an in-memory collector.
-// The HTTP (Censys-equivalent) join is resolved per record inside that
-// pass, so the join is always consistent with the records that actually
-// flowed, even when the run is cancelled mid-flight.
+// accumulators. The HTTP (Censys-equivalent) join is resolved per record
+// inside that pass, so the join is always consistent with the records that
+// actually flowed, even when the run is cancelled mid-flight.
 //
 // Run drives a single pipeline; ShardedCensus fans the same pipeline out
 // over strided permutation shards and merges the partial aggregates. Both
@@ -397,12 +386,10 @@ type shardSpec struct {
 }
 
 // shardOutcome is one pipeline's partial census: the aggregate, the
-// robustness ledger, retained records, timings, and any errors.
+// robustness ledger, timings, and any errors.
 type shardOutcome struct {
 	agg       *analysis.Aggregator
 	robust    Robustness
-	records   []*dataset.HostRecord
-	join      map[string]analysis.HTTPInfo
 	scanDur   time.Duration
 	probed    uint64
 	responded uint64
@@ -461,45 +448,15 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		Metrics:    c.Config.Metrics,
 	}
 
-	// The sink chain. The aggregator resolves each record's HTTP join
-	// through a per-record truth lookup — replacing the old post-hoc
-	// join over a `discovered` slice that could be left inconsistent
-	// with in-flight records on cancellation. In retained mode the same
-	// hook also materializes the legacy Input.HTTP map as a side effect,
-	// so the map covers exactly the records that flowed.
-	retained := c.Config.RetainRecords == RetainAll
-	var join map[string]analysis.HTTPInfo
-	if retained {
-		join = make(map[string]analysis.HTTPInfo)
-	}
-	world := c.World
-	httpHook := func(r *analysis.Record) (analysis.HTTPInfo, bool) {
-		ip, ok := r.IPNum()
-		if !ok {
-			return analysis.HTTPInfo{}, false
-		}
-		truth, ok := world.Truth(ip)
-		if !ok || !truth.FTP {
-			return analysis.HTTPInfo{}, false
-		}
-		info := analysis.HTTPInfo{HTTP: truth.HTTP, Scripting: truth.Scripting}
-		if join != nil {
-			join[r.Host.IP] = info
-		}
-		return info, true
-	}
-	agg := analysis.NewAggregator(c.World.ASDB, httpHook)
-	sinks := make([]dataset.Sink, 0, 3)
+	// The sink chain: the shared stream (if any), then the aggregator,
+	// which resolves each record's HTTP join through a per-record truth
+	// lookup, so the join covers exactly the records that flowed — even
+	// when the run is cancelled mid-flight.
+	agg := analysis.NewAggregator(c.World.ASDB, truthHTTP(c.World))
+	sink := dataset.Sink(agg)
 	if spec.stream != nil {
-		sinks = append(sinks, dataset.KeepOpen(spec.stream))
+		sink = dataset.Tee(dataset.KeepOpen(spec.stream), agg)
 	}
-	sinks = append(sinks, agg)
-	var coll *dataset.Collector
-	if retained {
-		coll = &dataset.Collector{}
-		sinks = append(sinks, coll)
-	}
-	sink := dataset.Tee(sinks...)
 
 	// Publish the shard's live pieces for the checkpoint coordinator, then
 	// signal readiness: from here on the halt watcher can stop the scanner
@@ -628,10 +585,6 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 	o.robust = robust
 	o.probed = scanner.Stats.Probed.Load()
 	o.responded = scanner.Stats.Responded.Load()
-	if retained {
-		o.records = coll.Records
-		o.join = join
-	}
 	return o
 }
 
@@ -660,9 +613,8 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 		}
 	}
 
-	// Fold every shard into the first, in shard order. Ordering is for
-	// reproducibility of Result.Records only — the aggregates themselves
-	// are additive, so any merge order finalizes identically.
+	// Fold every shard into the first. The aggregates are additive, so
+	// any merge order finalizes identically.
 	base := outcomes[0]
 	agg := base.agg
 	robust := base.robust
@@ -673,8 +625,6 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 		agg:          agg,
 		scanned:      c.World.ScanSize,
 	}
-	records := base.records
-	join := base.join
 	for _, o := range outcomes[1:] {
 		agg.Merge(o.agg)
 		robust.Merge(o.robust)
@@ -682,10 +632,6 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 		result.Responded += o.responded
 		if o.scanDur > result.ScanDuration {
 			result.ScanDuration = o.scanDur
-		}
-		records = append(records, o.records...)
-		for ip, info := range o.join {
-			join[ip] = info
 		}
 	}
 	// A resumed run folds the previous run's checkpoint in last: the saved
@@ -701,15 +647,6 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 	result.Observed = agg.Observed()
 	result.Robustness = robust
 	result.EnumDuration = time.Since(start)
-	if c.Config.RetainRecords == RetainAll {
-		result.Records = records
-		result.Input = &analysis.Input{
-			IPsScanned: c.World.ScanSize,
-			Records:    records,
-			ASDB:       c.World.ASDB,
-			HTTP:       join,
-		}
-	}
 
 	// Error precedence: a broken sink is fatal (the dataset is suspect)
 	// but the partial result still rides along for inspection; a scanner
@@ -806,38 +743,23 @@ func (m *censusMetrics) record(rec *dataset.HostRecord) {
 	}
 }
 
-// HTTPJoin plays the role of the paper's Censys HTTP dataset: an external
+// truthHTTP plays the role of the paper's Censys HTTP dataset: an external
 // scan of the same address space reporting web servers and their scripting
-// headers. In the simulation the web-scan ground truth comes from the world
-// generator, exactly as Censys is generated independently of the FTP scan.
-func (c *Census) HTTPJoin(records []*dataset.HostRecord) map[string]analysis.HTTPInfo {
-	ips := make([]simnet.IP, 0, len(records))
-	for _, rec := range records {
-		if !rec.FTP {
-			continue
+// headers, joined to each FTP host as it is observed. In the simulation the
+// web-scan ground truth comes from the world generator, exactly as Censys is
+// generated independently of the FTP scan.
+func truthHTTP(world *worldgen.World) func(*analysis.Record) (analysis.HTTPInfo, bool) {
+	return func(r *analysis.Record) (analysis.HTTPInfo, bool) {
+		ip, ok := r.IPNum()
+		if !ok {
+			return analysis.HTTPInfo{}, false
 		}
-		ip, err := simnet.ParseIP(rec.IP)
-		if err != nil {
-			continue
-		}
-		ips = append(ips, ip)
-	}
-	return c.httpJoinIPs(ips)
-}
-
-// httpJoinIPs builds the join from numeric addresses. The census pipeline
-// feeds it the discovery results directly, so host IPs never round-trip
-// through their string form on this path.
-func (c *Census) httpJoinIPs(ips []simnet.IP) map[string]analysis.HTTPInfo {
-	join := make(map[string]analysis.HTTPInfo, len(ips))
-	for _, ip := range ips {
-		truth, ok := c.World.Truth(ip)
+		truth, ok := world.Truth(ip)
 		if !ok || !truth.FTP {
-			continue
+			return analysis.HTTPInfo{}, false
 		}
-		join[ip.String()] = analysis.HTTPInfo{HTTP: truth.HTTP, Scripting: truth.Scripting}
+		return analysis.HTTPInfo{HTTP: truth.HTTP, Scripting: truth.Scripting}, true
 	}
-	return join
 }
 
 // Tables bundles every computed experiment.
@@ -863,7 +785,7 @@ type Tables struct {
 
 // Snapshot returns the serializable aggregate state this run folded — the
 // mergeable/checkpoint form of the census (see analysis.Snapshot). Nil for
-// hand-built results that never ran a pipeline.
+// a zero Result that never ran a pipeline.
 func (r *Result) Snapshot() *analysis.Snapshot {
 	if r.agg == nil {
 		return nil
@@ -871,21 +793,13 @@ func (r *Result) Snapshot() *analysis.Snapshot {
 	return r.agg.Snapshot()
 }
 
-// ComputeTables produces every analysis table. After a census run this is
-// a thin finalize over the accumulators the pipeline already folded — no
-// record is touched again, which is what lets streaming mode drop them.
-// For hand-built Results (an Input loaded from disk, say) it folds the
-// retained records through a fresh aggregator first, fanning the per-record
-// derivation across CPUs.
+// ComputeTables produces every analysis table: a thin finalize over the
+// accumulators the pipeline already folded — no record is touched again,
+// which is what lets the census drop each one as soon as it is folded.
 func (r *Result) ComputeTables() Tables {
 	agg := r.agg
-	scanned := r.scanned
-	if agg == nil {
-		agg = analysis.AggregateInput(r.Input)
-		scanned = r.Input.IPsScanned
-	}
 	return Tables{
-		Funnel:           agg.Funnel(scanned),
+		Funnel:           agg.Funnel(r.scanned),
 		Classification:   agg.Classification(),
 		ASConcentration:  agg.ASConcentration(),
 		Devices:          agg.Devices(),

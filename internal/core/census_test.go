@@ -6,14 +6,28 @@ import (
 	"testing"
 	"time"
 
+	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
 )
 
+// fixedClock stamps every record's ScannedAt with one instant, so streamed
+// ledgers from different runs compare byte for byte.
+func fixedClock() time.Time { return time.Date(2016, 2, 22, 0, 0, 0, 0, time.UTC) }
+
 // testCensus runs a small end-to-end census: scale 32768 scans ~112K
 // addresses holding ~420 FTP servers.
-func testCensus(t *testing.T, scale int) (*Census, *Result) {
+func testCensus(t *testing.T, scale int) (*Census, *Result, []*dataset.HostRecord) {
 	t.Helper()
-	c, err := NewCensus(CensusConfig{Seed: 7, Scale: scale})
+	return collectCensus(t, CensusConfig{Seed: 7, Scale: scale})
+}
+
+// collectCensus runs the configured census with a Collector on its stream
+// and returns the records it collected alongside the result.
+func collectCensus(t *testing.T, cfg CensusConfig) (*Census, *Result, []*dataset.HostRecord) {
+	t.Helper()
+	coll := &dataset.Collector{}
+	cfg.StreamTo = coll
+	c, err := NewCensus(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,20 +35,23 @@ func testCensus(t *testing.T, scale int) (*Census, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, res
+	return c, res, coll.Records
 }
 
 func TestCensusEndToEnd(t *testing.T) {
-	c, res := testCensus(t, 32768)
+	c, res, records := testCensus(t, 32768)
 
 	if res.Probed != c.World.ScanSize {
 		t.Errorf("probed %d of %d addresses", res.Probed, c.World.ScanSize)
 	}
-	if len(res.Records) == 0 {
+	if len(records) == 0 {
 		t.Fatal("no hosts discovered")
 	}
-	if uint64(len(res.Records)) != res.Responded {
-		t.Errorf("records %d != responded %d", len(res.Records), res.Responded)
+	if uint64(len(records)) != res.Responded {
+		t.Errorf("records %d != responded %d", len(records), res.Responded)
+	}
+	if res.Observed != len(records) {
+		t.Errorf("observed %d, stream carried %d records", res.Observed, len(records))
 	}
 
 	tables := res.ComputeTables()
@@ -94,22 +111,22 @@ func TestCensusEndToEnd(t *testing.T) {
 // truth alone; the world materializes exactly the hosts the enumerator
 // dialed — one per discovery-responsive address — not the hosts probed.
 func TestTruthOnlyDiscovery(t *testing.T) {
-	c, res := testCensus(t, 65536)
-	if res.Probed <= uint64(len(res.Records)) {
+	c, res, _ := testCensus(t, 65536)
+	if res.Probed <= uint64(res.Observed) {
 		t.Fatalf("probed %d, records %d; probe volume should dwarf dials",
-			res.Probed, len(res.Records))
+			res.Probed, res.Observed)
 	}
-	if got, want := c.World.MaterializedHosts(), len(res.Records); got != want {
+	if got, want := c.World.MaterializedHosts(), res.Observed; got != want {
 		t.Errorf("materialized %d hosts, want %d (hosts dialed by the enumerator)",
 			got, want)
 	}
 }
 
 func TestCensusDeterministicDiscovery(t *testing.T) {
-	_, res1 := testCensus(t, 65536)
-	_, res2 := testCensus(t, 65536)
-	if len(res1.Records) != len(res2.Records) {
-		t.Errorf("same seed found %d vs %d hosts", len(res1.Records), len(res2.Records))
+	_, res1, _ := testCensus(t, 65536)
+	_, res2, _ := testCensus(t, 65536)
+	if res1.Observed != res2.Observed {
+		t.Errorf("same seed found %d vs %d hosts", res1.Observed, res2.Observed)
 	}
 	f1 := res1.ComputeTables().Funnel
 	f2 := res2.ComputeTables().Funnel
@@ -129,27 +146,36 @@ func TestCensusWithLossAndRetries(t *testing.T) {
 	}
 	audit := c.World.Audit(1)
 	// Retries should recover nearly all hosts despite 20% probe loss.
-	if len(res.Records) < audit.Open*9/10 {
-		t.Errorf("loss recovery: found %d of %d", len(res.Records), audit.Open)
+	if res.Observed < audit.Open*9/10 {
+		t.Errorf("loss recovery: found %d of %d", res.Observed, audit.Open)
 	}
 }
 
+// TestHTTPJoin: the census joins each FTP host to the world's web-scan
+// truth as it observes the host, around 65% of FTP hosts also serve HTTP,
+// and §VI's overlap count is exactly what the join reports.
 func TestHTTPJoin(t *testing.T) {
-	c, res := testCensus(t, 65536)
-	join := c.HTTPJoin(res.Records)
-	if len(join) == 0 {
-		t.Fatal("empty HTTP join")
-	}
-	withHTTP := 0
-	for _, info := range join {
-		if info.HTTP {
+	c, res, records := testCensus(t, 65536)
+	join := truthHTTP(c.World)
+	ftpHosts, withHTTP := 0, 0
+	for _, rec := range records {
+		if !rec.FTP {
+			continue
+		}
+		ftpHosts++
+		if info, ok := join(&analysis.Record{Host: rec}); ok && info.HTTP {
 			withHTTP++
 		}
 	}
-	// Around 65% of FTP hosts also serve HTTP.
-	rate := float64(withHTTP) / float64(len(join))
+	if ftpHosts == 0 {
+		t.Fatal("no FTP hosts to join")
+	}
+	rate := float64(withHTTP) / float64(ftpHosts)
 	if rate < 0.4 || rate > 0.9 {
 		t.Errorf("HTTP overlap rate = %.2f, want ≈0.65", rate)
+	}
+	if got := res.ComputeTables().Malicious.HTTPOverlap; got != withHTTP {
+		t.Errorf("aggregated HTTP overlap %d, join says %d", got, withHTTP)
 	}
 }
 
@@ -183,8 +209,7 @@ func TestCensusDeadlineTruncation(t *testing.T) {
 	probe := &cancelAfterSink{after: 2}
 	c, err := NewCensus(CensusConfig{
 		Seed: 7, Scale: 32768,
-		RetainRecords: RetainNone,
-		StreamTo:      probe,
+		StreamTo: probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +272,7 @@ func (s *cancelAfterSink) Close() error { return nil }
 func TestDrainConsistencyOnSinkFailure(t *testing.T) {
 	c, err := NewCensus(CensusConfig{
 		Seed: 7, Scale: 32768,
-		RetainRecords: RetainNone,
-		StreamTo:      &failAfterSink{after: 3},
+		StreamTo: &failAfterSink{after: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,9 +315,9 @@ func TestHoneypotStudyViaCore(t *testing.T) {
 }
 
 func TestWriteEvidenceFlowsThrough(t *testing.T) {
-	_, res := testCensus(t, 8192)
+	_, res, records := testCensus(t, 8192)
 	writable := 0
-	for _, rec := range res.Records {
+	for _, rec := range records {
 		if len(rec.WriteEvidence) > 0 {
 			writable++
 		}
@@ -306,10 +330,10 @@ func TestWriteEvidenceFlowsThrough(t *testing.T) {
 }
 
 func TestDatasetRoundTripFromCensus(t *testing.T) {
-	_, res := testCensus(t, 65536)
+	_, _, records := testCensus(t, 65536)
 	var sb strings.Builder
 	w := dataset.NewWriter(&sb)
-	for _, rec := range res.Records {
+	for _, rec := range records {
 		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +343,7 @@ func TestDatasetRoundTripFromCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(res.Records) {
-		t.Errorf("round trip: %d vs %d", len(back), len(res.Records))
+	if len(back) != len(records) {
+		t.Errorf("round trip: %d vs %d", len(back), len(records))
 	}
 }

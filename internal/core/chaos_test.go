@@ -1,18 +1,19 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
+	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/worldgen"
 )
 
 // chaosCensus runs a census over a fully or partially hostile world with
-// short enumerator budgets so fault paths trigger quickly.
-func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result) {
+// short enumerator budgets so fault paths trigger quickly, collecting the
+// streamed records.
+func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result, []*dataset.HostRecord) {
 	t.Helper()
-	c, err := NewCensus(CensusConfig{
+	return collectCensus(t, CensusConfig{
 		Seed:        7,
 		Scale:       scale,
 		HostileRate: rate,
@@ -20,14 +21,6 @@ func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result) {
 		EnumTimeout: 700 * time.Millisecond,
 		HostBudget:  3 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, res
 }
 
 // TestChaosCensusDropsNoHosts: with every FTP host hostile, the census must
@@ -35,7 +28,7 @@ func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result) {
 // yields a record (possibly partial, possibly an outright classified
 // failure), never a silent drop or a hang.
 func TestChaosCensusDropsNoHosts(t *testing.T) {
-	_, res := chaosCensus(t, 1.0, 131072)
+	_, res, records := chaosCensus(t, 1.0, 131072)
 
 	if res.Observed == 0 {
 		t.Fatal("hostile census observed no hosts")
@@ -54,7 +47,7 @@ func TestChaosCensusDropsNoHosts(t *testing.T) {
 	}
 
 	// Degradation invariant: a partial record always names its failure.
-	for _, rec := range res.Records {
+	for _, rec := range records {
 		if rec.Partial && rec.FailureClass == "" {
 			t.Errorf("%s: partial record without a failure class", rec.IP)
 		}
@@ -65,7 +58,7 @@ func TestChaosCensusDropsNoHosts(t *testing.T) {
 // benign majority must still produce the analysis tables while the hostile
 // tail shows up in the robustness counters.
 func TestChaosMixedWorldStillAnalyzes(t *testing.T) {
-	_, res := chaosCensus(t, 0.3, 131072)
+	_, res, _ := chaosCensus(t, 0.3, 131072)
 
 	if uint64(res.Observed) != res.Responded {
 		t.Fatalf("observed %d != responded %d", res.Observed, res.Responded)
@@ -92,16 +85,9 @@ func TestChaosMixedWorldStillAnalyzes(t *testing.T) {
 // layer must stay out of the way — no partial records, no skipped subtrees,
 // no fault evidence on any host that spoke FTP.
 func TestBenignCensusHasQuietCounters(t *testing.T) {
-	c, err := NewCensus(CensusConfig{Seed: 7, Scale: 131072})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, res, records := collectCensus(t, CensusConfig{Seed: 7, Scale: 131072})
 	if c.Network.Faults != nil {
 		t.Error("benign census wired a fault injector")
-	}
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
 	}
 	r := res.Robustness
 	if r.Partial != 0 || r.SkippedDirs != 0 {
@@ -113,7 +99,7 @@ func TestBenignCensusHasQuietCounters(t *testing.T) {
 	// Non-FTP hosts that close silently or spew junk banners are honestly
 	// classified (eof/protocol), so Failures need not be empty — but no
 	// host that actually spoke FTP may carry fault evidence.
-	for _, rec := range res.Records {
+	for _, rec := range records {
 		if rec.FTP && (rec.Partial || rec.FailureClass != "") {
 			t.Errorf("%s: benign FTP host carries fault evidence %q", rec.IP, rec.FailureClass)
 		}

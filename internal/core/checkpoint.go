@@ -364,7 +364,7 @@ func (c *Census) resumeState(n int) (*analysis.CheckpointState, error) {
 
 // configDigest fingerprints every knob beyond (seed, epoch, scale, shards)
 // that changes what a census observes; resume refuses a checkpoint whose
-// digest differs. Parallelism, retention, and metrics wiring are excluded —
+// digest differs. Parallelism and metrics wiring are excluded —
 // they change how the run executes, not what it measures.
 func (c *Census) configDigest() uint64 {
 	h := fnv.New64a()

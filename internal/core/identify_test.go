@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
 	"ftpcloud/internal/worldgen"
@@ -14,15 +15,17 @@ import (
 
 // runWithIdentify reruns the same census (same world — certificates vary
 // across world builds, so equivalence must compare runs over one world) with
-// the identification stage toggled.
-func runWithIdentify(t *testing.T, c *Census, on bool) *Result {
+// the identification stage toggled, collecting the streamed records.
+func runWithIdentify(t *testing.T, c *Census, on bool) (*Result, []*dataset.HostRecord) {
 	t.Helper()
+	coll := &dataset.Collector{}
 	c.Config.Identify = on
+	c.Config.StreamTo = coll
 	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatalf("census run (identify=%v): %v", on, err)
 	}
-	return res
+	return res, coll.Records
 }
 
 // truthCounts tallies the world's ground truth: FTP hosts and open non-FTP
@@ -60,8 +63,8 @@ func TestIdentifyPureFTPByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := runWithIdentify(t, c, false)
-	funnel := runWithIdentify(t, c, true)
+	legacy, _ := runWithIdentify(t, c, false)
+	funnel, records := runWithIdentify(t, c, true)
 
 	lt, ft := legacy.ComputeTables(), funnel.ComputeTables()
 	if lt.Render() != ft.Render() {
@@ -79,7 +82,7 @@ func TestIdentifyPureFTPByteIdentical(t *testing.T) {
 	if ft.Unexpected.Total != 0 {
 		t.Errorf("pure-FTP world shed %d endpoints", ft.Unexpected.Total)
 	}
-	for _, rec := range funnel.Records {
+	for _, rec := range records {
 		if rec.Service != "" {
 			t.Fatalf("%s: pure-FTP record carries service %q", rec.IP, rec.Service)
 		}
@@ -110,9 +113,9 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 		t.Fatal("mixed world generated no service hosts — test is vacuous")
 	}
 
-	legacy := runWithIdentify(t, c, false)
+	legacy, _ := runWithIdentify(t, c, false)
 	before := reg.Snapshot()
-	funnel := runWithIdentify(t, c, true)
+	funnel, records := runWithIdentify(t, c, true)
 	delta := reg.Snapshot().Sub(before)
 
 	// One identification round-trip per discovered endpoint, no retries.
@@ -148,7 +151,7 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 
 	// Every record is consistently labeled: FTP records never carry a
 	// service, shed records always do.
-	for _, rec := range funnel.Records {
+	for _, rec := range records {
 		if rec.FTP && rec.Service != "" {
 			t.Errorf("%s: FTP record carries service %q", rec.IP, rec.Service)
 		}

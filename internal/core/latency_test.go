@@ -34,9 +34,9 @@ func TestCensusWithRealisticLatency(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 
-	if len(slowRes.Records) != len(fastRes.Records) {
+	if slowRes.Observed != fastRes.Observed {
 		t.Errorf("latency changed discovery: %d vs %d hosts",
-			len(slowRes.Records), len(fastRes.Records))
+			slowRes.Observed, fastRes.Observed)
 	}
 	fastFunnel := fastRes.ComputeTables().Funnel
 	slowFunnel := slowRes.ComputeTables().Funnel

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"ftpcloud/internal/analysis"
+	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/notify"
 )
 
 // cancelAtSink forwards records to an inner sink and cancels the run's
@@ -51,12 +54,10 @@ func sortedLines(t *testing.T, raw []byte) []string {
 func resumeConfig(seed uint64, scale int, hostile bool) CensusConfig {
 	// A fixed clock keeps ScannedAt identical across runs — JSONL
 	// byte-identity is part of the equivalence contract.
-	stamp := time.Date(2016, 2, 22, 0, 0, 0, 0, time.UTC)
 	cfg := CensusConfig{
-		Seed:          seed,
-		Scale:         scale,
-		RetainRecords: RetainNone,
-		Now:           func() time.Time { return stamp },
+		Seed:  seed,
+		Scale: scale,
+		Now:   fixedClock,
 	}
 	if hostile {
 		cfg.HostileRate = 0.2
@@ -205,6 +206,65 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestKillAndResumeNotices: disclosure notices built from the ledger of a
+// killed-and-resumed census equal those of an uninterrupted run. The
+// resumed process only ever sees the hosts after the cut; the ledger it
+// appends to holds the rest, so notices must come from the ledger.
+func TestKillAndResumeNotices(t *testing.T) {
+	cfg := resumeConfig(11, 32768, false)
+	_, wantLedger, wantRes := runReference(t, cfg, 1)
+
+	// Kill a third of the way in, then resume into the same ledger.
+	var checkpoint *analysis.Snapshot
+	var ledger bytes.Buffer
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killCfg := cfg
+	killCfg.ScanRate = 100_000 // keep the kill mid-scan (see TestKillAndResumeEquivalence)
+	killCfg.StreamTo = &cancelAtSink{inner: dataset.NewWriterSink(&ledger), n: wantRes.Observed / 3, cancel: cancel}
+	killCfg.Checkpoint = &CheckpointPolicy{Write: func(s *analysis.Snapshot) error {
+		checkpoint = s
+		return nil
+	}}
+	killed, err := NewCensus(killCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := killed.Run(ctx); err != nil || !res.Truncated || checkpoint == nil {
+		t.Fatalf("kill leg: err=%v, checkpoint written=%v", err, checkpoint != nil)
+	}
+	resCfg := cfg
+	resCfg.StreamTo = dataset.NewWriterSink(&ledger)
+	resCfg.Resume = checkpoint
+	resumed, err := NewCensus(resCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	db := resumed.World.ASDB
+	want := ledgerNotices(t, []byte(strings.Join(wantLedger, "\n")), db)
+	if len(want) == 0 {
+		t.Fatal("uninterrupted census produced no notices — test is vacuous")
+	}
+	if got := ledgerNotices(t, ledger.Bytes(), db); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed ledger yields %d notices, uninterrupted run %d", len(got), len(want))
+	}
+}
+
+// ledgerNotices reads a JSONL ledger back and builds its disclosure notices
+// against db.
+func ledgerNotices(t *testing.T, raw []byte, db *asdb.DB) []notify.Notice {
+	t.Helper()
+	records, err := dataset.ReadAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return notify.Build(records, db)
 }
 
 // stallSink forwards records to an inner sink, stalling once at the n-th

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -48,17 +49,31 @@ func shardedOver(t *testing.T, c *Census, shards int) *Result {
 	return res
 }
 
+// ledgerOver reruns the census over c's world with N shards, streaming to a
+// fresh JSONL buffer, and returns the result and the sorted ledger.
+func ledgerOver(t *testing.T, c *Census, shards int) (*Result, []string) {
+	t.Helper()
+	var ledger bytes.Buffer
+	c.Config.StreamTo = dataset.NewWriterSink(&ledger)
+	res := shardedOver(t, c, shards)
+	return res, sortedLines(t, ledger.Bytes())
+}
+
 // TestShardedMatchesSingleProcess: the merge-equivalence property on a
-// benign world — an N-shard run renders byte-identical tables and
-// identical robustness counters to the single-process run, for N in
-// {2, 4, 8}.
+// benign world — an N-shard run renders byte-identical tables, identical
+// robustness counters, and the same ledger (sorted) as the single-process
+// run, for N in {2, 4, 8}.
 func TestShardedMatchesSingleProcess(t *testing.T) {
-	c, single := testCensus(t, 32768)
+	c, err := NewCensus(CensusConfig{Seed: 7, Scale: 32768, Now: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, wantLedger := ledgerOver(t, c, 1)
 	want := single.ComputeTables().Render()
 	wantRobust := single.Robustness
 
 	for _, shards := range []int{2, 4, 8} {
-		res := shardedOver(t, c, shards)
+		res, ledger := ledgerOver(t, c, shards)
 		if got := res.ComputeTables().Render(); got != want {
 			t.Errorf("%d shards: rendered tables diverge from single-process run (%d vs %d bytes)",
 				shards, len(got), len(want))
@@ -77,11 +92,9 @@ func TestShardedMatchesSingleProcess(t *testing.T) {
 		if res.Responded != single.Responded {
 			t.Errorf("%d shards: responded %d, want %d", shards, res.Responded, single.Responded)
 		}
-		if len(res.Records) != len(single.Records) {
-			t.Errorf("%d shards: retained %d records, want %d", shards, len(res.Records), len(single.Records))
-		}
-		if !reflect.DeepEqual(res.Input.HTTP, single.Input.HTTP) {
-			t.Errorf("%d shards: HTTP join diverges", shards)
+		if !reflect.DeepEqual(ledger, wantLedger) {
+			t.Errorf("%d shards: ledger diverges from the single-process ledger (%d vs %d records)",
+				shards, len(ledger), len(wantLedger))
 		}
 	}
 }
@@ -146,11 +159,10 @@ func TestShardedStreamCounts(t *testing.T) {
 	sink := &countingSink{}
 	reg := obs.NewRegistry()
 	sc, err := NewShardedCensus(CensusConfig{
-		Seed:          7,
-		Scale:         131072,
-		RetainRecords: RetainNone,
-		StreamTo:      sink,
-		Metrics:       reg,
+		Seed:     7,
+		Scale:    131072,
+		StreamTo: sink,
+		Metrics:  reg,
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +207,6 @@ func TestShardedTruncation(t *testing.T) {
 		Seed:             7,
 		Scale:            16384,
 		RealisticLatency: true, // slow the run so the deadline lands mid-enumeration
-		RetainRecords:    RetainNone,
 		StreamTo:         sink,
 	}, 4)
 	if err != nil {

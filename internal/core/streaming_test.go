@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -30,65 +31,59 @@ func (p *listingProbe) Close() error {
 	return nil
 }
 
-// TestStreamingMatchesRetained runs the same world twice — once retained
-// (legacy), once streaming-only — and demands byte-identical table output.
-// The world is shared between the runs rather than regenerated: certificate
-// DER (and so fingerprints) varies across GeneratePool calls because Go's
-// ECDSA signer is intentionally randomized (see internal/certs).
-func TestStreamingMatchesRetained(t *testing.T) {
-	c, retained := testCensus(t, 32768)
+// TestLedgerRefoldMatchesLive is the property the streaming census rests
+// on: a census's JSONL ledger, read back and folded through a fresh
+// aggregator with the same world-truth HTTP join, finalizes exactly the
+// tables the live run folded — and the ledger itself does not depend on the
+// shard count. Swept over seeds × shard counts with a fixed clock, so
+// ledgers compare byte for byte once sorted (completion order varies).
+func TestLedgerRefoldMatchesLive(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		var ledgers [][]string
+		for _, shards := range []int{1, 4} {
+			var ledger bytes.Buffer
+			sc, err := NewShardedCensus(CensusConfig{
+				Seed:     seed,
+				Scale:    32768,
+				Now:      fixedClock,
+				StreamTo: dataset.NewWriterSink(&ledger),
+			}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := sc.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	c.Config.RetainRecords = RetainNone
-	streaming, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if streaming.Records != nil || streaming.Input != nil {
-		t.Errorf("streaming run retained records: Records=%d Input=%v",
-			len(streaming.Records), streaming.Input != nil)
-	}
-	if streaming.Observed != len(retained.Records) {
-		t.Errorf("streaming observed %d records, retained run kept %d",
-			streaming.Observed, len(retained.Records))
-	}
-
-	got := streaming.ComputeTables()
-	want := retained.ComputeTables()
-	if !reflect.DeepEqual(got, want) {
-		t.Error("streaming tables are not deep-equal to retained tables")
-	}
-	if got.Render() != want.Render() {
-		t.Error("streaming table render diverges from retained render")
-	}
-}
-
-// TestAccumulatorMatchesSlicePath checks that the retained-mode
-// ComputeTables (which reuses the streaming aggregator) agrees with
-// computing every table directly from the retained Input slices.
-func TestAccumulatorMatchesSlicePath(t *testing.T) {
-	_, res := testCensus(t, 32768)
-	in := res.Input
-
-	got := res.ComputeTables()
-	want := Tables{
-		Funnel:           analysis.ComputeFunnel(in),
-		Classification:   analysis.ComputeClassification(in),
-		ASConcentration:  analysis.ComputeASConcentration(in),
-		Devices:          analysis.ComputeDevices(in),
-		TopASes:          analysis.ComputeTopASes(in, 10),
-		Exposure:         analysis.ComputeExposure(in),
-		ExposureByDevice: analysis.ComputeExposureByDevice(in),
-		CVEs:             analysis.ComputeCVEs(in),
-		Malicious:        analysis.ComputeMalicious(in),
-		PortBounce:       analysis.ComputePortBounce(in),
-		FTPS:             analysis.ComputeFTPS(in, 10),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("accumulator tables are not deep-equal to the slice-path tables")
-	}
-	if got.Render() != want.Render() {
-		t.Error("accumulator render diverges from slice-path render")
+			records, err := dataset.ReadAll(bytes.NewReader(ledger.Bytes()))
+			if err != nil {
+				t.Fatalf("seed %d, %d shards: reading ledger: %v", seed, shards, err)
+			}
+			if len(records) != live.Observed {
+				t.Errorf("seed %d, %d shards: ledger holds %d records, run observed %d",
+					seed, shards, len(records), live.Observed)
+			}
+			world := sc.Census.World
+			agg := analysis.NewAggregator(world.ASDB, truthHTTP(world))
+			for _, rec := range records {
+				if err := agg.Observe(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refold := (&Result{agg: agg, scanned: world.ScanSize}).ComputeTables()
+			want := live.ComputeTables()
+			if !reflect.DeepEqual(refold, want) {
+				t.Errorf("seed %d, %d shards: re-folded tables are not deep-equal to the live tables", seed, shards)
+			}
+			if refold.Render() != want.Render() {
+				t.Errorf("seed %d, %d shards: re-folded render diverges from the live render", seed, shards)
+			}
+			ledgers = append(ledgers, sortedLines(t, ledger.Bytes()))
+		}
+		if !reflect.DeepEqual(ledgers[0], ledgers[1]) {
+			t.Errorf("seed %d: the 4-shard ledger differs from the 1-shard ledger", seed)
+		}
 	}
 }
 
@@ -99,8 +94,7 @@ func TestStreamingRetainsNoListings(t *testing.T) {
 	probe := &listingProbe{}
 	c, err := NewCensus(CensusConfig{
 		Seed: 7, Scale: 32768,
-		RetainRecords: RetainNone,
-		StreamTo:      probe,
+		StreamTo: probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +113,6 @@ func TestStreamingRetainsNoListings(t *testing.T) {
 	if probe.withFiles == 0 {
 		t.Fatal("no record carried a file listing — world too small to exercise retention")
 	}
-	if res.Records != nil || res.Input != nil {
-		t.Error("streaming-only result still retains records")
-	}
-
 	tables := res.ComputeTables()
 	if tables.Exposure.ExposingServers == 0 {
 		t.Error("exposure table empty despite listed files")
@@ -159,8 +149,7 @@ func (*sinkBoomError) Error() string { return "sink boom" }
 func TestStreamToErrorSurfaced(t *testing.T) {
 	c, err := NewCensus(CensusConfig{
 		Seed: 7, Scale: 32768,
-		RetainRecords: RetainNone,
-		StreamTo:      &failAfterSink{after: 3},
+		StreamTo: &failAfterSink{after: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,17 +17,10 @@ import (
 // census → per-AS disclosure notices → certification audit of a flagged
 // host. It exercises the cross-module seams end to end on one world.
 func TestDownstreamWorkflow(t *testing.T) {
-	census, err := NewCensus(CensusConfig{Seed: 21, Scale: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	result, err := census.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	census, _, records := collectCensus(t, CensusConfig{Seed: 21, Scale: 8192})
 
 	// Disclosure notices must exist and withhold file names.
-	notices := notify.Build(result.Input)
+	notices := notify.Build(records, census.World.ASDB)
 	if len(notices) == 0 {
 		t.Fatal("census produced no disclosure notices")
 	}
@@ -39,7 +32,7 @@ func TestDownstreamWorkflow(t *testing.T) {
 	// Pick a flagged anonymous host and audit it; the grade must be F
 	// for anything carrying a critical finding.
 	var flagged string
-	for _, rec := range result.Records {
+	for _, rec := range records {
 		if rec.AnonymousOK && rec.PortCheck == dataset.PortNotValidated {
 			flagged = rec.IP
 			break

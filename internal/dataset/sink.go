@@ -58,8 +58,8 @@ func (s *WriterSink) Close() error {
 	return err
 }
 
-// Collector retains every record in memory — the legacy buffered mode, and
-// the natural sink for tests.
+// Collector retains every record in memory: the sink for tests and examples
+// that want individual hosts. A census itself never retains records.
 type Collector struct {
 	Records []*HostRecord
 }

@@ -110,12 +110,11 @@ func censusAt(t *testing.T, epoch uint64) (*analysis.Snapshot, []*dataset.HostRe
 	var ledger bytes.Buffer
 	stamp := time.Date(2016, 2, 22, 0, 0, 0, 0, time.UTC)
 	c, err := core.NewCensus(core.CensusConfig{
-		Seed:          42,
-		Scale:         32768,
-		Epoch:         epoch,
-		RetainRecords: core.RetainNone,
-		StreamTo:      dataset.NewWriterSink(&ledger),
-		Now:           func() time.Time { return stamp },
+		Seed:     42,
+		Scale:    32768,
+		Epoch:    epoch,
+		StreamTo: dataset.NewWriterSink(&ledger),
+		Now:      func() time.Time { return stamp },
 	})
 	if err != nil {
 		t.Fatal(err)

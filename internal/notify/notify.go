@@ -14,10 +14,11 @@ import (
 	"sort"
 	"strings"
 
-	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/cvedb"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/fingerprint"
+	"ftpcloud/internal/simnet"
 )
 
 // Kind classifies a finding.
@@ -71,8 +72,10 @@ func sensitiveCategory(name string) string {
 	}
 }
 
-// Build derives notices from a census dataset.
-func Build(in *analysis.Input) []Notice {
+// Build derives notices from a census dataset — typically a finished JSONL
+// ledger read back with dataset.ReadAll — resolving each host's AS in db.
+// Hosts outside every AS in db get no notice: there is no one to tell.
+func Build(records []*dataset.HostRecord, db *asdb.DB) []Notice {
 	byAS := map[*asdb.AS][]Finding{}
 	add := func(as *asdb.AS, f Finding) {
 		if as == nil {
@@ -81,11 +84,11 @@ func Build(in *analysis.Input) []Notice {
 		byAS[as] = append(byAS[as], f)
 	}
 
-	for _, rec := range in.Records {
+	for _, rec := range records {
 		if !rec.FTP {
 			continue
 		}
-		as := in.AS(rec)
+		as := lookupAS(db, rec.IP)
 
 		if rec.AnonymousOK {
 			cats := map[string]int{}
@@ -115,7 +118,7 @@ func Build(in *analysis.Input) []Notice {
 			}
 		}
 
-		c := in.Classify(rec)
+		c := fingerprint.Classify(rec)
 		if matches := cvedb.Match(c.Software, c.Version); len(matches) > 0 {
 			top := matches[0]
 			for _, m := range matches[1:] {
@@ -165,6 +168,16 @@ func Render(n Notice) string {
 		fmt.Fprintf(&b, "  %-15s [%s] %s\n", f.IP, f.Kind, f.Detail)
 	}
 	return b.String()
+}
+
+// lookupAS resolves a record's address in db, or nil.
+func lookupAS(db *asdb.DB, ip string) *asdb.AS {
+	addr, err := simnet.ParseIP(ip)
+	if db == nil || err != nil {
+		return nil
+	}
+	as, _ := db.Lookup(addr)
+	return as
 }
 
 func sortedKeys(m map[string]int) []string {

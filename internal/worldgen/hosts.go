@@ -144,13 +144,22 @@ func putFile(fs *vfs.FS, p string, content []byte) {
 	// Campaign artifacts arrived via anonymous upload, so they carry the
 	// attribution that lets approval-gated servers (Pure-FTPd) confirm
 	// them with the RETR refusal the paper's reference set keys on.
-	if _, err := fs.PutUpload(p, content, vfs.Perm644, true, "ftp", true); err != nil {
+	n, err := fs.PutUpload(p, content, vfs.Perm644, true, "ftp", true)
+	if err != nil {
 		// The parent always exists for root-level plants; deeper plants
 		// fall back to the root.
 		base := path.Base(p)
-		fs.PutUpload("/"+base, content, vfs.Perm644, true, "ftp", true)
+		n, err = fs.PutUpload("/"+base, content, vfs.Perm644, true, "ftp", true)
+	}
+	if err == nil {
+		stampPlanted(n)
 	}
 }
+
+// stampPlanted dates a planted node at the world epoch instead of the
+// wall-clock time vfs gives new nodes, so a host's listing — and the
+// census ledger — is the same whenever the host is materialized.
+func stampPlanted(n *vfs.Node) { n.MTime = worldEpoch }
 
 // pickCampaigns selects the infections for a writable host. Probabilities
 // follow §VI's relative prevalence among the ~19.4K writable servers.
@@ -197,13 +206,17 @@ func plantCampaign(fs *vfs.FS, r *rng, key string) {
 	case campaigns.KeyWaReZ:
 		for i, n := 0, r.rangeInt(1, 5); i < n; i++ {
 			name := warezDirName(r)
-			if _, err := fs.Mkdir("/"+name, vfs.Perm777); err != nil {
+			dir, err := fs.Mkdir("/"+name, vfs.Perm777)
+			if err != nil {
 				continue
 			}
+			stampPlanted(dir)
 			// Many WaReZ drops were found already emptied (§VI.C).
 			if r.chance(0.4) {
-				fs.Put("/"+name+"/release.r"+twoDigits(r.intn(100)),
-					[]byte("synthetic warez payload"), vfs.Perm644, true)
+				if f, err := fs.Put("/"+name+"/release.r"+twoDigits(r.intn(100)),
+					[]byte("synthetic warez payload"), vfs.Perm644, true); err == nil {
+					stampPlanted(f)
+				}
 			}
 		}
 		return
