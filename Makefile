@@ -77,12 +77,13 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The per-connection, per-listing and ledger-codec microbenchmarks, run once
-# each so a benchmark that no longer compiles or fails at run time fails
-# tier-1. Their numbers come from `go test -bench` with a real -benchtime.
+# The per-connection, per-listing, listing-cache and ledger-codec
+# microbenchmarks, run once each so a benchmark that no longer compiles or
+# fails at run time fails tier-1. Their numbers come from `go test -bench` with a real -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing' -benchtime 1x ./internal/vfs
+	$(GO) test -run '^$$' -bench 'BenchmarkMemDriverListing' -benchtime 1x ./internal/ftpserver
 	$(GO) test -run '^$$' -bench 'BenchmarkReadAll|BenchmarkWriterWrite' -benchtime 1x ./internal/dataset
 
 tier1: build vet vet-obs test race race-sharded race-server bench-check bench-micro smoke

@@ -3,10 +3,10 @@ package ftpserver
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ftpcloud/internal/vfs"
 )
@@ -66,43 +66,143 @@ func (d *VFSDriver) Mkdir(p string, perm vfs.Mode) (*vfs.Node, error) {
 	return d.FS.Mkdir(p, perm)
 }
 
-// MemDriver is a flat in-memory backend: one map from absolute path to node
-// plus a per-directory child index with cached sorted listings. Listings are
-// the hot read on a loaded server; caching the sorted slice makes LIST a
-// read-locked map hit instead of a sort per request, which is what lets the
-// 10k-session benchmark spend its cycles on the protocol rather than the
-// backend.
+// ListKind selects one of the LIST-family response bodies.
+type ListKind int
+
+// The LIST-family bodies a session sends.
+const (
+	// ListUnix is LIST in the ls -l dialect.
+	ListUnix ListKind = iota
+	// ListDOS is LIST in the IIS dialect.
+	ListDOS
+	// ListNames is NLST: bare names.
+	ListNames
+	// ListMLSD is MLSD: RFC 3659 facts.
+	ListMLSD
+
+	numListKinds
+)
+
+// appendBody appends kind's body for entries to dst. The session's List
+// path and MemDriver's cache fill both render through it, so a cached body
+// is the uncached one byte for byte.
+func appendBody(dst []byte, entries []*vfs.Node, kind ListKind, now time.Time) []byte {
+	switch kind {
+	case ListDOS:
+		return vfs.AppendListing(dst, entries, vfs.StyleDOS, now)
+	case ListNames:
+		return vfs.AppendNameList(dst, entries)
+	case ListMLSD:
+		return vfs.AppendMLSDListing(dst, entries, now)
+	default:
+		return vfs.AppendListing(dst, entries, vfs.StyleUnix, now)
+	}
+}
+
+// lister is the optional Driver capability of handing out a LIST-family
+// body ready to send, which the session prefers over List plus a render.
+// MemDriver has it and caches what it renders. QuotaDriver and
+// RateLimitedDriver embed Driver and do not forward it, so a wrapped
+// backend stays on the List path and RateLimitedDriver charges every
+// listing.
+type lister interface {
+	// Listing returns kind's body for the directory (or file) at p as
+	// rendered at now. The slice may be shared: callers must not write
+	// into it.
+	Listing(p string, kind ListKind, now time.Time) ([]byte, error)
+}
+
+// MemDriver is a flat in-memory backend: one map from absolute path to
+// node, with each directory's children held by its vfs node, plus a
+// per-directory listing cache. Listings are the hot read on a loaded
+// server, so a directory's sorted entries and every LIST-family body
+// rendered from them are kept until a Store, Mkdir or Delete changes what
+// they show: a repeated LIST of an unchanged directory is a read-locked map
+// hit and one write of a shared body.
+//
+// The driver owns the nodes it serves, a seeding tree's included: it adds
+// and removes the children of vfs directory nodes, so a directory's ls -l
+// link count is the one VFSDriver shows.
 type MemDriver struct {
-	mu       sync.RWMutex
-	nodes    map[string]*vfs.Node            // path → node
-	children map[string]map[string]*vfs.Node // dir path → name → node
-	sorted   map[string][]*vfs.Node          // dir path → cached sorted entries
+	mu    sync.RWMutex
+	nodes map[string]*vfs.Node // path → node
+	dirs  map[string]*dirCache // dir path → cached listing
+}
+
+// dirCache is one directory's cached listing: its sorted entries and the
+// bodies rendered from them so far, by kind. The entries and each body are
+// immutable once published; a fill replaces an expired body, and a change
+// below the directory drops the whole dirCache.
+type dirCache struct {
+	entries []*vfs.Node
+	bodies  [numListKinds]*listBody
+}
+
+// listBody is one rendered body and the clocks it renders identically at:
+// every now in [from, until), where an unset bound is open.
+type listBody struct {
+	text              []byte
+	from, until       time.Time
+	hasFrom, hasUntil bool
+}
+
+func (b *listBody) validAt(now time.Time) bool {
+	return (!b.hasFrom || !now.Before(b.from)) && (!b.hasUntil || now.Before(b.until))
+}
+
+// recentSpan is how close to now vfs.AppendUnixLine dates an entry with
+// hh:mm instead of the year: now-180d < MTime < now+180d.
+const recentSpan = 180 * 24 * time.Hour
+
+// newListBody wraps text, rendered at now from entries, with the clocks it
+// stays valid for, or returns nil when it depends on now at every instant:
+// an entry with a zero MTime is dated relative to now, so a body that shows
+// its date is never cached. A Unix line depends on now only through the
+// recent test, which flips at MTime-180d+1ns and at MTime+180d; the body
+// holds between the nearest such edges on either side of now.
+func newListBody(text []byte, entries []*vfs.Node, kind ListKind, now time.Time) *listBody {
+	b := &listBody{text: text}
+	if kind == ListNames {
+		return b
+	}
+	for _, n := range entries {
+		if n.MTime.IsZero() {
+			return nil
+		}
+		if kind != ListUnix {
+			continue
+		}
+		for _, edge := range [2]time.Time{n.MTime.Add(1 - recentSpan), n.MTime.Add(recentSpan)} {
+			if now.Before(edge) {
+				if !b.hasUntil || edge.Before(b.until) {
+					b.until, b.hasUntil = edge, true
+				}
+			} else if !b.hasFrom || edge.After(b.from) {
+				b.from, b.hasFrom = edge, true
+			}
+		}
+	}
+	return b
 }
 
 // NewMemDriver builds an empty in-memory backend with a world-readable root.
 func NewMemDriver() *MemDriver {
 	d := &MemDriver{
-		nodes:    make(map[string]*vfs.Node),
-		children: make(map[string]map[string]*vfs.Node),
-		sorted:   make(map[string][]*vfs.Node),
+		nodes: make(map[string]*vfs.Node),
+		dirs:  make(map[string]*dirCache),
 	}
-	root := vfs.NewDir("/", vfs.Perm755)
-	d.nodes["/"] = root
-	d.children["/"] = make(map[string]*vfs.Node)
+	d.nodes["/"] = vfs.NewDir("/", vfs.Perm755)
 	return d
 }
 
 // MemDriverFromFS seeds an in-memory backend from a vfs tree — the bridge
 // from world construction (personality bait trees, demo content) to the
-// flat backend.
+// flat backend. The driver takes the tree over: callers must not use fs
+// afterwards.
 func MemDriverFromFS(fs *vfs.FS) *MemDriver {
 	d := NewMemDriver()
 	fs.Root().Walk("/", func(p string, n *vfs.Node) bool {
-		if p == "/" {
-			d.nodes["/"] = n
-			return true
-		}
-		d.insert(p, n)
+		d.nodes[p] = n
 		return true
 	})
 	return d
@@ -125,21 +225,51 @@ func joinPath(dir, name string) string {
 	return dir + "/" + name
 }
 
-// insert registers a node at p, creating the child index as needed. Caller
-// holds the write lock (or is constructing).
-func (d *MemDriver) insert(p string, n *vfs.Node) {
-	dir, _ := splitPath(p)
+// insert publishes n at p as a child of parent, replacing whatever held the
+// name; a directory replaced by a file takes its subtree with it, as in
+// vfs.FS. Caller holds the write lock.
+func (d *MemDriver) insert(parent *vfs.Node, p string, n *vfs.Node) {
+	if old := d.nodes[p]; old != nil && old.IsDir {
+		old.Walk(p, func(q string, _ *vfs.Node) bool {
+			delete(d.nodes, q)
+			delete(d.dirs, q)
+			return true
+		})
+	}
+	parent.Add(n)
 	d.nodes[p] = n
-	kids := d.children[dir]
-	if kids == nil {
-		kids = make(map[string]*vfs.Node)
-		d.children[dir] = kids
+	d.invalidate(p)
+}
+
+// invalidate drops the cached listings a change at p makes stale: p's own,
+// its parent's, whose entries changed, and its grandparent's, whose ls -l
+// line for the parent shows the parent's child count. Caller holds the
+// write lock.
+func (d *MemDriver) invalidate(p string) {
+	delete(d.dirs, p)
+	dir, _ := splitPath(p)
+	delete(d.dirs, dir)
+	grand, _ := splitPath(dir)
+	delete(d.dirs, grand)
+}
+
+// dirLocked returns the listing at p: the directory's cache entry, filled
+// on a miss, or an uncached one-entry listing for a file. Caller holds the
+// write lock.
+func (d *MemDriver) dirLocked(p string) (*dirCache, error) {
+	if c := d.dirs[p]; c != nil {
+		return c, nil
 	}
-	kids[n.Name] = n
-	delete(d.sorted, dir)
-	if n.IsDir && d.children[p] == nil {
-		d.children[p] = make(map[string]*vfs.Node)
+	n := d.nodes[p]
+	if n == nil {
+		return nil, fmt.Errorf("memdriver: %s: no such file or directory", p)
 	}
+	if !n.IsDir {
+		return &dirCache{entries: []*vfs.Node{n}}, nil
+	}
+	c := &dirCache{entries: n.Children()}
+	d.dirs[p] = c
+	return c, nil
 }
 
 func (d *MemDriver) Lookup(p string) *vfs.Node {
@@ -152,31 +282,48 @@ func (d *MemDriver) Lookup(p string) *vfs.Node {
 func (d *MemDriver) List(p string) ([]*vfs.Node, error) {
 	p = vfs.Clean(p)
 	d.mu.RLock()
-	if s, ok := d.sorted[p]; ok {
-		d.mu.RUnlock()
-		return s, nil
-	}
-	n := d.nodes[p]
+	c := d.dirs[p]
 	d.mu.RUnlock()
-	if n == nil {
-		return nil, fmt.Errorf("memdriver: %s: no such file or directory", p)
+	if c == nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		var err error
+		if c, err = d.dirLocked(p); err != nil {
+			return nil, err
+		}
 	}
-	if !n.IsDir {
-		return []*vfs.Node{n}, nil
+	return c.entries, nil
+}
+
+// Listing serves kind's body for p from the directory's cache while now is
+// inside the body's validity window, and otherwise renders it with
+// appendBody and caches it when it can.
+func (d *MemDriver) Listing(p string, kind ListKind, now time.Time) ([]byte, error) {
+	if kind < 0 || kind >= numListKinds {
+		return nil, fmt.Errorf("memdriver: unknown listing kind %d", kind)
 	}
+	p = vfs.Clean(p)
+	d.mu.RLock()
+	if c := d.dirs[p]; c != nil {
+		if b := c.bodies[kind]; b != nil && b.validAt(now) {
+			d.mu.RUnlock()
+			return b.text, nil
+		}
+	}
+	d.mu.RUnlock()
+	// Render under the write lock: a concurrent Store or Delete can then
+	// neither publish a stale body nor change a child count mid-render.
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s, ok := d.sorted[p]; ok {
-		return s, nil
+	c, err := d.dirLocked(p)
+	if err != nil {
+		return nil, err
 	}
-	kids := d.children[p]
-	out := make([]*vfs.Node, 0, len(kids))
-	for _, c := range kids {
-		out = append(out, c)
+	text := appendBody(nil, c.entries, kind, now)
+	if d.dirs[p] == c {
+		c.bodies[kind] = newListBody(text, c.entries, kind, now)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	d.sorted[p] = out
-	return out, nil
+	return text, nil
 }
 
 func (d *MemDriver) Store(p string, content []byte, perm vfs.Mode, replace bool, owner string, anonUpload bool) (*vfs.Node, error) {
@@ -191,10 +338,9 @@ func (d *MemDriver) Store(p string, content []byte, perm vfs.Mode, replace bool,
 	if parent == nil || !parent.IsDir {
 		return nil, fmt.Errorf("memdriver: %s: parent does not exist", p)
 	}
-	kids := d.children[dir]
 	name := base
 	if !replace {
-		for i := 1; kids[name] != nil; i++ {
+		for i := 1; parent.Child(name) != nil; i++ {
 			name = fmt.Sprintf("%s.%d", base, i)
 			if i > 1000 {
 				return nil, fmt.Errorf("memdriver: %s: too many rename collisions", p)
@@ -202,11 +348,12 @@ func (d *MemDriver) Store(p string, content []byte, perm vfs.Mode, replace bool,
 		}
 	}
 	node := vfs.NewFileContent(name, perm, content)
+	node.MTime = time.Now()
 	if owner != "" {
 		node.Owner = owner
 	}
 	node.AnonUpload = anonUpload
-	d.insert(joinPath(dir, name), node)
+	d.insert(parent, joinPath(dir, name), node)
 	return node, nil
 }
 
@@ -222,16 +369,12 @@ func (d *MemDriver) Delete(p string) error {
 	if n == nil {
 		return fmt.Errorf("memdriver: %s: no such file", p)
 	}
-	if n.IsDir && len(d.children[p]) > 0 {
+	if n.IsDir && n.CountChildren() > 0 {
 		return fmt.Errorf("memdriver: %s: directory not empty", p)
 	}
+	d.nodes[dir].Remove(base)
 	delete(d.nodes, p)
-	delete(d.children, p)
-	delete(d.sorted, p)
-	if kids := d.children[dir]; kids != nil {
-		delete(kids, base)
-	}
-	delete(d.sorted, dir)
+	d.invalidate(p)
 	return nil
 }
 
@@ -251,7 +394,8 @@ func (d *MemDriver) Mkdir(p string, perm vfs.Mode) (*vfs.Node, error) {
 		return nil, fmt.Errorf("memdriver: %s: already exists", p)
 	}
 	node := vfs.NewDir(base, perm)
-	d.insert(p, node)
+	node.MTime = time.Now()
+	d.insert(parent, p, node)
 	return node, nil
 }
 

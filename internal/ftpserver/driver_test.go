@@ -27,69 +27,172 @@ func drainNames(t *testing.T, d Driver, p string) []string {
 	return names
 }
 
+// listKinds are the four LIST-family bodies a directory is served as.
+var listKinds = [...]ListKind{ListUnix, ListDOS, ListNames, ListMLSD}
+
+// renderBody renders kind's body for p afresh from d.List.
+func renderBody(t *testing.T, d Driver, p string, kind ListKind, now time.Time) string {
+	t.Helper()
+	entries, err := d.List(p)
+	if err != nil {
+		t.Fatalf("List(%s): %v", p, err)
+	}
+	return string(appendBody(nil, entries, kind, now))
+}
+
 // TestDriverEquivalence runs the same operation sequence against the
 // vfs-backed and in-memory drivers and demands identical observable
-// behavior — the contract that lets the benchmark swap MemDriver in.
+// behavior — the contract that lets the benchmark swap MemDriver in. After
+// every step each touched directory must render the same four LIST-family
+// bodies on both drivers, uploaded mtimes and link counts included.
 func TestDriverEquivalence(t *testing.T) {
-	drivers := map[string]Driver{
-		"vfs": NewVFSDriver(testFS()),
-		"mem": MemDriverFromFS(testFS()),
+	// A fixed clock far from the wall clock: uploads render with their
+	// date and year, not hh:mm.
+	now := time.Date(2015, 6, 18, 12, 0, 0, 0, time.UTC)
+	// MLSD dates to the second: start both runs early in one wall-clock
+	// second, so no second (or minute, or day) turns between their stamps.
+	if left := time.Second - time.Duration(time.Now().Nanosecond()); left < 300*time.Millisecond {
+		time.Sleep(left)
 	}
-	for name, d := range drivers {
-		t.Run(name, func(t *testing.T) {
-			if got := drainNames(t, d, "/"); strings.Join(got, ",") != "incoming,pub" {
-				t.Fatalf("root listing = %v", got)
-			}
-			if got := drainNames(t, d, "/pub"); strings.Join(got, ",") != "hello.txt,secret.key" {
-				t.Fatalf("/pub listing = %v", got)
-			}
-			n := d.Lookup("/pub/hello.txt")
-			if n == nil || n.IsDir || string(n.Content) != "hello world" {
-				t.Fatalf("Lookup(/pub/hello.txt) = %+v", n)
-			}
-			if d.Lookup("/nope") != nil {
-				t.Fatal("Lookup(/nope) found a node")
-			}
-			// Listing a file yields the file itself, like ls(1).
-			if got := drainNames(t, d, "/pub/hello.txt"); strings.Join(got, ",") != "hello.txt" {
-				t.Fatalf("file listing = %v", got)
-			}
-			if _, err := d.List("/nope"); err == nil {
-				t.Fatal("List of a missing path succeeded")
-			}
+	drivers := []struct {
+		name string
+		d    Driver
+	}{{"vfs", NewVFSDriver(testFS())}, {"mem", MemDriverFromFS(testFS())}}
+	bodies := make(map[string][]stepBody)
+	for _, dr := range drivers {
+		t.Run(dr.name, func(t *testing.T) { bodies[dr.name] = driverSequence(t, dr.d, now) })
+	}
+	want, got := bodies["vfs"], bodies["mem"]
+	if len(got) != len(want) {
+		t.Fatalf("mem rendered %d bodies, vfs %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: mem renders\n%s\nvfs renders\n%s", want[i].label, got[i].body, want[i].body)
+		}
+	}
+}
 
-			if _, err := d.Mkdir("/incoming/drop", vfs.Perm755); err != nil {
-				t.Fatalf("Mkdir: %v", err)
+// stepBody is one directory's body of one kind after one step.
+type stepBody struct{ label, body string }
+
+// driverSequence runs TestDriverEquivalence's operations on d and returns
+// every touched directory's bodies at now after each step. A driver with a
+// cached Listing must serve each of them too.
+func driverSequence(t *testing.T, d Driver, now time.Time) []stepBody {
+	var out []stepBody
+	touched := []string{"/", "/pub", "/incoming"}
+	step := func(name string) {
+		t.Helper()
+		for _, p := range touched {
+			for _, kind := range listKinds {
+				body := renderBody(t, d, p, kind, now)
+				out = append(out, stepBody{fmt.Sprintf("after %s: %s kind %d", name, p, kind), body})
+				if l, ok := d.(lister); ok {
+					if cached, err := l.Listing(p, kind, now); err != nil || string(cached) != body {
+						t.Fatalf("after %s: Listing(%s, %d) = %q, %v; want %q", name, p, kind, cached, err, body)
+					}
+				}
 			}
-			if n := d.Lookup("/incoming/drop"); n == nil || !n.IsDir {
-				t.Fatalf("Mkdir result not visible: %+v", n)
-			}
-			if _, err := d.Store("/incoming/drop/a.txt", []byte("abc"), vfs.Perm644, true, "ftp", true); err != nil {
-				t.Fatalf("Store: %v", err)
-			}
-			n = d.Lookup("/incoming/drop/a.txt")
-			if n == nil || string(n.Content) != "abc" || !n.AnonUpload || n.Owner != "ftp" {
-				t.Fatalf("stored node = %+v", n)
-			}
-			// replace=false must rename instead of clobbering.
-			if _, err := d.Store("/incoming/drop/a.txt", []byte("xyz"), vfs.Perm644, false, "", false); err != nil {
-				t.Fatalf("Store norename: %v", err)
-			}
-			if got := drainNames(t, d, "/incoming/drop"); strings.Join(got, ",") != "a.txt,a.txt.1" {
-				t.Fatalf("after collision = %v", got)
-			}
-			if err := d.Delete("/incoming/drop/a.txt.1"); err != nil {
-				t.Fatalf("Delete: %v", err)
-			}
-			if err := d.Delete("/incoming/drop/a.txt.1"); err == nil {
-				t.Fatal("double Delete succeeded")
-			}
-			// Storing under a missing parent fails on both drivers.
-			if _, err := d.Store("/no/such/dir/f", []byte("x"), vfs.Perm644, true, "", false); err == nil {
-				t.Fatal("Store under missing parent succeeded")
-			}
-		})
+		}
 	}
+	// stamped runs a write and checks the node it made is dated within it.
+	stamped := func(p string, write func() (*vfs.Node, error)) {
+		t.Helper()
+		before := time.Now()
+		n, err := write()
+		after := time.Now()
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if n.MTime.Before(before) || n.MTime.After(after) {
+			t.Fatalf("%s: MTime %v outside [%v, %v]", p, n.MTime, before, after)
+		}
+	}
+
+	if got := drainNames(t, d, "/"); strings.Join(got, ",") != "incoming,pub" {
+		t.Fatalf("root listing = %v", got)
+	}
+	if got := drainNames(t, d, "/pub"); strings.Join(got, ",") != "hello.txt,secret.key" {
+		t.Fatalf("/pub listing = %v", got)
+	}
+	n := d.Lookup("/pub/hello.txt")
+	if n == nil || n.IsDir || string(n.Content) != "hello world" {
+		t.Fatalf("Lookup(/pub/hello.txt) = %+v", n)
+	}
+	if d.Lookup("/nope") != nil {
+		t.Fatal("Lookup(/nope) found a node")
+	}
+	// Listing a file yields the file itself, like ls(1).
+	if got := drainNames(t, d, "/pub/hello.txt"); strings.Join(got, ",") != "hello.txt" {
+		t.Fatalf("file listing = %v", got)
+	}
+	if _, err := d.List("/nope"); err == nil {
+		t.Fatal("List of a missing path succeeded")
+	}
+	step("seed")
+
+	stamped("/incoming/drop", func() (*vfs.Node, error) { return d.Mkdir("/incoming/drop", vfs.Perm755) })
+	if n := d.Lookup("/incoming/drop"); n == nil || !n.IsDir {
+		t.Fatalf("Mkdir result not visible: %+v", n)
+	}
+	touched = append(touched, "/incoming/drop")
+	step("mkdir")
+
+	stamped("/incoming/drop/a.txt", func() (*vfs.Node, error) {
+		return d.Store("/incoming/drop/a.txt", []byte("abc"), vfs.Perm644, true, "ftp", true)
+	})
+	n = d.Lookup("/incoming/drop/a.txt")
+	if n == nil || string(n.Content) != "abc" || !n.AnonUpload || n.Owner != "ftp" {
+		t.Fatalf("stored node = %+v", n)
+	}
+	step("store")
+
+	// replace=false must rename instead of clobbering.
+	stamped("/incoming/drop/a.txt.1", func() (*vfs.Node, error) {
+		return d.Store("/incoming/drop/a.txt", []byte("xyz"), vfs.Perm644, false, "", false)
+	})
+	if got := drainNames(t, d, "/incoming/drop"); strings.Join(got, ",") != "a.txt,a.txt.1" {
+		t.Fatalf("after collision = %v", got)
+	}
+	step("store-rename")
+
+	if err := d.Delete("/incoming/drop/a.txt.1"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if err := d.Delete("/incoming/drop/a.txt.1"); err == nil {
+		t.Fatal("double Delete succeeded")
+	}
+	// Storing under a missing parent fails on both drivers.
+	if _, err := d.Store("/no/such/dir/f", []byte("x"), vfs.Perm644, true, "", false); err == nil {
+		t.Fatal("Store under missing parent succeeded")
+	}
+	step("delete")
+
+	stamped("/pub/sub", func() (*vfs.Node, error) { return d.Mkdir("/pub/sub", vfs.Perm755) })
+	stamped("/pub/sub/x", func() (*vfs.Node, error) {
+		return d.Store("/pub/sub/x", []byte("x"), vfs.Perm644, true, "", false)
+	})
+	if err := d.Delete("/pub/sub"); err == nil {
+		t.Fatal("Delete of a non-empty directory succeeded")
+	}
+	touched = append(touched, "/pub/sub")
+	step("nested")
+
+	if err := d.Delete("/pub/sub/x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete("/incoming/drop/a.txt"); err != nil {
+		t.Fatal(err)
+	}
+	step("empty-dir")
+
+	if err := d.Delete("/pub/sub"); err != nil {
+		t.Fatal(err)
+	}
+	touched = touched[:len(touched)-1]
+	step("rmdir")
+	return out
 }
 
 func TestMemDriverListSorted(t *testing.T) {
@@ -270,7 +373,7 @@ func drainConn(t *testing.T, dc interface{ Read([]byte) (int, error) }) {
 }
 
 // TestMemDriverConcurrent hammers one MemDriver from many goroutines; run
-// under -race this guards the lock discipline and the sorted-listing cache.
+// under -race this guards the lock discipline and the listing cache.
 func TestMemDriverConcurrent(t *testing.T) {
 	d := NewMemDriver()
 	if _, err := d.Mkdir("/dir", vfs.Perm755); err != nil {
@@ -287,6 +390,10 @@ func TestMemDriverConcurrent(t *testing.T) {
 				}
 				d.Lookup(p)
 				if _, err := d.List("/dir"); err != nil {
+					done <- err
+					return
+				}
+				if _, err := d.Listing("/", ListUnix, time.Now()); err != nil {
 					done <- err
 					return
 				}

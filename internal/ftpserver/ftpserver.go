@@ -206,6 +206,8 @@ type Server struct {
 
 	// globalBW shapes the sum of all data channels; nil when uncapped.
 	globalBW *TokenBucket
+	// listKind is the personality's LIST dialect.
+	listKind ListKind
 
 	// Replies that are constant for the server's lifetime, rendered once.
 	wireBanner []byte
@@ -235,6 +237,9 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		gov: NewGovernor(cfg.MaxConns, cfg.MaxConnsPerIP, cfg.IdleTimeout),
 		m:   resolveMetrics(cfg.Metrics),
+	}
+	if cfg.Pers.Quirks.ListStyle == vfs.StyleDOS {
+		s.listKind = ListDOS
 	}
 	if cfg.BandwidthGlobal > 0 {
 		s.globalBW = NewTokenBucket(float64(cfg.BandwidthGlobal), float64(cfg.BandwidthGlobal))
@@ -667,14 +672,14 @@ func (s *session) dispatch(cmd ftp.Command) bool {
 	case "EPRT":
 		return s.cmdEprt(cmd.Arg)
 	case "LIST":
-		return s.cmdList(cmd.Arg, listStyleDefault)
+		return s.cmdList(cmd.Arg, s.srv.listKind)
 	case "NLST":
-		return s.cmdList(cmd.Arg, listStyleNames)
+		return s.cmdList(cmd.Arg, ListNames)
 	case "MLSD":
 		if !s.supportsMLSx() {
 			return s.replyf(ftp.CodeCmdUnrecognized, "MLSD not understood")
 		}
-		return s.cmdList(cmd.Arg, listStyleMLSD)
+		return s.cmdList(cmd.Arg, ListMLSD)
 	case "MLST":
 		return s.cmdMlst(cmd.Arg)
 	case "RETR":
@@ -942,15 +947,6 @@ func (s *session) withDataConn(openingMsg []byte, fn func(dc net.Conn) error) bo
 	return s.replyRaw(wireTransferOK)
 }
 
-// listStyle selects the LIST-family response body.
-type listStyle int
-
-const (
-	listStyleDefault listStyle = iota
-	listStyleNames
-	listStyleMLSD
-)
-
 // supportsMLSx reports whether the personality advertises RFC 3659
 // machine-readable listings in its FEAT body.
 func (s *session) supportsMLSx() bool {
@@ -962,7 +958,7 @@ func (s *session) supportsMLSx() bool {
 	return false
 }
 
-func (s *session) cmdList(arg string, style listStyle) bool {
+func (s *session) cmdList(arg string, kind ListKind) bool {
 	// Strip ls-style flags ("-la", "-al /pub", ...).
 	path := strings.TrimSpace(arg)
 	for strings.HasPrefix(path, "-") {
@@ -976,6 +972,14 @@ func (s *session) cmdList(arg string, style listStyle) bool {
 	if path != "" {
 		target = vfs.Join(s.cwd, path)
 	}
+	now := time.Now()
+	if l, ok := s.drv.(lister); ok {
+		body, err := l.Listing(target, kind, now)
+		if err != nil {
+			return s.driverReply(err, ftp.CodeFileUnavailable, "%s: No such file or directory", path)
+		}
+		return s.sendListing(body)
+	}
 	entries, err := s.drv.List(target)
 	if err != nil {
 		return s.driverReply(err, ftp.CodeFileUnavailable, "%s: No such file or directory", path)
@@ -984,23 +988,19 @@ func (s *session) cmdList(arg string, style listStyle) bool {
 	// transfer on a crawled server, and the body never needs to live past
 	// the write.
 	bp := listBufPool.Get().(*[]byte)
-	body := (*bp)[:0]
-	switch style {
-	case listStyleNames:
-		body = vfs.AppendNameList(body, entries)
-	case listStyleMLSD:
-		body = vfs.AppendMLSDListing(body, entries, time.Now())
-	default:
-		body = vfs.AppendListing(body, entries, s.cfg.Pers.Quirks.ListStyle, time.Now())
-	}
-	*bp = body
-	done := s.withDataConn(wireOpeningList, func(dc net.Conn) error {
+	*bp = appendBody((*bp)[:0], entries, kind, now)
+	done := s.sendListing(*bp)
+	listBufPool.Put(bp)
+	return done
+}
+
+// sendListing writes a LIST-family body over the data connection.
+func (s *session) sendListing(body []byte) bool {
+	return s.withDataConn(wireOpeningList, func(dc net.Conn) error {
 		n, err := dc.Write(body)
 		s.srv.m.bytesOut.Add(uint64(n))
 		return err
 	})
-	listBufPool.Put(bp)
-	return done
 }
 
 // cmdMlst returns machine-readable facts for one path on the control
