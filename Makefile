@@ -65,10 +65,10 @@ race-sharded:
 		./internal/core ./internal/analysis ./internal/dataset ./internal/obs
 
 # Server core under the race detector: pooled sessions, the connection
-# governor's per-session idle timers, token buckets, and the in-memory driver
-# are all mutated by concurrent session goroutines.
+# governor's per-session idle timers, token buckets, and the served vfs tree
+# with its listing cache are all mutated by concurrent session goroutines.
 race-server:
-	$(GO) test -race ./internal/ftpserver ./internal/honeypot
+	$(GO) test -race ./internal/ftpserver ./internal/honeypot ./internal/vfs
 
 # The benchmark is its own module (bench/go.mod), so the root `go test ./...`
 # never compiles it: vet and test it here, so an API break it depends on
@@ -82,8 +82,7 @@ bench-check:
 # fails at run time fails tier-1. Their numbers come from `go test -bench` with a real -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing' -benchtime 1x ./internal/vfs
-	$(GO) test -run '^$$' -bench 'BenchmarkMemDriverListing' -benchtime 1x ./internal/ftpserver
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing|BenchmarkListing' -benchtime 1x ./internal/vfs
 	$(GO) test -run '^$$' -bench 'BenchmarkReadAll|BenchmarkWriterWrite' -benchtime 1x ./internal/dataset
 
 tier1: build vet vet-obs test race race-sharded race-server bench-check bench-micro smoke

@@ -486,7 +486,7 @@ func BenchmarkAblationTraversal(b *testing.B) {
 	}
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		PublicIP:       ip,
 		AllowAnonymous: true,
 	})
@@ -526,7 +526,7 @@ func BenchmarkAblationMLSD(b *testing.B) {
 	mk := func(persKey string) *simnet.Network {
 		srv, err := ftpserver.New(ftpserver.Config{
 			Pers:           personality.ByKey(persKey),
-			Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+			Driver:         vfs.New(root),
 			PublicIP:       ip,
 			AllowAnonymous: true,
 		})
@@ -612,7 +612,7 @@ func BenchmarkEnumerateSingleHost(b *testing.B) {
 	}
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		PublicIP:       ip,
 		AllowAnonymous: true,
 	})

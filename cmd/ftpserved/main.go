@@ -84,8 +84,6 @@ func run() error {
 		writable = flag.Bool("writable", false, "allow anonymous writes")
 		list     = flag.Bool("list", false, "list available personalities and exit")
 
-		driver = flag.String("driver", "vfs",
-			"storage backend: vfs (synthetic tree) or mem (in-memory driver)")
 		maxConns = flag.Int("max-conns", 0,
 			"cap concurrent sessions; excess connections are shed with a 421 (0 = uncapped)")
 		maxConnsPerIP = flag.Int("max-conns-per-ip", 0,
@@ -130,6 +128,7 @@ func run() error {
 	reg := obs.NewRegistry()
 	cfg := ftpserver.Config{
 		Pers:                pers,
+		Driver:              demoFS(),
 		HostName:            "ftpserved.local",
 		AllowAnonymous:      *anon,
 		AnonWritable:        *writable,
@@ -139,14 +138,6 @@ func run() error {
 		BandwidthPerSession: *bwSession,
 		BandwidthGlobal:     *bwGlobal,
 		Metrics:             reg,
-	}
-	switch *driver {
-	case "vfs":
-		cfg.Driver = ftpserver.NewVFSDriver(demoFS())
-	case "mem":
-		cfg.Driver = ftpserver.MemDriverFromFS(demoFS())
-	default:
-		return fmt.Errorf("unknown driver %q (vfs or mem)", *driver)
 	}
 
 	// Audit sinks ride the Observer hook; both flags may combine, and a
@@ -196,8 +187,8 @@ func run() error {
 		return err
 	}
 	defer l.Close()
-	fmt.Fprintf(os.Stderr, "ftpserved: %s serving %s (anon=%v writable=%v driver=%s max-conns=%d)\n",
-		l.Addr(), *persKey, *anon, *writable, *driver, *maxConns)
+	fmt.Fprintf(os.Stderr, "ftpserved: %s serving %s (anon=%v writable=%v max-conns=%d)\n",
+		l.Addr(), *persKey, *anon, *writable, *maxConns)
 
 	// Graceful shutdown on SIGINT/SIGTERM: stop accepting; in-flight
 	// sessions run to completion on their own goroutines.

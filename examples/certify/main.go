@@ -50,7 +50,7 @@ func main() {
 			ip:   simnet.MustParseIP("100.64.0.1"),
 			cfg: ftpserver.Config{
 				Pers:   personality.ByKey(personality.KeyServU15),
-				Driver: ftpserver.NewVFSDriver(vfs.New(nil)),
+				Driver: vfs.New(nil),
 				Cert:   pool.Get("unique"),
 			},
 		},
@@ -59,7 +59,7 @@ func main() {
 			ip:   simnet.MustParseIP("100.64.0.2"),
 			cfg: ftpserver.Config{
 				Pers:           personality.ByKey(personality.KeyQNAPNAS),
-				Driver:         ftpserver.NewVFSDriver(vfs.New(leakyFS)),
+				Driver:         vfs.New(leakyFS),
 				AllowAnonymous: true,
 				Cert:           pool.Get("fleet"),
 				InternalIP:     simnet.MustParseIP("192.168.1.10"),
@@ -70,7 +70,7 @@ func main() {
 			ip:   simnet.MustParseIP("100.64.0.3"),
 			cfg: ftpserver.Config{
 				Pers:           personality.ByKey(personality.KeyHostedHomePL),
-				Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
+				Driver:         vfs.New(nil),
 				AllowAnonymous: true,
 				AnonWritable:   true,
 			},

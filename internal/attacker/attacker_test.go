@@ -20,7 +20,7 @@ func testTarget(t *testing.T) (*simnet.Network, simnet.IP, *vfs.FS) {
 	fs := vfs.New(root)
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(fs),
+		Driver:         fs,
 		PublicIP:       ip,
 		AllowAnonymous: true,
 		AnonWritable:   true,
@@ -143,7 +143,7 @@ func TestPortBouncerHitsTarget(t *testing.T) {
 	vulnIP := simnet.MustParseIP("100.64.0.9")
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyHostedHomePL),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
+		Driver:         vfs.New(nil),
 		PublicIP:       vulnIP,
 		AllowAnonymous: true,
 	})

@@ -27,7 +27,7 @@ func TestAllProfilesRunCleanly(t *testing.T) {
 	root.Add(vfs.NewDir("public_html", vfs.Perm777))
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		PublicIP:       ip,
 		AllowAnonymous: true,
 		AnonWritable:   true,
@@ -81,7 +81,7 @@ func TestCredentialGuesserSucceedsOnWeakTarget(t *testing.T) {
 	rec := &eventRecorder{}
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:     personality.ByKey(personality.KeyProFTPD135),
-		Driver:   ftpserver.NewVFSDriver(vfs.New(nil)),
+		Driver:   vfs.New(nil),
 		PublicIP: ip,
 		Users:    map[string]string{"admin": "admin"},
 		Observer: rec,

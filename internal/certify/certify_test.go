@@ -56,7 +56,7 @@ func TestAuditSecureServer(t *testing.T) {
 	}
 	_, auditor := buildTarget(t, ip, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyServU15), // FTPS-capable, CVE-clean
-		Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
+		Driver:         vfs.New(nil),
 		AllowAnonymous: false,
 		Cert:           pool.Get("c"),
 	})
@@ -90,7 +90,7 @@ func TestAuditCVEWarningGrade(t *testing.T) {
 	}
 	_, auditor := buildTarget(t, ip, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135), // matches CVE-2015-3306
-		Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
+		Driver:         vfs.New(nil),
 		AllowAnonymous: false,
 		Cert:           pool.Get("c"),
 	})
@@ -115,7 +115,7 @@ func TestAuditWideOpenDevice(t *testing.T) {
 	docs.Add(vfs.NewFile("mail.pst", vfs.Perm644, 1000))
 	_, auditor := buildTarget(t, ip, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyBuffaloNAS), // no PORT validation
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		AllowAnonymous: true,
 		AnonWritable:   true,
 		Users:          map[string]string{"admin": "admin"},
@@ -155,7 +155,7 @@ func TestAuditSharedCertificate(t *testing.T) {
 	cert := pool.Get("c")
 	_, auditor := buildTarget(t, ip, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyQNAPNAS),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
+		Driver:         vfs.New(nil),
 		AllowAnonymous: false,
 		Cert:           cert,
 	})

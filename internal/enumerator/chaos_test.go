@@ -52,7 +52,7 @@ func chaosNet(t *testing.T, fs *vfs.FS) *simnet.Network {
 	t.Helper()
 	return buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(fs),
+		Driver:         fs,
 		AllowAnonymous: true,
 	})
 }

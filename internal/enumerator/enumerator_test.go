@@ -60,7 +60,7 @@ func enumConfig(nw *simnet.Network) Config {
 func TestEnumerateAnonymousHost(t *testing.T) {
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		HostName:       "h1.example.net",
 		AllowAnonymous: true,
 	})
@@ -104,7 +104,7 @@ func TestEnumerateAnonymousHost(t *testing.T) {
 func TestEnumerateAnonymousDenied(t *testing.T) {
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyVsftpd302),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: false,
 	})
 	rec := Enumerate(context.Background(), enumConfig(nw), srvIP.String())
@@ -125,7 +125,7 @@ func TestBannerOptOutHonored(t *testing.T) {
 	// the enumerator must not even try.
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyPureFTPd1036),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: true, // even though the server would accept it
 	})
 	rec := Enumerate(context.Background(), enumConfig(nw), srvIP.String())
@@ -142,7 +142,7 @@ func TestRobotsExcludeAllStopsTraversal(t *testing.T) {
 	fs.Put("/robots.txt", []byte("User-agent: *\nDisallow: /\n"), vfs.Perm644, true)
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(fs),
+		Driver:         fs,
 		AllowAnonymous: true,
 	})
 	rec := Enumerate(context.Background(), enumConfig(nw), srvIP.String())
@@ -159,7 +159,7 @@ func TestRobotsPartialPrunes(t *testing.T) {
 	fs.Put("/robots.txt", []byte("User-agent: *\nDisallow: /private\n"), vfs.Perm644, true)
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(fs),
+		Driver:         fs,
 		AllowAnonymous: true,
 	})
 	rec := Enumerate(context.Background(), enumConfig(nw), srvIP.String())
@@ -188,7 +188,7 @@ func TestRequestCapTruncates(t *testing.T) {
 	}
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		AllowAnonymous: true,
 	})
 	cfg := enumConfig(nw)
@@ -205,7 +205,7 @@ func TestRequestCapTruncates(t *testing.T) {
 func TestServerRequestLimitRecordedAsTermination(t *testing.T) {
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: true,
 		RequestLimit:   8,
 	})
@@ -218,7 +218,7 @@ func TestServerRequestLimitRecordedAsTermination(t *testing.T) {
 func TestNATDetection(t *testing.T) {
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyQNAPNAS),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: true,
 		InternalIP:     simnet.MustParseIP("192.168.1.77"),
 	})
@@ -247,7 +247,7 @@ func TestPortValidationProbe(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			nw := buildNet(t, ftpserver.Config{
 				Pers:           personality.ByKey(tt.pers),
-				Driver:         ftpserver.NewVFSDriver(richFS()),
+				Driver:         richFS(),
 				AllowAnonymous: true,
 			})
 			collector, err := NewSimCollector(nw, simnet.MustParseIP("99.0.0.250"), 0)
@@ -274,7 +274,7 @@ func TestFTPSCertCollection(t *testing.T) {
 	}
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: true,
 		Cert:           pool.Get("c"),
 	})
@@ -303,7 +303,7 @@ func TestRequireTLSLogin(t *testing.T) {
 	}
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: true,
 		Cert:           pool.Get("c"),
 		RequireTLS:     true,
@@ -351,7 +351,7 @@ func TestFleetEnumeratesStream(t *testing.T) {
 		ip := simnet.IP(uint32(srvIP) + uint32(i))
 		srv, err := ftpserver.New(ftpserver.Config{
 			Pers:           personality.ByKey(personality.KeyProFTPD135),
-			Driver:         ftpserver.NewVFSDriver(richFS()),
+			Driver:         richFS(),
 			PublicIP:       ip,
 			AllowAnonymous: i%2 == 0,
 		})

@@ -37,7 +37,7 @@ func TestEPSVFallback(t *testing.T) {
 
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           epsvOnlyPersonality(),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		PublicIP:       srvIP,
 		AllowAnonymous: true,
 	})
@@ -68,7 +68,7 @@ func TestEPSVFallback(t *testing.T) {
 func TestRequestDelayPacesRequests(t *testing.T) {
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyVsftpd302),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(nil)),
+		Driver:         vfs.New(nil),
 		AllowAnonymous: true,
 	})
 	cfg := enumConfig(nw)
@@ -100,7 +100,7 @@ func TestSymlinksNotTraversed(t *testing.T) {
 
 	srv, err := ftpserver.New(ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		PublicIP:       srvIP,
 		AllowAnonymous: true,
 	})

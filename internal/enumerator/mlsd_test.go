@@ -17,7 +17,7 @@ func TestMLSDTraversal(t *testing.T) {
 	// ProFTPD 1.3.5 advertises MLST in this registry.
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(richFS()),
+		Driver:         richFS(),
 		AllowAnonymous: true,
 	})
 	rec := Enumerate(context.Background(), enumConfig(nw), srvIP.String())
@@ -60,7 +60,7 @@ func TestAnonUploadConfirmation(t *testing.T) {
 	}
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyPureFTPd1029), // approval-gated, no opt-out banner
-		Driver:         ftpserver.NewVFSDriver(fs),
+		Driver:         fs,
 		AllowAnonymous: true,
 		AnonWritable:   true,
 	})
@@ -83,7 +83,7 @@ func TestAnonUploadNotConfirmedOnPlainServer(t *testing.T) {
 	root.Add(vfs.NewFileContent("sjutd.txt", vfs.Perm644, []byte("test")))
 	nw := buildNet(t, ftpserver.Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         ftpserver.NewVFSDriver(vfs.New(root)),
+		Driver:         vfs.New(root),
 		AllowAnonymous: true,
 	})
 	rec := Enumerate(context.Background(), enumConfig(nw), srvIP.String())

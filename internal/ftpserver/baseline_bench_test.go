@@ -15,7 +15,7 @@ import (
 func BenchmarkSessionCommands(b *testing.B) {
 	srv, err := New(Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         NewVFSDriver(testFS()),
+		Driver:         testFS(),
 		HostName:       "bench.example.org",
 		AllowAnonymous: true,
 	})

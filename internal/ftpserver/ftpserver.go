@@ -1,17 +1,18 @@
 // Package ftpserver implements the FTP server engine that impersonates
 // real-world implementations in the simulated Internet. One engine drives
 // every personality: the profile supplies banners, reply texts, feature
-// lists, and quirks, while per-host configuration supplies the storage
-// driver, anonymous-access policy, NAT posture, and FTPS certificate.
+// lists, and quirks, while per-host configuration supplies the filesystem,
+// anonymous-access policy, NAT posture, and FTPS certificate.
 //
 // The engine serves both simulated connections (via SimHandler) and real TCP
 // sockets (via ServeTCP and the Serve accept loop, used by cmd/ftpserved),
 // so the enumerator can be validated against the same code over a real
-// network. Storage is pluggable behind the Driver interface; connection
-// governance (caps, idle reaping, bandwidth shaping) lives in Governor and
-// TokenBucket; and the session loop is allocation-lean — preformatted
-// replies, pooled sessions and transfer buffers — so one process sustains
-// ~10k concurrent sessions (BenchmarkServerConcurrentSessions).
+// network. Every host serves a vfs tree, whose listing cache answers the
+// LIST family; connection governance (caps, idle reaping, bandwidth
+// shaping) lives in Governor and TokenBucket; and the session loop is
+// allocation-lean — preformatted replies, pooled sessions and transfer
+// buffers — so one process sustains ~10k concurrent sessions
+// (BenchmarkServerConcurrentSessions).
 package ftpserver
 
 import (
@@ -41,9 +42,10 @@ const AnonymousUser = "anonymous"
 type Config struct {
 	// Pers selects the implementation profile. Required.
 	Pers *personality.Personality
-	// Driver is the storage backend. Required; serve a vfs tree with
-	// NewVFSDriver.
-	Driver Driver
+	// Driver is the filesystem the host serves. Required. Sessions read
+	// and write it directly, and LIST-family replies come from its
+	// listing cache.
+	Driver *vfs.FS
 	// HostName substitutes %HOST% in banners.
 	HostName string
 	// PublicIP is the host's routable address: the source of outbound
@@ -95,6 +97,11 @@ type Config struct {
 	// timelines are reproducible run to run.
 	Now func() time.Time
 }
+
+// MemDriverFromFS returns fs unchanged.
+//
+// Deprecated: set Config.Driver to the *vfs.FS itself.
+func MemDriverFromFS(fs *vfs.FS) *vfs.FS { return fs }
 
 // Observer receives wire-level session events.
 type Observer interface {
@@ -207,7 +214,7 @@ type Server struct {
 	// globalBW shapes the sum of all data channels; nil when uncapped.
 	globalBW *TokenBucket
 	// listKind is the personality's LIST dialect.
-	listKind ListKind
+	listKind vfs.ListKind
 
 	// Replies that are constant for the server's lifetime, rendered once.
 	wireBanner []byte
@@ -222,7 +229,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("ftpserver: config needs a personality")
 	}
 	if cfg.Driver == nil {
-		return nil, errors.New("ftpserver: config needs a driver")
+		return nil, errors.New("ftpserver: config needs a filesystem")
 	}
 	if cfg.RequireTLS && cfg.Cert == nil {
 		return nil, errors.New("ftpserver: RequireTLS without a certificate")
@@ -230,8 +237,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	if vd, ok := cfg.Driver.(*VFSDriver); ok && cfg.Pers.Quirks.CaseInsensitive {
-		vd.FS.CaseInsensitive = true
+	if cfg.Pers.Quirks.CaseInsensitive {
+		cfg.Driver.CaseInsensitive = true
 	}
 	s := &Server{
 		cfg: cfg,
@@ -239,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 		m:   resolveMetrics(cfg.Metrics),
 	}
 	if cfg.Pers.Quirks.ListStyle == vfs.StyleDOS {
-		s.listKind = ListDOS
+		s.listKind = vfs.ListDOS
 	}
 	if cfg.BandwidthGlobal > 0 {
 		s.globalBW = NewTokenBucket(float64(cfg.BandwidthGlobal), float64(cfg.BandwidthGlobal))
@@ -388,15 +395,13 @@ var (
 	wireTypeI           = ftp.Replyf(ftp.CodeOK, "Type set to I").Wire()
 	wireTypeA           = ftp.Replyf(ftp.CodeOK, "Type set to A").Wire()
 	wirePortOK          = ftp.Replyf(ftp.CodeOK, "PORT command successful").Wire()
-	wireQuotaExceeded   = ftp.Replyf(ftp.CodeExceededStorage, "Quota exceeded: storage allocation").Wire()
-	wireRateLimited     = ftp.Replyf(ftp.CodeFileBusy, "Requested action not taken: operation rate limit").Wire()
 )
 
 // session is per-connection state, pooled across connections.
 type session struct {
 	srv   *Server
 	cfg   *Config
-	drv   Driver
+	fs    *vfs.FS
 	conn  *ftp.Conn
 	trans transport
 	cs    *connState
@@ -437,12 +442,6 @@ var xferBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// listBufPool holds listing render buffers.
-var listBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4<<10)
-	return &b
-}}
-
 // uploadBufPool holds STOR receive buffers.
 var uploadBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -477,7 +476,7 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 	}()
 	sess.srv = s
 	sess.cfg = &s.cfg
-	sess.drv = s.cfg.Driver
+	sess.fs = s.cfg.Driver
 	sess.trans = trans
 	sess.cs = cs
 	sess.remoteIP = remoteIP
@@ -583,19 +582,6 @@ func (s *session) bwBucket() *TokenBucket {
 	return s.bw
 }
 
-// driverReply maps driver sentinel errors onto their reply codes, falling
-// back to the supplied not-found reply.
-func (s *session) driverReply(err error, fallbackCode int, fallbackFormat string, args ...any) bool {
-	switch {
-	case errors.Is(err, ErrQuotaExceeded):
-		return s.replyRaw(wireQuotaExceeded)
-	case errors.Is(err, ErrRateLimited):
-		return s.replyRaw(wireRateLimited)
-	default:
-		return s.replyf(fallbackCode, fallbackFormat, args...)
-	}
-}
-
 // dispatch executes one command; the return value reports session end.
 func (s *session) dispatch(cmd ftp.Command) bool {
 	switch cmd.Name {
@@ -674,12 +660,12 @@ func (s *session) dispatch(cmd ftp.Command) bool {
 	case "LIST":
 		return s.cmdList(cmd.Arg, s.srv.listKind)
 	case "NLST":
-		return s.cmdList(cmd.Arg, ListNames)
+		return s.cmdList(cmd.Arg, vfs.ListNames)
 	case "MLSD":
 		if !s.supportsMLSx() {
 			return s.replyf(ftp.CodeCmdUnrecognized, "MLSD not understood")
 		}
-		return s.cmdList(cmd.Arg, ListMLSD)
+		return s.cmdList(cmd.Arg, vfs.ListMLSD)
 	case "MLST":
 		return s.cmdMlst(cmd.Arg)
 	case "RETR":
@@ -799,7 +785,7 @@ func (s *session) cmdSite(arg string) bool {
 
 func (s *session) cmdCwd(arg string) bool {
 	target := vfs.Join(s.cwd, arg)
-	node := s.drv.Lookup(target)
+	node := s.fs.Lookup(target)
 	if node == nil || !node.IsDir {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}
@@ -934,14 +920,6 @@ func (s *session) withDataConn(openingMsg []byte, fn func(dc net.Conn) error) bo
 	}
 	s.xfer = shapedConn{Conn: dc, session: s.bwBucket(), global: s.srv.globalBW, cs: s.cs}
 	if err := fn(&s.xfer); err != nil {
-		// Driver rejections surface their classified code (552/450)
-		// instead of the generic transfer abort.
-		switch {
-		case errors.Is(err, ErrQuotaExceeded):
-			return s.replyRaw(wireQuotaExceeded)
-		case errors.Is(err, ErrRateLimited):
-			return s.replyRaw(wireRateLimited)
-		}
 		return s.replyRaw(wireTransferAborted)
 	}
 	return s.replyRaw(wireTransferOK)
@@ -958,7 +936,7 @@ func (s *session) supportsMLSx() bool {
 	return false
 }
 
-func (s *session) cmdList(arg string, kind ListKind) bool {
+func (s *session) cmdList(arg string, kind vfs.ListKind) bool {
 	// Strip ls-style flags ("-la", "-al /pub", ...).
 	path := strings.TrimSpace(arg)
 	for strings.HasPrefix(path, "-") {
@@ -972,30 +950,10 @@ func (s *session) cmdList(arg string, kind ListKind) bool {
 	if path != "" {
 		target = vfs.Join(s.cwd, path)
 	}
-	now := time.Now()
-	if l, ok := s.drv.(lister); ok {
-		body, err := l.Listing(target, kind, now)
-		if err != nil {
-			return s.driverReply(err, ftp.CodeFileUnavailable, "%s: No such file or directory", path)
-		}
-		return s.sendListing(body)
-	}
-	entries, err := s.drv.List(target)
+	body, err := s.fs.Listing(target, kind, time.Now())
 	if err != nil {
-		return s.driverReply(err, ftp.CodeFileUnavailable, "%s: No such file or directory", path)
+		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", path)
 	}
-	// Render into a pooled scratch buffer: listings are the hottest data
-	// transfer on a crawled server, and the body never needs to live past
-	// the write.
-	bp := listBufPool.Get().(*[]byte)
-	*bp = appendBody((*bp)[:0], entries, kind, now)
-	done := s.sendListing(*bp)
-	listBufPool.Put(bp)
-	return done
-}
-
-// sendListing writes a LIST-family body over the data connection.
-func (s *session) sendListing(body []byte) bool {
 	return s.withDataConn(wireOpeningList, func(dc net.Conn) error {
 		n, err := dc.Write(body)
 		s.srv.m.bytesOut.Add(uint64(n))
@@ -1013,7 +971,7 @@ func (s *session) cmdMlst(arg string) bool {
 	if strings.TrimSpace(arg) != "" {
 		target = vfs.Join(s.cwd, arg)
 	}
-	node := s.drv.Lookup(target)
+	node := s.fs.Lookup(target)
 	if node == nil {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}
@@ -1025,7 +983,7 @@ func (s *session) cmdMlst(arg string) bool {
 
 func (s *session) cmdRetr(arg string) bool {
 	target := vfs.Join(s.cwd, arg)
-	node := s.drv.Lookup(target)
+	node := s.fs.Lookup(target)
 	if node == nil || node.IsDir {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}
@@ -1065,9 +1023,8 @@ func (s *session) cmdStor(arg string) bool {
 	}
 	target := vfs.Join(s.cwd, arg)
 	// The file is committed inside the transfer closure so the 226
-	// completion reply is only sent once the upload is visible; driver
-	// rejections propagate as the closure error and withDataConn maps
-	// them onto 552/450.
+	// completion reply is only sent once the upload is visible; a rejected
+	// write aborts the transfer with a 426.
 	return s.withDataConn(wireOkToSend, func(dc net.Conn) error {
 		buf := uploadBufPool.Get().(*bytes.Buffer)
 		defer func() {
@@ -1088,7 +1045,7 @@ func (s *session) cmdStor(arg string) bool {
 		if s.anonymous {
 			owner = "ftp"
 		}
-		if _, err := s.drv.Store(target, content, vfs.Perm644,
+		if _, err := s.fs.PutUpload(target, content, vfs.Perm644,
 			!s.cfg.Pers.Quirks.UploadRenameSuffix, owner, s.anonymous); err != nil {
 			return err
 		}
@@ -1103,8 +1060,8 @@ func (s *session) cmdDele(arg string) bool {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: Permission denied", arg)
 	}
 	target := vfs.Join(s.cwd, arg)
-	if err := s.drv.Delete(target); err != nil {
-		return s.driverReply(err, ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
+	if err := s.fs.Delete(target); err != nil {
+		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}
 	s.observe(Event{Kind: EventDelete, Path: target})
 	return s.replyRaw(wireDeleOK)
@@ -1115,8 +1072,8 @@ func (s *session) cmdMkd(arg string) bool {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: Permission denied", arg)
 	}
 	target := vfs.Join(s.cwd, arg)
-	if _, err := s.drv.Mkdir(target, vfs.Perm755); err != nil {
-		return s.driverReply(err, ftp.CodeFileUnavailable, "%s: Cannot create directory", arg)
+	if _, err := s.fs.Mkdir(target, vfs.Perm755); err != nil {
+		return s.replyf(ftp.CodeFileUnavailable, "%s: Cannot create directory", arg)
 	}
 	return s.replyf(ftp.CodePathCreated, "%q - Directory successfully created", target)
 }
@@ -1126,19 +1083,19 @@ func (s *session) cmdRmd(arg string) bool {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: Permission denied", arg)
 	}
 	target := vfs.Join(s.cwd, arg)
-	node := s.drv.Lookup(target)
+	node := s.fs.Lookup(target)
 	if node == nil || !node.IsDir {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: Not a directory", arg)
 	}
-	if err := s.drv.Delete(target); err != nil {
-		return s.driverReply(err, ftp.CodeFileUnavailable, "%s: Directory not empty", arg)
+	if err := s.fs.Delete(target); err != nil {
+		return s.replyf(ftp.CodeFileUnavailable, "%s: Directory not empty", arg)
 	}
 	return s.replyRaw(wireRmdOK)
 }
 
 func (s *session) cmdRnfr(arg string) bool {
 	target := vfs.Join(s.cwd, arg)
-	if s.drv.Lookup(target) == nil {
+	if s.fs.Lookup(target) == nil {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}
 	s.renameFrom = target
@@ -1155,7 +1112,7 @@ func (s *session) cmdRnto(arg string) bool {
 	}
 	srcPath := s.renameFrom
 	s.renameFrom = ""
-	src := s.drv.Lookup(srcPath)
+	src := s.fs.Lookup(srcPath)
 	if src == nil || src.IsDir {
 		return s.replyRaw(wireRenameFailed)
 	}
@@ -1164,18 +1121,15 @@ func (s *session) cmdRnto(arg string) bool {
 	if content == nil {
 		content = vfs.SynthContent(src.Seed, src.Size)
 	}
-	if _, err := s.drv.Store(target, content, src.Perm, true, "", false); err != nil {
-		if errors.Is(err, ErrQuotaExceeded) || errors.Is(err, ErrRateLimited) {
-			return s.driverReply(err, ftp.CodeFileUnavailable, "Rename failed")
-		}
+	if _, err := s.fs.PutUpload(target, content, src.Perm, true, "", false); err != nil {
 		return s.replyRaw(wireRenameFailed)
 	}
-	_ = s.drv.Delete(srcPath)
+	_ = s.fs.Delete(srcPath)
 	return s.replyRaw(wireRenameOK)
 }
 
 func (s *session) cmdSize(arg string) bool {
-	node := s.drv.Lookup(vfs.Join(s.cwd, arg))
+	node := s.fs.Lookup(vfs.Join(s.cwd, arg))
 	if node == nil || node.IsDir {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: not a regular file", arg)
 	}
@@ -1183,7 +1137,7 @@ func (s *session) cmdSize(arg string) bool {
 }
 
 func (s *session) cmdMdtm(arg string) bool {
-	node := s.drv.Lookup(vfs.Join(s.cwd, arg))
+	node := s.fs.Lookup(vfs.Join(s.cwd, arg))
 	if node == nil {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}

@@ -107,7 +107,7 @@ func (env *testEnv) openPassive(t *testing.T, c *ftp.Conn) net.Conn {
 func anonConfig() Config {
 	return Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         NewVFSDriver(testFS()),
+		Driver:         testFS(),
 		HostName:       "test.example.org",
 		AllowAnonymous: true,
 	}
@@ -360,7 +360,7 @@ func TestUploadRenameSuffix(t *testing.T) {
 		dc.Close()
 		c.ReadReply()
 	}
-	fs := cfg.Driver.(*VFSDriver).FS
+	fs := cfg.Driver
 	if fs.Lookup("/incoming/name") == nil || fs.Lookup("/incoming/name.1") == nil {
 		t.Error("upload-rename suffix files missing")
 	}
@@ -611,14 +611,14 @@ func TestDOSListingStyle(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Driver: NewVFSDriver(testFS())}); err == nil {
+	if _, err := New(Config{Driver: testFS()}); err == nil {
 		t.Error("missing personality accepted")
 	}
 	if _, err := New(Config{Pers: personality.ByKey(personality.KeyProFTPD135)}); err == nil {
-		t.Error("missing driver accepted")
+		t.Error("missing filesystem accepted")
 	}
 	if _, err := New(Config{
-		Pers: personality.ByKey(personality.KeyProFTPD135), Driver: NewVFSDriver(testFS()), RequireTLS: true,
+		Pers: personality.ByKey(personality.KeyProFTPD135), Driver: testFS(), RequireTLS: true,
 	}); err == nil {
 		t.Error("RequireTLS without cert accepted")
 	}
@@ -775,15 +775,21 @@ func TestObserverDeleteEvents(t *testing.T) {
 	}
 }
 
-// TestCaseInsensitiveQuirkThroughDriver: an iis-7.5 server whose storage
-// is set through Driver still gets its personality's case-insensitive path
-// semantics, so CWD PUB resolves to /pub.
+// TestCaseInsensitiveQuirkThroughDriver: an iis-7.5 server gets its
+// personality's case-insensitive path semantics on the tree it serves, so
+// CWD PUB resolves to /pub. LIST PUB and LIST pub share one cached listing:
+// an upload into /pub must show in the next LIST PUB.
 func TestCaseInsensitiveQuirkThroughDriver(t *testing.T) {
-	env := newEnv(t, Config{
+	fs := datedFS(0)
+	hello := fs.Lookup("/pub").Add(vfs.NewFileContent("hello.txt", vfs.Perm644, []byte("hello world")))
+	hello.MTime = datedMTime
+	cfg := Config{
 		Pers:           personality.ByKey(personality.KeyIIS75),
-		Driver:         NewVFSDriver(testFS()),
+		Driver:         fs,
 		AllowAnonymous: true,
-	})
+		AnonWritable:   true,
+	}
+	env := newEnv(t, cfg)
 	c, _ := env.dial(t)
 	login(t, c)
 	if r, _ := c.Cmd("CWD", "PUB"); r.Code != ftp.CodeFileOK {
@@ -791,5 +797,25 @@ func TestCaseInsensitiveQuirkThroughDriver(t *testing.T) {
 	}
 	if r, _ := c.Cmd("SIZE", "hello.txt"); r.Code != 213 || r.Text() != "11" {
 		t.Fatalf("SIZE under /PUB: %+v", r)
+	}
+	if r, _ := c.Cmd("CWD", "/"); r.Code != ftp.CodeFileOK {
+		t.Fatalf("CWD /: %+v", r)
+	}
+	list := func() string {
+		t.Helper()
+		body, err := env.transfer(c, "LIST", "PUB", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	if body := list(); !strings.Contains(body, "hello.txt") || strings.Contains(body, "new.txt") {
+		t.Fatalf("first LIST PUB:\n%s", body)
+	}
+	if _, err := env.transfer(c, "STOR", "/pub/new.txt", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if body := list(); !strings.Contains(body, "new.txt") {
+		t.Fatalf("LIST PUB after STOR /pub/new.txt:\n%s", body)
 	}
 }

@@ -124,7 +124,7 @@ func governedEnv(t *testing.T, mutate func(*Config)) (*testEnv, *obs.Registry) {
 	reg := obs.NewRegistry()
 	cfg := Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         NewVFSDriver(testFS()),
+		Driver:         testFS(),
 		HostName:       "gov.example.org",
 		AllowAnonymous: true,
 		Metrics:        reg,
@@ -381,7 +381,7 @@ func TestServerStalledDataConnReaped(t *testing.T) {
 	root := vfs.NewDir("/", vfs.Perm755)
 	root.Add(vfs.NewFileContent("big.bin", vfs.Perm644, make([]byte, 1<<20)))
 	env, reg := governedEnv(t, func(cfg *Config) {
-		cfg.Driver = NewVFSDriver(vfs.New(root))
+		cfg.Driver = vfs.New(root)
 		cfg.MaxConns = 10
 		cfg.IdleTimeout = 50 * time.Millisecond
 	})
@@ -435,7 +435,7 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 		ip := simnet.IP(uint64(simnet.MustParseIP("10.9.0.1")) + uint64(i))
 		srv, err := New(Config{
 			Pers:           personality.ByKey(personality.KeyProFTPD135),
-			Driver:         NewVFSDriver(testFS()),
+			Driver:         testFS(),
 			PublicIP:       ip,
 			AllowAnonymous: true,
 		})

@@ -15,15 +15,14 @@ import (
 	"ftpcloud/internal/simnet"
 )
 
-// benchServer builds a capped, metrics-instrumented server backed by the
-// in-memory driver — the configuration the 10k-session target is specified
-// against.
+// benchServer builds a capped, metrics-instrumented server on the test
+// tree — the configuration the 10k-session target is specified against.
 func benchServer(b *testing.B, maxConns int) (*Server, *obs.Registry) {
 	b.Helper()
 	reg := obs.NewRegistry()
 	srv, err := New(Config{
 		Pers:           personality.ByKey(personality.KeyProFTPD135),
-		Driver:         MemDriverFromFS(testFS()),
+		Driver:         testFS(),
 		HostName:       "bench.example.org",
 		AllowAnonymous: true,
 		MaxConns:       maxConns,

@@ -316,7 +316,7 @@ func DeployFleet(provider *simnet.StaticProvider, cfg FleetConfig) (*Deployment,
 
 		srv, err := ftpserver.New(ftpserver.Config{
 			Pers:           personality.ByKey(prof.personality),
-			Driver:         ftpserver.NewVFSDriver(prof.fs),
+			Driver:         prof.fs,
 			HostName:       prof.hostname,
 			PublicIP:       ip,
 			AllowAnonymous: true,

@@ -61,7 +61,7 @@ func permString(n *Node) string {
 
 // appendPadInt appends v right-aligned in a space-padded field of width w.
 // Non-negative values are rendered by a digit loop; negative ones (never a
-// real size, but a Driver may report one) go through strconv.
+// real size, but a hand-built node may carry one) go through strconv.
 func appendPadInt(dst []byte, v int64, w int) []byte {
 	var tmp [20]byte
 	var num []byte
@@ -128,6 +128,10 @@ func appendLsDate(dst []byte, t time.Time, recent bool) []byte {
 	return append(dst, ' ', byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10))
 }
 
+// recentSpan is how close to now AppendUnixLine dates an entry with hh:mm
+// instead of the year: now-180d < MTime < now+180d.
+const recentSpan = 180 * 24 * time.Hour
+
 // AppendUnixLine appends one node as an ls -l line (no terminator).
 // The Append* family writes into a caller-owned scratch buffer so a busy
 // server renders listings without per-entry string allocation.
@@ -152,7 +156,7 @@ func AppendUnixLine(dst []byte, n *Node, now time.Time) []byte {
 	dst = append(dst, ' ')
 	t := listDate(n.MTime, now)
 	d := now.Sub(t)
-	dst = appendLsDate(dst, t, d < 180*24*time.Hour && d > -180*24*time.Hour)
+	dst = appendLsDate(dst, t, d < recentSpan && d > -recentSpan)
 	dst = append(dst, ' ')
 	dst = append(dst, n.Name...)
 	if n.LinkTarget != "" {

@@ -174,10 +174,14 @@ func (n *Node) Walk(base string, fn func(p string, node *Node) bool) {
 
 // FS is a virtual filesystem rooted at a directory node. Methods are safe
 // for concurrent use; FTP sessions against the same host share one FS so
-// that uploads by one attacker are visible to subsequent crawls.
+// that uploads by one attacker are visible to subsequent crawls. The FS
+// also keeps each listed directory's rendered listings (see Listing).
 type FS struct {
 	mu   sync.RWMutex
 	root *Node
+	// listings holds the listing cache by directory node, so every path
+	// that resolves to a directory shares its entry.
+	listings map[*Node]*dirListing
 
 	// CaseInsensitive models Windows-backed servers.
 	CaseInsensitive bool
@@ -192,8 +196,9 @@ func New(root *Node) *FS {
 	return &FS{root: root}
 }
 
-// Root returns the root node. Callers must not mutate the tree without
-// holding the FS's locks; it is exposed for construction and analysis.
+// Root returns the root node. It is exposed for construction and analysis:
+// once the tree is served, change it only through the FS's methods, which
+// hold its lock and drop the listings a change makes stale.
 func (f *FS) Root() *Node { return f.root }
 
 // Clean normalizes an FTP path: backslashes become slashes, the result is
@@ -223,46 +228,42 @@ func Join(cwd, p string) string {
 func (f *FS) Lookup(p string) *Node {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.lookupLocked(p)
+	n, _ := f.lookupLocked(p)
+	return n
 }
 
-func (f *FS) lookupLocked(p string) *Node {
-	p = Clean(p)
-	if p == "/" {
-		return f.root
-	}
-	cur := f.root
-	for _, seg := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
-		if cur == nil || !cur.IsDir {
-			return nil
+// lookupLocked resolves p to its node and the directory holding it (nil
+// for the root), or a nil node when p is absent. The segments are walked in
+// place, so a lookup allocates nothing.
+func (f *FS) lookupLocked(p string) (n, parent *Node) {
+	n = f.root
+	for rest := Clean(p)[1:]; rest != ""; {
+		seg := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			seg, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
 		}
-		next := cur.Child(seg)
-		if next == nil && f.CaseInsensitive {
-			lower := strings.ToLower(seg)
-			for name, c := range cur.children {
-				if strings.ToLower(name) == lower {
-					next = c
-					break
-				}
+		if n == nil || !n.IsDir {
+			return nil, nil
+		}
+		parent, n = n, f.child(n, seg)
+	}
+	return n, parent
+}
+
+// child returns dir's entry named name, matched case-insensitively on a
+// CaseInsensitive FS when no entry has the exact name.
+func (f *FS) child(dir *Node, name string) *Node {
+	c := dir.Child(name)
+	if c == nil && f.CaseInsensitive {
+		for other, n := range dir.children {
+			if strings.EqualFold(other, name) {
+				return n
 			}
 		}
-		cur = next
 	}
-	return cur
-}
-
-// List returns the sorted entries of the directory at p.
-func (f *FS) List(p string) ([]*Node, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := f.lookupLocked(p)
-	if n == nil {
-		return nil, fmt.Errorf("vfs: %s: no such file or directory", p)
-	}
-	if !n.IsDir {
-		return []*Node{n}, nil
-	}
-	return n.Children(), nil
+	return c
 }
 
 // Mkdir creates a directory at p; the parent must exist.
@@ -271,7 +272,7 @@ func (f *FS) Mkdir(p string, perm Mode) (*Node, error) {
 	defer f.mu.Unlock()
 	p = Clean(p)
 	dir, base := path.Split(p)
-	parent := f.lookupLocked(dir)
+	parent, grand := f.lookupLocked(dir)
 	if parent == nil || !parent.IsDir {
 		return nil, fmt.Errorf("vfs: %s: parent does not exist", p)
 	}
@@ -284,6 +285,7 @@ func (f *FS) Mkdir(p string, perm Mode) (*Node, error) {
 	child := NewDir(base, perm)
 	child.MTime = time.Now()
 	parent.Add(child)
+	f.dropListings(parent, grand, nil)
 	return child, nil
 }
 
@@ -303,7 +305,7 @@ func (f *FS) PutUpload(p string, content []byte, perm Mode, replace bool, owner 
 	defer f.mu.Unlock()
 	p = Clean(p)
 	dir, base := path.Split(p)
-	parent := f.lookupLocked(dir)
+	parent, grand := f.lookupLocked(dir)
 	if parent == nil || !parent.IsDir {
 		return nil, fmt.Errorf("vfs: %s: parent does not exist", p)
 	}
@@ -325,7 +327,9 @@ func (f *FS) PutUpload(p string, content []byte, perm Mode, replace bool, owner 
 		node.Owner = owner
 	}
 	node.AnonUpload = anonUpload
+	replaced := parent.Child(name)
 	parent.Add(node)
+	f.dropListings(parent, grand, replaced)
 	return node, nil
 }
 
@@ -338,7 +342,7 @@ func (f *FS) Delete(p string) error {
 		return fmt.Errorf("vfs: cannot delete root")
 	}
 	dir, base := path.Split(p)
-	parent := f.lookupLocked(dir)
+	parent, grand := f.lookupLocked(dir)
 	if parent == nil || !parent.IsDir {
 		return fmt.Errorf("vfs: %s: no such file", p)
 	}
@@ -350,6 +354,7 @@ func (f *FS) Delete(p string) error {
 		return fmt.Errorf("vfs: %s: directory not empty", p)
 	}
 	parent.Remove(base)
+	f.dropListings(parent, grand, target)
 	return nil
 }
 

@@ -102,24 +102,22 @@ func TestLookupCaseInsensitive(t *testing.T) {
 
 func TestListErrors(t *testing.T) {
 	fs := sampleFS()
-	if _, err := fs.List("/ghost"); err == nil {
-		t.Error("List of missing path succeeded")
-	}
-	entries, err := fs.List("/pub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Errorf("len = %d", len(entries))
+	now := time.Now()
+	if _, err := fs.Listing("/ghost", ListNames, now); err == nil {
+		t.Error("Listing of missing path succeeded")
 	}
 	// Sorted order.
-	if entries[0].Name != "index.html" || entries[2].Name != "secret.key" {
-		t.Errorf("order: %s, %s, %s", entries[0].Name, entries[1].Name, entries[2].Name)
+	names, err := fs.Listing("/pub", ListNames, now)
+	if err != nil || string(names) != "index.html\r\nphotos\r\nsecret.key\r\n" {
+		t.Errorf("Listing(/pub) = %q, %v", names, err)
 	}
 	// Listing a file yields the file itself (ls semantics).
-	single, err := fs.List("/pub/index.html")
-	if err != nil || len(single) != 1 || single[0].Name != "index.html" {
-		t.Errorf("file list: %v %v", single, err)
+	single, err := fs.Listing("/pub/index.html", ListNames, now)
+	if err != nil || string(single) != "index.html\r\n" {
+		t.Errorf("file listing: %q %v", single, err)
+	}
+	if _, err := fs.Listing("/pub", ListKind(-1), now); err == nil {
+		t.Error("Listing of an unknown kind succeeded")
 	}
 }
 
@@ -262,7 +260,7 @@ func TestFormatDOSLine(t *testing.T) {
 
 func TestFormatListingAndNameList(t *testing.T) {
 	fs := sampleFS()
-	entries, _ := fs.List("/pub")
+	entries := fs.Lookup("/pub").Children()
 	now := time.Now()
 	body := FormatListing(entries, StyleUnix, now)
 	if strings.Count(body, "\r\n") != 3 {

@@ -100,7 +100,7 @@ func (w *World) materialize(t HostTruth) *hostEntry {
 
 	cfg := ftpserver.Config{
 		Pers:           pers,
-		Driver:         ftpserver.NewVFSDriver(fs),
+		Driver:         fs,
 		HostName:       t.HostName,
 		PublicIP:       t.IP,
 		InternalIP:     t.InternalIP,
