@@ -77,13 +77,15 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The per-connection, per-listing, listing-cache and ledger-codec
-# microbenchmarks, run once each so a benchmark that no longer compiles or
-# fails at run time fails tier-1. Their numbers come from `go test -bench` with a real -benchtime.
+# The per-connection, per-listing, listing-cache, ledger-codec, analysis-fold
+# and banner-classification microbenchmarks, run once each so a benchmark
+# that no longer compiles or fails at run time fails tier-1. Their numbers come from `go test -bench` with a real -benchtime.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing|BenchmarkListing' -benchtime 1x ./internal/vfs
 	$(GO) test -run '^$$' -bench 'BenchmarkReadAll|BenchmarkWriterWrite' -benchtime 1x ./internal/dataset
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorObserve' -benchtime 1x ./internal/analysis
+	$(GO) test -run '^$$' -bench 'BenchmarkClassify' -benchtime 1x ./internal/fingerprint
 
 tier1: build vet vet-obs test race race-sharded race-server bench-check bench-micro smoke
 

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"regexp"
 	"sort"
 	"strings"
 
@@ -70,7 +69,51 @@ type ExposureByDevice struct {
 	Totals map[string]int
 }
 
-var photoNamePattern = regexp.MustCompile(`^(?i)(DSC|DSCN|IMG|IMGP|P|PICT)[-_]?\d{3,}\.(jpe?g)$`)
+// isPhotoName reports whether a filename is a camera's photo name: what
+// the regexp ^(?i)(DSC|DSCN|IMG|IMGP|P|PICT)[-_]?\d{3,}\.(jpe?g)$ matches,
+// found without one. The letters fold as that regexp folds them, so "s"
+// also matches U+017F (ſ).
+func isPhotoName(name string) bool {
+	var prefix [4]byte
+	n, i := 0, 0
+letters:
+	for i < len(name) {
+		c := name[i]
+		width := 1
+		switch {
+		case c >= 'a' && c <= 'z':
+			c -= 'a' - 'A'
+		case c >= 'A' && c <= 'Z':
+		case strings.HasPrefix(name[i:], "ſ"):
+			c, width = 'S', len("ſ")
+		default:
+			break letters
+		}
+		if n == len(prefix) {
+			return false
+		}
+		prefix[n] = c
+		n++
+		i += width
+	}
+	switch string(prefix[:n]) {
+	case "DSC", "DSCN", "IMG", "IMGP", "P", "PICT":
+	default:
+		return false
+	}
+	if i < len(name) && (name[i] == '-' || name[i] == '_') {
+		i++
+	}
+	digits := i
+	for i < len(name) && name[i] >= '0' && name[i] <= '9' {
+		i++
+	}
+	if i-digits < 3 {
+		return false
+	}
+	ext := name[i:]
+	return strings.EqualFold(ext, ".jpg") || strings.EqualFold(ext, ".jpeg")
+}
 
 var scriptExtensions = map[string]bool{
 	"php": true, "asp": true, "aspx": true, "jsp": true, "cgi": true, "pl": true,
@@ -232,7 +275,7 @@ func (a *ExposureAcc) Observe(r *Record) {
 			e.IndexHTMLFiles++
 			indexSeen = true
 		}
-		if photoNamePattern.MatchString(f.Name) {
+		if isPhotoName(f.Name) {
 			e.PhotoFiles++
 			if f.Read == dataset.ReadYes || f.Read == dataset.ReadUnknown {
 				e.PhotoReadable++

@@ -18,6 +18,9 @@ import (
 type Aggregator struct {
 	d        deriver
 	observed int
+	// rec is the Record being folded, reused so deriving a record does
+	// not allocate; it is cleared after each fold so it pins no host.
+	rec Record
 
 	funnel     FunnelAcc
 	class      ClassificationAcc
@@ -43,11 +46,13 @@ func NewAggregator(db *asdb.DB, http func(*Record) (HTTPInfo, bool)) *Aggregator
 // classification, AS resolution, and the HTTP join run here, once, so the
 // accumulators read memoized values and join hooks see every record.
 func (a *Aggregator) Observe(host *dataset.HostRecord) error {
-	r := Record{Host: host, d: &a.d}
+	a.rec = Record{Host: host, d: &a.d}
+	r := &a.rec
 	r.Class()
 	r.AS()
 	r.HTTP()
-	a.fold(&r)
+	a.fold(r)
+	a.rec = Record{}
 	return nil
 }
 

@@ -11,7 +11,6 @@
 package campaigns
 
 import (
-	"regexp"
 	"strings"
 )
 
@@ -211,14 +210,19 @@ func ReferenceSet() map[string]bool {
 	return set
 }
 
-// warezDirPattern matches the WaReZ transport campaign's drop directories:
-// 2-digit year + month + day + 6-digit time + "p".
-var warezDirPattern = regexp.MustCompile(`^\d{12}p$`)
-
 // IsWaReZDir reports whether a directory name matches the WaReZ transport
-// campaign signature.
+// campaign signature: 2-digit year + month + day + 6-digit time + "p",
+// exactly twelve ASCII digits then "p".
 func IsWaReZDir(name string) bool {
-	return warezDirPattern.MatchString(name)
+	if len(name) != 13 || name[12] != 'p' {
+		return false
+	}
+	for i := 0; i < 12; i++ {
+		if name[i] < '0' || name[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // RamnitBanner is the botnet's characteristic banner text; on the wire it
@@ -230,18 +234,30 @@ func IsRamnitBanner(banner string) bool {
 	return strings.Contains(banner, "RMNetwork FTP")
 }
 
-// DetectFilename maps a filename to the campaigns that drop it.
-func DetectFilename(name string) []string {
-	var keys []string
+// filenameKeys indexes the catalog by artifact filename: each name maps to
+// the keys of the campaigns that drop it, in catalog order. Built once, so
+// a listing scan or an upload attribution never rebuilds the catalog.
+var filenameKeys = func() map[string][]string {
+	idx := map[string][]string{}
 	for _, c := range All() {
 		for _, a := range c.Artifacts {
-			if a.Name == name {
-				keys = append(keys, c.Key)
-				break
+			keys := idx[a.Name]
+			if len(keys) == 0 || keys[len(keys)-1] != c.Key {
+				idx[a.Name] = append(keys, c.Key)
 			}
 		}
 	}
-	return keys
+	return idx
+}()
+
+// DetectFilename maps a filename to the campaigns that drop it. A miss
+// allocates nothing; a hit returns a fresh slice the caller may keep.
+func DetectFilename(name string) []string {
+	keys, ok := filenameKeys[name]
+	if !ok {
+		return nil
+	}
+	return append([]string(nil), keys...)
 }
 
 // Attribution keys for honeypot-observed activity that is not a §VI
@@ -259,7 +275,7 @@ const (
 // attribution tables: the lexicographically-first catalog match so
 // attribution is deterministic, or KeyUncataloged when nothing matches.
 func AttributeUpload(name string) string {
-	keys := DetectFilename(name)
+	keys := filenameKeys[name]
 	if len(keys) == 0 {
 		return KeyUncataloged
 	}

@@ -11,7 +11,6 @@
 package fingerprint
 
 import (
-	"regexp"
 	"strings"
 
 	"ftpcloud/internal/dataset"
@@ -85,18 +84,40 @@ var hostingCertCNs = []string{
 	"*.bizmw.com", "*.turnkeywebspace.com", "*.sakura.ne.jp", "ispgateway.de",
 }
 
-// Version-extraction patterns per software family.
-var (
-	reProFTPD = regexp.MustCompile(`ProFTPD (\d[\w.]*)`)
-	// QNAP's rebranded ProFTPD carries its version before "Server":
-	// "NASFTPD Turbo station 1.3.1e Server (ProFTPD)".
-	reNASFTPD   = regexp.MustCompile(`NASFTPD Turbo station (\d[\w.]*)`)
-	rePureFTPd  = regexp.MustCompile(`Pure-FTPd (\d[\w.]*)`)
-	reVsftpd    = regexp.MustCompile(`\(vsFTPd (\d[\w.]*)\)`)
-	reFileZilla = regexp.MustCompile(`FileZilla Server version (\d[\w.]*)`)
-	reServU     = regexp.MustCompile(`Serv-U FTP Server v(\d[\w.]*)`)
-	reWuFTPd    = regexp.MustCompile(`Version wu-(\d[\w.-]*)`)
-)
+// deviceByFirstByte buckets devicePatterns indices (ascending) by the
+// pattern's first byte, so matchDevice tests at each banner offset only the
+// patterns that can start there.
+var deviceByFirstByte = func() (idx [256][]uint8) {
+	for i, dp := range devicePatterns {
+		c := dp.substr[0]
+		idx[c] = append(idx[c], uint8(i))
+	}
+	return idx
+}()
+
+// matchDevice returns the index of the first devicePatterns entry the
+// banner contains, or -1: the answer of trying each pattern in order with
+// strings.Contains, found in one pass over the banner. At each offset it
+// tests only the patterns that start with that byte, and only those that
+// would beat the best match so far.
+func matchDevice(banner string) int {
+	best := len(devicePatterns)
+	for i := 0; i < len(banner) && best > 0; i++ {
+		for _, p := range deviceByFirstByte[banner[i]] {
+			if int(p) >= best {
+				break
+			}
+			if strings.HasPrefix(banner[i:], devicePatterns[p].substr) {
+				best = int(p)
+				break
+			}
+		}
+	}
+	if best == len(devicePatterns) {
+		return -1
+	}
+	return best
+}
 
 // Classify fingerprints one host record.
 func Classify(rec *dataset.HostRecord) Classification {
@@ -111,15 +132,14 @@ func Classify(rec *dataset.HostRecord) Classification {
 	}
 
 	// Device banners identify embedded gear most specifically.
-	for _, dp := range devicePatterns {
-		if strings.Contains(banner, dp.substr) {
-			c.Category = personality.CategoryEmbedded
-			c.DeviceModel = dp.model
-			c.DeviceClass = dp.class
-			c.ProviderDeployed = dp.provider
-			c.Software, c.Version = softwareVersion(banner)
-			return c
-		}
+	if i := matchDevice(banner); i >= 0 {
+		dp := &devicePatterns[i]
+		c.Category = personality.CategoryEmbedded
+		c.DeviceModel = dp.model
+		c.DeviceClass = dp.class
+		c.ProviderDeployed = dp.provider
+		c.Software, c.Version = softwareVersion(banner)
+		return c
 	}
 
 	// Hosting signals: provider banners or shared wildcard certificates.
@@ -150,32 +170,68 @@ func Classify(rec *dataset.HostRecord) Classification {
 // softwareVersion extracts the implementation family and version string
 // from a banner.
 func softwareVersion(banner string) (software, version string) {
-	if m := reNASFTPD.FindStringSubmatch(banner); m != nil {
-		return "ProFTPD", m[1]
+	// QNAP's rebranded ProFTPD carries its version before "Server":
+	// "NASFTPD Turbo station 1.3.1e Server (ProFTPD)".
+	if v, ok := versionAfter(banner, "NASFTPD Turbo station ", false, 0); ok {
+		return "ProFTPD", v
 	}
-	if m := reProFTPD.FindStringSubmatch(banner); m != nil {
-		return "ProFTPD", m[1]
+	if v, ok := versionAfter(banner, "ProFTPD ", false, 0); ok {
+		return "ProFTPD", v
 	}
-	if m := rePureFTPd.FindStringSubmatch(banner); m != nil {
-		return "Pure-FTPd", m[1]
+	if v, ok := versionAfter(banner, "Pure-FTPd ", false, 0); ok {
+		return "Pure-FTPd", v
 	}
 	if strings.Contains(banner, "Pure-FTPd") {
 		return "Pure-FTPd", ""
 	}
-	if m := reVsftpd.FindStringSubmatch(banner); m != nil {
-		return "vsFTPd", m[1]
+	if v, ok := versionAfter(banner, "(vsFTPd ", false, ')'); ok {
+		return "vsFTPd", v
 	}
-	if m := reFileZilla.FindStringSubmatch(banner); m != nil {
-		return "FileZilla Server", m[1]
+	if v, ok := versionAfter(banner, "FileZilla Server version ", false, 0); ok {
+		return "FileZilla Server", v
 	}
-	if m := reServU.FindStringSubmatch(banner); m != nil {
-		return "Serv-U", m[1]
+	if v, ok := versionAfter(banner, "Serv-U FTP Server v", false, 0); ok {
+		return "Serv-U", v
 	}
-	if m := reWuFTPd.FindStringSubmatch(banner); m != nil {
-		return "wu-ftpd", strings.TrimSuffix(m[1], "-5")
+	if v, ok := versionAfter(banner, "Version wu-", true, 0); ok {
+		return "wu-ftpd", strings.TrimSuffix(v, "-5")
 	}
 	if strings.Contains(banner, "Microsoft FTP Service") {
 		return "Microsoft FTP Service", ""
 	}
 	return "", ""
+}
+
+// versionAfter finds the first occurrence of prefix in s that is followed by
+// a version: a digit, then the longest run of [A-Za-z0-9_.] ('-' too when
+// dash is set). When closer is non-zero the run must be followed by that
+// byte. It returns the run, matching what the regexp
+// prefix(\d[\w.]*)closer captures at its leftmost match.
+func versionAfter(s, prefix string, dash bool, closer byte) (string, bool) {
+	for from := 0; ; {
+		i := strings.Index(s[from:], prefix)
+		if i < 0 {
+			return "", false
+		}
+		start := from + i + len(prefix)
+		if start < len(s) && isDigit(s[start]) {
+			end := start + 1
+			for end < len(s) && isVersionByte(s[end], dash) {
+				end++
+			}
+			if closer == 0 || (end < len(s) && s[end] == closer) {
+				return s[start:end], true
+			}
+		}
+		from += i + 1
+	}
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// isVersionByte reports whether c belongs to a version run: \w or '.', and
+// '-' when dash is set.
+func isVersionByte(c byte, dash bool) bool {
+	return isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+		c == '_' || c == '.' || (dash && c == '-')
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -680,23 +681,56 @@ func TestServeTCPInterop(t *testing.T) {
 	}
 }
 
-// recorder collects observer events for honeypot-style assertions.
+// recorder collects observer events for honeypot-style assertions. Session
+// goroutines call Event while the test reads, so every access is locked.
 type recorder struct {
+	mu     sync.Mutex
 	events []Event
+	// gone is closed by the first EventDisconnect, the session's last
+	// event.
+	gone     chan struct{}
+	goneSeen bool
 }
 
-func (r *recorder) Event(e Event) { r.events = append(r.events, e) }
+func newRecorder() *recorder { return &recorder{gone: make(chan struct{})} }
+
+func (r *recorder) Event(e Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events = append(r.events, e)
+	if e.Kind == EventDisconnect && !r.goneSeen {
+		r.goneSeen = true
+		close(r.gone)
+	}
+}
+
+// snapshot returns a copy of the events recorded so far.
+func (r *recorder) snapshot() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Event(nil), r.events...)
+}
 
 func (r *recorder) kinds() map[EventKind]int {
 	m := make(map[EventKind]int)
-	for _, e := range r.events {
+	for _, e := range r.snapshot() {
 		m[e.Kind]++
 	}
 	return m
 }
 
+// waitDisconnect blocks until a session has emitted EventDisconnect.
+func (r *recorder) waitDisconnect(t *testing.T) {
+	t.Helper()
+	select {
+	case <-r.gone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no EventDisconnect within 10s")
+	}
+}
+
 func TestObserverEvents(t *testing.T) {
-	rec := &recorder{}
+	rec := newRecorder()
 	cfg := anonConfig()
 	cfg.Observer = rec
 	cfg.AnonWritable = true
@@ -709,9 +743,10 @@ func TestObserverEvents(t *testing.T) {
 	dc.Write([]byte("y"))
 	dc.Close()
 	c.ReadReply()
-	c.Cmd("QUIT", "")
-	// Give the server goroutine a moment to finish its disconnect event.
-	time.Sleep(50 * time.Millisecond)
+	if r, err := c.Cmd("QUIT", ""); err != nil || r.Code != 221 {
+		t.Fatalf("QUIT: %+v %v", r, err)
+	}
+	rec.waitDisconnect(t)
 
 	k := rec.kinds()
 	if k[EventConnect] != 1 || k[EventLoginOK] != 1 {
@@ -729,7 +764,7 @@ func TestObserverEvents(t *testing.T) {
 // removes a path — failed deletes and directory removals don't count, so
 // the honeypot's uploads/deletes columns stay comparable.
 func TestObserverDeleteEvents(t *testing.T) {
-	rec := &recorder{}
+	rec := newRecorder()
 	stamp := time.Unix(1_450_000_000, 0)
 	cfg := anonConfig()
 	cfg.Observer = rec
@@ -767,7 +802,7 @@ func TestObserverDeleteEvents(t *testing.T) {
 	if got := EventDelete.String(); got != "delete" {
 		t.Errorf("EventDelete.String() = %q", got)
 	}
-	for _, e := range rec.events {
+	for _, e := range rec.snapshot() {
 		if !e.Time.Equal(stamp) {
 			t.Errorf("event %v stamped %v, want injected clock time %v", e.Kind, e.Time, stamp)
 			break

@@ -82,7 +82,7 @@ func TestMultiObserver(t *testing.T) {
 	if MultiObserver(nil, nil) != nil {
 		t.Error("MultiObserver of nils must be nil")
 	}
-	a, b := &recorder{}, &recorder{}
+	a, b := newRecorder(), newRecorder()
 	if got := MultiObserver(nil, a); got != Observer(a) {
 		t.Error("single observer must short-circuit to itself")
 	}
@@ -101,7 +101,8 @@ func TestXferlogThroughServer(t *testing.T) {
 	xs, js := NewXferlogSink(&xfer), NewJSONLSink(&audit)
 	cfg := anonConfig()
 	cfg.AnonWritable = true
-	cfg.Observer = MultiObserver(xs, js)
+	done := newRecorder()
+	cfg.Observer = MultiObserver(xs, js, done)
 	env := newEnv(t, cfg)
 	c, _ := env.dial(t)
 	login(t, c)
@@ -121,7 +122,8 @@ func TestXferlogThroughServer(t *testing.T) {
 	dc.Close()
 	c.ReadReply()
 	c.Cmd("QUIT", "")
-	time.Sleep(50 * time.Millisecond)
+	// done sees EventDisconnect after both audit sinks have.
+	done.waitDisconnect(t)
 	xs.Close()
 	js.Close()
 

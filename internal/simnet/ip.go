@@ -22,7 +22,19 @@ type IP uint32
 
 // String renders the address in dotted-quad form.
 func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var buf [len("255.255.255.255")]byte
+	return string(ip.appendTo(buf[:0]))
+}
+
+// appendTo appends the dotted-quad form to dst.
+func (ip IP) appendTo(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(byte(ip>>24)), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(byte(ip>>16)), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(byte(ip>>8)), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, uint64(byte(ip)), 10)
 }
 
 // Octets returns the address as four bytes, most significant first.
@@ -35,19 +47,31 @@ func IPFromOctets(a, b, c, d byte) IP {
 	return IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseIP parses a dotted-quad IPv4 address.
+// ParseIP parses a dotted-quad IPv4 address: exactly four '.'-separated
+// fields, each one or more decimal digits with a value of at most 255
+// (leading zeros allowed), as strconv.ParseUint(field, 10, 8) accepts them.
+// It allocates only on error.
 func ParseIP(s string) (IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, fmt.Errorf("simnet: bad IPv4 address %q", s)
 	}
 	var ip uint32
-	for _, p := range parts {
-		n, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
+	for start := 0; start <= len(s); {
+		end := start
+		n := uint32(0)
+		for end < len(s) && s[end] >= '0' && s[end] <= '9' {
+			if n <= 255 {
+				n = n*10 + uint32(s[end]-'0')
+			}
+			end++
+		}
+		if end == start || n > 255 || (end < len(s) && s[end] != '.') {
+			field, _, _ := strings.Cut(s[start:], ".")
+			_, err := strconv.ParseUint(field, 10, 8)
 			return 0, fmt.Errorf("simnet: bad IPv4 address %q: %w", s, err)
 		}
-		ip = ip<<8 | uint32(n)
+		ip = ip<<8 | n
+		start = end + 1
 	}
 	return IP(ip), nil
 }
@@ -138,7 +162,11 @@ type Addr struct {
 func (Addr) Network() string { return "sim-tcp" }
 
 // String renders "ip:port".
-func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
+func (a Addr) String() string {
+	var buf [len("255.255.255.255:65535")]byte
+	dst := append(a.IP.appendTo(buf[:0]), ':')
+	return string(strconv.AppendUint(dst, uint64(a.Port), 10))
+}
 
 // ParseAddr parses "ip:port" into an Addr.
 func ParseAddr(s string) (Addr, error) {
