@@ -15,9 +15,10 @@ GO ?= go
 
 # Packages whose hot paths are exercised by many goroutines; always raced.
 # The honeypot accumulator and attacker fleet are mutated by hundreds of
-# concurrent sessions, so they belong here too.
+# concurrent sessions, so they belong here too, and so does the enumerator,
+# whose fleet workers pass control-channel wrappers from host to host.
 RACE_PKGS = ./internal/simnet ./internal/zmap ./internal/worldgen ./internal/obs \
-	./internal/honeypot ./internal/attacker
+	./internal/honeypot ./internal/attacker ./internal/enumerator
 
 # Packages holding the chaos suite: fault injection, hostile worlds, the
 # enumerator's retry/degradation layer, the identification stage's hostile
@@ -77,11 +78,13 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The per-connection, per-listing, listing-cache, ledger-codec, analysis-fold
-# and banner-classification microbenchmarks, run once each so a benchmark
-# that no longer compiles or fails at run time fails tier-1. Their numbers come from `go test -bench` with a real -benchtime.
+# The per-connection, per-address probe, per-host enumeration, per-listing,
+# listing-cache, ledger-codec, analysis-fold and banner-classification
+# microbenchmarks, run once each so a benchmark that no longer compiles or
+# fails at run time fails tier-1. Their numbers come from `go test -bench`
+# with a real -benchtime.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkAblationPipe|BenchmarkProbeFanout|BenchmarkEnumerateSingleHost' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendListing|BenchmarkListing' -benchtime 1x ./internal/vfs
 	$(GO) test -run '^$$' -bench 'BenchmarkReadAll|BenchmarkWriterWrite' -benchtime 1x ./internal/dataset
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorObserve' -benchtime 1x ./internal/analysis

@@ -635,10 +635,10 @@ func BenchmarkEnumerateSingleHost(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeFanout measures the discovery fast path: raw Network.Probe
-// throughput against the world provider at increasing worker counts, the
-// shape of the scanner's inner loop. Loss is enabled so the deterministic
-// drop check is part of the measured path.
+// BenchmarkProbeFanout measures the discovery fast path per address, in the
+// shape of the scanner's inner loop: Network.ProbeRetries with two retries
+// against the world provider, at increasing worker counts. Loss is enabled
+// so the deterministic drop check is part of the measured path.
 func BenchmarkProbeFanout(b *testing.B) {
 	w, err := worldgen.New(worldgen.DefaultParams(42, benchScale()))
 	if err != nil {
@@ -660,7 +660,7 @@ func BenchmarkProbeFanout(b *testing.B) {
 					defer wg.Done()
 					off := (uint64(wk) * 0x9e3779b9) % space
 					for i := 0; i < per; i++ {
-						nw.Probe(simnet.IP(base+off), 21, 0)
+						nw.ProbeRetries(simnet.IP(base+off), 21, 2)
 						off++
 						if off >= space {
 							off = 0

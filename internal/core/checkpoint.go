@@ -252,7 +252,10 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 	// Quiescence: with the producers parked, emitted is frozen, so the
 	// in-flight count only decreases. accepted is bumped after each
 	// record's folds complete, so pending == 0 is also the memory barrier
-	// that makes reading the aggregates below race-free.
+	// that makes reading the aggregates below race-free. The drain is
+	// polled on one ticker per checkpoint, not a fresh timer per spin.
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
 	for {
 		pending := uint64(0)
 		for _, rt := range runtimes {
@@ -267,7 +270,7 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 		select {
 		case <-pipeCtx.Done():
 			return
-		case <-time.After(time.Millisecond):
+		case <-poll.C:
 		}
 	}
 

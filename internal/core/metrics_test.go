@@ -82,3 +82,28 @@ func TestHoneypotStudyMetrics(t *testing.T) {
 		t.Error("attacker.sessions never counted")
 	}
 }
+
+// TestCensusScanCountersPinned pins discovery's counters for the ftpbench
+// census configuration (seed 42, scale 4096, 2% loss, 2 retries): a closed
+// address costs retries+1 probes and an open one stops at its first
+// undropped attempt, and batching the counters must not move a count.
+func TestCensusScanCountersPinned(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := NewCensus(CensusConfig{Seed: 42, Scale: 4096, EnumWorkers: 64, Retries: 2, LossRate: 0.02, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"zmap.probed":        899_598,
+		"simnet.probes":      2_688_429,
+		"simnet.probes_open": 5_235,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"regexp"
 	"strings"
+	"sync"
 	"time"
 
 	"ftpcloud/internal/campaigns"
@@ -142,7 +142,53 @@ var bannerOptOutMarkers = []string{
 	"private system",
 }
 
-var bannerIPPattern = regexp.MustCompile(`\b(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})\b`)
+// bannerIP returns the leftmost dotted quad in a banner that stands as a
+// whole word: four runs of one to three ASCII digits joined by single dots,
+// with no letter, digit or underscore on either side. It finds what the
+// regexp `\b(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})\b` finds, in one pass.
+func bannerIP(s string) string {
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) || (i > 0 && isWordByte(s[i-1])) {
+			continue
+		}
+		if end := dottedQuadEnd(s, i); end > 0 {
+			return s[i:end]
+		}
+	}
+	return ""
+}
+
+// dottedQuadEnd returns the end of the dotted quad starting at s[i], or -1.
+// A run longer than three digits never matches: a shorter prefix of it is
+// followed by a digit, which is neither a dot nor a word boundary.
+func dottedQuadEnd(s string, i int) int {
+	for group := 0; ; group++ {
+		j := i
+		for j < len(s) && isDigit(s[j]) {
+			j++
+		}
+		if n := j - i; n == 0 || n > 3 {
+			return -1
+		}
+		if group == 3 {
+			if j < len(s) && isWordByte(s[j]) {
+				return -1
+			}
+			return j
+		}
+		if j == len(s) || s[j] != '.' {
+			return -1
+		}
+		i = j + 1
+	}
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isWordByte reports an ASCII word character, the class `\b` separates.
+func isWordByte(c byte) bool {
+	return isDigit(c) || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+}
 
 // latencies is one enumeration's histogram set, resolved from the registry
 // once per host (never per operation).
@@ -177,9 +223,26 @@ func (l *latencies) forVerb(verb string) *obs.Histogram {
 	}
 }
 
+// hostConn is what one enumeration needs while it works a host: a
+// control-channel wrapper, rebound with Reset for every connection and
+// banner retry, and a 16 KiB data-read buffer. A Fleet lends them from one
+// pool, so it holds one per host in flight instead of allocating them per
+// host; a host that never answers takes none. A record never aliases
+// either: replies and bodies are copied out as strings.
+type hostConn struct {
+	conn *ftp.Conn
+	buf  []byte
+}
+
+func newHostConn() *hostConn {
+	return &hostConn{conn: ftp.NewConn(nil), buf: make([]byte, 16<<10)}
+}
+
 // session carries one enumeration's state.
 type session struct {
 	cfg     Config
+	conns   *sync.Pool // lends hc; nil allocates it
+	hc      *hostConn  // taken at the first connection
 	conn    *ftp.Conn
 	rec     *dataset.HostRecord
 	target  string // control IP
@@ -196,6 +259,12 @@ type session struct {
 // unbounded data (byte budget); transient transport faults are retried with
 // jittered backoff.
 func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRecord {
+	return enumerate(ctx, cfg, targetIP, nil)
+}
+
+// enumerate is Enumerate with the host's hostConn lent by conns, when
+// non-nil, and handed back when the host is done.
+func enumerate(ctx context.Context, cfg Config, targetIP string, conns *sync.Pool) *dataset.HostRecord {
 	cfg = cfg.withDefaults()
 	now := cfg.Now
 	if now == nil {
@@ -207,7 +276,7 @@ func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRe
 		PortOpen:  true,
 		PortCheck: dataset.PortNotTested,
 	}
-	s := &session{cfg: cfg, rec: rec, target: targetIP, lat: noLatencies}
+	s := &session{cfg: cfg, conns: conns, rec: rec, target: targetIP, lat: noLatencies}
 	if cfg.Metrics != nil {
 		s.lat = newLatencies(cfg.Metrics)
 	}
@@ -216,6 +285,15 @@ func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRe
 	}
 	s.bud.maxBytes = cfg.ByteBudget
 
+	// Deferred first so it runs last, after the connection is closed. The
+	// wrapper lets go of that connection before it is lent again, so a
+	// pooled wrapper pins no closed connection.
+	defer func() {
+		if conns != nil && s.hc != nil {
+			s.hc.conn.Reset(nil)
+			conns.Put(s.hc)
+		}
+	}()
 	banner, ok := s.connect()
 	if !ok {
 		return rec
@@ -223,7 +301,7 @@ func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRe
 	defer s.conn.Close()
 	rec.FTP = true
 	rec.Banner = banner.Text()
-	if m := bannerIPPattern.FindString(rec.Banner); m != "" {
+	if m := bannerIP(rec.Banner); m != "" {
 		rec.BannerIP = m
 		rec.BannerIPPrivate = isPrivateIP(m)
 	}
@@ -294,7 +372,15 @@ func (s *session) connect() (ftp.Reply, bool) {
 	}
 
 	for attempt := 1; ; attempt++ {
-		s.conn = ftp.NewConn(nc)
+		if s.hc == nil {
+			if s.conns != nil {
+				s.hc = s.conns.Get().(*hostConn)
+			} else {
+				s.hc = newHostConn()
+			}
+		}
+		s.hc.conn.Reset(nc)
+		s.conn = s.hc.conn
 		s.conn.Timeout = s.opTimeout()
 		start := time.Now()
 		banner, rerr := s.conn.ReadReply()
@@ -571,7 +657,7 @@ func (s *session) dialData(addr string) (net.Conn, bool) {
 // without error (mirroring the old io.LimitReader behaviour).
 func (s *session) readData(dc net.Conn, limit int64) (string, error) {
 	var b strings.Builder
-	buf := make([]byte, 16<<10)
+	buf := s.hc.buf
 	var total int64
 	for {
 		left, ok := s.bud.timeLeft()

@@ -53,6 +53,7 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 	hosts := f.Metrics.Counter("enum.hosts")
 	inflight := f.Metrics.Gauge("enum.inflight")
 	hostDur := f.Metrics.Histogram("enum.host_seconds", obs.WideBuckets...)
+	conns := &sync.Pool{New: func() any { return newHostConn() }}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -71,7 +72,7 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 					}
 					inflight.Inc()
 					start := time.Now()
-					rec := Enumerate(ctx, cfg, ip.String())
+					rec := enumerate(ctx, cfg, ip.String(), conns)
 					hostDur.Since(start)
 					inflight.Dec()
 					hosts.Inc()

@@ -129,6 +129,10 @@ func TestFaultStalledReadReturnsOnClose(t *testing.T) {
 		_, err := client.Read(buf)
 		done <- err
 	}()
+	// The assertion holds in either order — a read that starts after
+	// Close fails too — so the sleep only makes it likely that Close lands
+	// on a read parked in the stall. Nothing observable marks "parked",
+	// so there is no event to wait on instead.
 	time.Sleep(20 * time.Millisecond)
 	client.Close()
 	select {

@@ -253,6 +253,26 @@ func (nw *Network) Probe(dst IP, port uint16, attempt int) bool {
 	return open
 }
 
+// ProbeRetries sends attempts 0..retries to dst:port and stops at the first
+// one answered, as a loop over Probe would: the same answer and the same
+// simnet.probes and simnet.probes_open counts. Only the loss draw depends on
+// the attempt, so the port's truth is read once, and a closed port costs no
+// loss draw at all. A negative retries sends one attempt.
+func (nw *Network) ProbeRetries(dst IP, port uint16, retries int) bool {
+	sent := uint64(max(retries, 0)) + 1
+	if nw.portOpen(dst, port) {
+		for attempt := uint64(0); attempt < sent; attempt++ {
+			if nw.LossRate <= 0 || !nw.dropped(dst, port, int(attempt)) {
+				nw.Stats.Probes.Add(attempt + 1)
+				nw.Stats.ProbesOpen.Add(1)
+				return true
+			}
+		}
+	}
+	nw.Stats.Probes.Add(sent)
+	return false
+}
+
 // dropped decides deterministic probe loss with an inline splitmix64-style
 // mix. The full 64-bit LossSeed and the disjoint (ip, port, attempt) bit
 // fields all participate; attempts beyond 2^16 alias, far above any

@@ -188,6 +188,77 @@ func TestProbeLossDeterministic(t *testing.T) {
 	}
 }
 
+// stripeScanner answers probes from a fixed rule, like worldgen's truth:
+// every third address listens on port 21.
+type stripeScanner struct{}
+
+func (stripeScanner) Lookup(IP) Host { return nil }
+
+func (stripeScanner) PortOpen(ip IP, port uint16) bool { return port == 21 && ip%3 == 0 }
+
+// TestProbeRetriesMatchesProbeLoop holds ProbeRetries to the per-attempt
+// loop it replaces: for every loss seed, loss rate, retry count and address
+// — scanner-answered, absent, and explicit listeners — the answer and the
+// simnet.probes / simnet.probes_open deltas are the loop's.
+func TestProbeRetriesMatchesProbeLoop(t *testing.T) {
+	loop := func(nw *Network, ip IP, port uint16, retries int) bool {
+		open := false
+		for attempt := 0; !open && attempt <= retries; attempt++ {
+			open = nw.Probe(ip, port, attempt)
+		}
+		return open
+	}
+	listenIP := MustParseIP("10.0.0.1") // ip%3 != 0: only the listeners answer
+	type target struct {
+		ip   IP
+		port uint16
+	}
+	targets := []target{{listenIP, 21}, {listenIP, 2121}, {listenIP, 80}}
+	for i := uint64(0); i < 600; i++ {
+		ip := IP(i * 2654435761 % (1 << 32))
+		targets = append(targets, target{ip, 21}, target{ip + 1, 21}, target{ip, 80})
+	}
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15} {
+		for _, rate := range []float64{0, 0.02, 0.5, 1} {
+			for retries := 0; retries <= 3; retries++ {
+				old, cur := NewNetwork(stripeScanner{}), NewNetwork(stripeScanner{})
+				for _, nw := range []*Network{old, cur} {
+					nw.LossSeed, nw.LossRate = seed, rate
+					for _, port := range []uint16{21, 2121} {
+						l, err := nw.Listen(listenIP, port)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer l.Close()
+					}
+				}
+				for _, tg := range targets {
+					p0, o0 := old.Stats.Probes.Load(), old.Stats.ProbesOpen.Load()
+					q0, r0 := cur.Stats.Probes.Load(), cur.Stats.ProbesOpen.Load()
+					want := loop(old, tg.ip, tg.port, retries)
+					got := cur.ProbeRetries(tg.ip, tg.port, retries)
+					dp, do := old.Stats.Probes.Load()-p0, old.Stats.ProbesOpen.Load()-o0
+					dq, dr := cur.Stats.Probes.Load()-q0, cur.Stats.ProbesOpen.Load()-r0
+					if got != want || dq != dp || dr != do {
+						t.Fatalf("seed %#x rate %v retries %d %s:%d: ProbeRetries = %v (probes +%d, open +%d), loop = %v (probes +%d, open +%d)",
+							seed, rate, retries, tg.ip, tg.port, got, dq, dr, want, dp, do)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestProbeRetriesNegativeIsOneAttempt(t *testing.T) {
+	nw := NewNetwork(stripeScanner{})
+	if !nw.ProbeRetries(3, 21, -1) || nw.ProbeRetries(4, 21, -5) {
+		t.Fatal("negative retries changed the answer")
+	}
+	if got := nw.Stats.Probes.Load(); got != 2 {
+		t.Fatalf("probes = %d, want 2", got)
+	}
+}
+
 func TestLatencyApplied(t *testing.T) {
 	host := &echoHost{ip: 500, port: 21}
 	nw := NewNetwork(host)
@@ -330,13 +401,10 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Error("read from crashed host succeeded")
-	}
-	// Wait for the panic counter (the serve goroutine races the read).
-	deadline := time.Now().Add(2 * time.Second)
-	for nw.Stats.HandlerPanics.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// serveIsolated counts the panic before it closes the connection, so
+	// the EOF this read sees is the event that orders the count.
+	if _, err := conn.Read(buf); err != io.EOF {
+		t.Fatalf("read from crashed host: %v, want EOF", err)
 	}
 	if nw.Stats.HandlerPanics.Load() != 1 {
 		t.Errorf("panics recorded = %d", nw.Stats.HandlerPanics.Load())

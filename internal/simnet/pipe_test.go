@@ -155,6 +155,8 @@ func TestDeadlineResetCycles(t *testing.T) {
 	}
 	c.Close()
 	s.Close()
+	// A goroutine's exit fires no event a test can wait on, so this polls
+	// the count, with a one-second bound, until it is back at baseline.
 	for i := 0; runtime.NumGoroutine() > base; i++ {
 		if i == 100 {
 			t.Fatalf("goroutines: %d, baseline %d", runtime.NumGoroutine(), base)

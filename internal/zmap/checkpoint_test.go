@@ -131,8 +131,8 @@ func TestScannerHaltResumeCoversExactlyOnce(t *testing.T) {
 	nw := simnet.NewNetwork(hosts)
 
 	// Rate-limit the first scan so Pause lands mid-walk deterministically:
-	// at 200 offsets/s the full walk needs 20s, and the scan below runs
-	// for ~100ms before pausing.
+	// at 200 offsets/s the full walk needs 20s, and the scan below is
+	// paused once its first offsets are out.
 	s1, err := NewScanner(Config{
 		Network: nw, Base: base, Size: size, Port: 21, Seed: 13,
 		Workers: 4, RatePerSec: 200,
@@ -150,7 +150,7 @@ func TestScannerHaltResumeCoversExactlyOnce(t *testing.T) {
 			t.Errorf("halted scan returned error: %v", err)
 		}
 	}()
-	time.Sleep(100 * time.Millisecond)
+	waitEmitted(t, s1, 1, done)
 	s1.Pause()
 	cursor := s1.Cursor()
 	s1.Halt()
@@ -230,9 +230,11 @@ func TestScannerPauseResumeCompletes(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 3; i++ {
-		time.Sleep(10 * time.Millisecond)
+		waitEmitted(t, s, s.Emitted()+1, done)
 		s.Pause()
-		// While parked the emitted count is frozen.
+		// While parked the emitted count is frozen. This checks that
+		// nothing happens, so it has no event to wait on: the sleep is
+		// the window the producer would have to move in.
 		e1 := s.Emitted()
 		time.Sleep(5 * time.Millisecond)
 		if e2 := s.Emitted(); e2 != e1 {
@@ -249,6 +251,25 @@ func TestScannerPauseResumeCompletes(t *testing.T) {
 	}
 	if got, want := s.Cursor(), mustSpan(t, size, 21); got != want {
 		t.Errorf("finished cursor %d, want span %d", got, want)
+	}
+}
+
+// waitEmitted waits until the scanner has handed out at least n offsets or
+// its scan has finished (done closed), polling the counter: the producer
+// fires no event per batch a test could wait on.
+func waitEmitted(t *testing.T, s *Scanner, n uint64, done <-chan struct{}) {
+	t.Helper()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(10 * time.Second)
+	for s.Emitted() < n {
+		select {
+		case <-done:
+			return
+		case <-deadline:
+			t.Fatalf("scanner emitted %d offsets in 10s, want %d", s.Emitted(), n)
+		case <-tick.C:
+		}
 	}
 }
 

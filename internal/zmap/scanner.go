@@ -276,6 +276,11 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 		defer limiter.Stop()
 	}
 
+	// Probe workers hand drained batches back through free, so the walk
+	// allocates only the batches in flight at once, not one per flush. Its
+	// size holds every batch that can be out: a full work queue plus one
+	// per worker.
+	free := make(chan []uint64, cap(work)+s.cfg.Workers)
 	go func() {
 		defer close(s.prodDone)
 		defer close(work)
@@ -287,7 +292,11 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 			select {
 			case work <- batch:
 				s.emitted.Add(uint64(len(batch)))
-				batch = make([]uint64, 0, BatchSize)
+				select {
+				case batch = <-free:
+				default:
+					batch = make([]uint64, 0, BatchSize)
+				}
 				return true
 			case <-ctx.Done():
 				return false
@@ -356,27 +365,36 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 			var found []Result
 			for batch := range work {
 				found = found[:0]
-				dead := uint64(0)
+				var excluded, probed uint64
 				for _, off := range batch {
 					ip := simnet.IP(uint64(s.cfg.Base) + off)
 					if s.cfg.Exclusions.Excluded(ip) {
-						s.Stats.Excluded.Add(1)
-						dead++
+						excluded++
 						continue
 					}
-					s.Stats.Probed.Add(1)
-					open := s.cfg.Network.Probe(ip, s.cfg.Port, 0)
-					for attempt := 1; !open && attempt <= s.cfg.Retries; attempt++ {
-						open = s.cfg.Network.Probe(ip, s.cfg.Port, attempt)
-					}
-					if open {
-						s.Stats.Responded.Add(1)
+					probed++
+					if s.cfg.Network.ProbeRetries(ip, s.cfg.Port, s.cfg.Retries) {
 						found = append(found, Result{IP: ip})
-					} else {
-						dead++
 					}
 				}
-				if dead > 0 {
+				select {
+				case free <- batch[:0]:
+				default:
+				}
+				// The counters move once per batch, before the batch's
+				// offsets count as dead or reach downstream, so a
+				// checkpoint that sees the pipeline drained also sees
+				// every probe counted.
+				if excluded > 0 {
+					s.Stats.Excluded.Add(excluded)
+				}
+				if probed > 0 {
+					s.Stats.Probed.Add(probed)
+				}
+				if len(found) > 0 {
+					s.Stats.Responded.Add(uint64(len(found)))
+				}
+				if dead := excluded + probed - uint64(len(found)); dead > 0 {
 					s.dead.Add(dead)
 				}
 				if len(found) == 0 {

@@ -2,6 +2,7 @@ package zmap
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,5 +310,57 @@ func TestEffectiveRateFloorMixedShards(t *testing.T) {
 			t.Errorf("rate=%d shards=%d: aggregate = %d, want %d (1 per shard)",
 				tc.rate, tc.shards, sum, tc.shards)
 		}
+	}
+}
+
+// truthCounter answers probes by sparseHosts' rule through the PortOpen
+// fast path and counts every truth read.
+type truthCounter struct {
+	sparseHosts
+	reads atomic.Uint64
+}
+
+func (c *truthCounter) PortOpen(ip simnet.IP, port uint16) bool {
+	c.reads.Add(1)
+	return port == 21 && c.sparseHosts.Lookup(ip) != nil
+}
+
+// TestScanReadsTruthOncePerAddress: only the loss draw depends on the
+// attempt, so a lossy scan with retries reads each address's truth once,
+// however many attempts it sends — and still finds every host the
+// per-attempt loop over Probe would.
+func TestScanReadsTruthOncePerAddress(t *testing.T) {
+	base := simnet.MustParseIP("10.0.0.0")
+	const size = 5000
+	hosts := &truthCounter{sparseHosts: sparseHosts{base: base, every: 11, size: size}}
+	nw := simnet.NewNetwork(hosts)
+	nw.LossRate, nw.LossSeed = 0.3, 9
+	const retries = 3
+	s, err := NewScanner(Config{Network: nw, Base: base, Size: size, Port: 21, Seed: 3, Workers: 8, Retries: retries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := s.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads, probed := hosts.reads.Load(), s.Stats.Probed.Load(); probed != size || reads != probed {
+		t.Errorf("%d truth reads for %d probed addresses, want one each of %d", reads, probed, size)
+	}
+	if sent := nw.Stats.Probes.Load(); sent <= size {
+		t.Errorf("%d probes sent for %d addresses: retries never ran", sent, size)
+	}
+	want := 0
+	for off := uint64(0); off < size; off += 11 {
+		ip := simnet.IP(uint64(base) + off)
+		for attempt := 0; attempt <= retries; attempt++ {
+			if nw.Probe(ip, 21, attempt) {
+				want++
+				break
+			}
+		}
+	}
+	if len(found) != want {
+		t.Errorf("scan found %d hosts, the per-attempt loop finds %d", len(found), want)
 	}
 }
