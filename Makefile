@@ -56,13 +56,15 @@ race-full: race
 	$(GO) test -race ./internal/core ./internal/analysis ./internal/delta
 
 # Sharded census under the race detector: N concurrent shard pipelines
-# share one world, collector, stream sink, and metrics registry, and the
-# aggregator snapshots merge across them — exactly the surfaces a data
-# race would corrupt silently. The checkpoint/resume suite rides along:
-# mid-scan halts, periodic quiescent checkpoints, and resume validation
-# all cut across those same shared structures.
+# share one world, collector and metrics registry, and drain into one
+# sink chain (ledger, aggregator, robustness ledger) behind dataset.Synced
+# — exactly the surfaces a data race would corrupt silently. The
+# checkpoint/resume suite rides along: mid-scan halts, periodic quiescent
+# checkpoints that snapshot the shared fold (checked against the ledger
+# prefix by TestLedgerPrefix), and resume validation all cut across those
+# same shared structures.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestSnapshot|TestAggregatorMerge|TestSynced|TestKeepOpen|TestChildCounter|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint' \
+	$(GO) test -race -run 'TestSharded|TestSnapshot|TestAggregatorMerge|TestSynced|TestChildCounter|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix' \
 		./internal/core ./internal/analysis ./internal/dataset ./internal/obs
 
 # Server core under the race detector: pooled sessions, the connection

@@ -54,7 +54,7 @@ func run(args []string) error {
 		shards   = fs.Int("shards", 1,
 			"fan the census out over this many cooperating shard pipelines")
 		snapshotOut = fs.String("snapshot-out", "",
-			"write the merged aggregate snapshot (binary checkpoint) to this file")
+			"write the run's aggregate snapshot (binary) to this file")
 		checkpointTo = fs.String("checkpoint", "",
 			"write a resumable checkpoint to this file on truncation (and periodically); removed after a clean finish")
 		checkpointEvery = fs.Duration("checkpoint-every", 30*time.Second,

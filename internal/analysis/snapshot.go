@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"ftpcloud/internal/dataset"
 )
 
 // Snapshot is an Aggregator frozen as plain data: the observed-record count
@@ -16,9 +18,9 @@ import (
 // is an additive fold, and every Finalize tie-breaks deterministically, so
 // merge order cannot change any finalized table.
 //
-// The same serialization backs the sharded census merge and is the
-// foundation for checkpoint/resume: a partial aggregate written to disk is
-// a resumable position in the census.
+// It is the aggregate half of a census checkpoint: a resumed census seeds
+// its one aggregator with MergeSnapshot before any record flows, so a
+// partial aggregate written to disk is a resumable position in the census.
 type Snapshot struct {
 	Observed        int
 	Funnel          FunnelSnap
@@ -80,18 +82,56 @@ type CheckpointState struct {
 	Robustness RobustnessState
 }
 
-// RobustnessState mirrors the census robustness ledger as plain data (the
-// core package owns the live type; this is its serialized form).
+// RobustnessState is the census robustness ledger: the per-record fault
+// and degradation counters, summed. It is plain data, so a checkpoint
+// carries it as is, and it is a dataset.Sink: the census puts it last in
+// its one sink chain, so it counts only records the whole chain accepted
+// and Records always equals the aggregator's Observed count, even when a
+// sink fails mid-stream. Like every sink it takes one Observe at a time.
 type RobustnessState struct {
-	Records     int
-	Partial     int
-	Terminated  int
-	Truncated   int
+	// Records counts the records folded into these counters.
+	Records int
+	// Partial counts records flagged incomplete by the degradation
+	// layer; Failures breaks them (and outright failures) down by class.
+	Partial int
+	// Terminated counts control connections that ended early — server
+	// request limits and transport faults both land here.
+	Terminated int
+	// Truncated counts listings cut by the request cap.
+	Truncated int
+	// SkippedDirs, Retries, and DataBytes sum the per-record counters.
 	SkippedDirs int
 	Retries     int
 	DataBytes   int64
 	Failures    map[string]int
 }
+
+// Observe folds one record's counters in.
+func (r *RobustnessState) Observe(rec *dataset.HostRecord) error {
+	r.Records++
+	if rec.Partial {
+		r.Partial++
+	}
+	if rec.ConnTerminated {
+		r.Terminated++
+	}
+	if rec.ListingTruncated {
+		r.Truncated++
+	}
+	r.SkippedDirs += rec.SkippedDirs
+	r.Retries += rec.Retries
+	r.DataBytes += rec.DataBytes
+	if rec.FailureClass != "" {
+		if r.Failures == nil {
+			r.Failures = make(map[string]int)
+		}
+		r.Failures[rec.FailureClass]++
+	}
+	return nil
+}
+
+// Close implements dataset.Sink; the ledger holds no resources.
+func (r *RobustnessState) Close() error { return nil }
 
 // snapshotMagic and the version byte frame the serialized form so corrupt
 // or foreign bytes are rejected before gob sees them. Version 1 is a plain
@@ -145,12 +185,6 @@ func (a *Aggregator) MergeSnapshot(s *Snapshot) {
 	a.portBounce.Merge(s.PortBounce)
 	a.ftps.Merge(s.FTPS)
 	a.unexpected.Merge(s.Unexpected)
-}
-
-// Merge folds another aggregator's state into this one via its snapshot.
-// The other aggregator is left untouched.
-func (a *Aggregator) Merge(other *Aggregator) {
-	a.MergeSnapshot(other.Snapshot())
 }
 
 // Encode writes the snapshot's compact binary form: a fixed header (magic

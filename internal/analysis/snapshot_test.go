@@ -56,13 +56,13 @@ func TestSnapshotMergeWithEmpty(t *testing.T) {
 	want := finalizeAll(agg, in.IPsScanned)
 
 	empty := NewAggregator(nil, nil)
-	agg.Merge(empty)
+	agg.MergeSnapshot(empty.Snapshot())
 	if got := finalizeAll(agg, in.IPsScanned); !reflect.DeepEqual(got, want) {
 		t.Errorf("merging empty into populated changed tables:\n got %+v\nwant %+v", got, want)
 	}
 
 	onto := NewAggregator(nil, nil)
-	onto.Merge(agg)
+	onto.MergeSnapshot(agg.Snapshot())
 	if got := finalizeAll(onto, in.IPsScanned); !reflect.DeepEqual(got, want) {
 		t.Errorf("merging populated into empty diverges:\n got %+v\nwant %+v", got, want)
 	}
@@ -88,7 +88,7 @@ func TestAggregatorMergeMatchesSingle(t *testing.T) {
 		// Merge in reverse order to prove order independence.
 		merged := NewAggregator(nil, nil)
 		for i := parts - 1; i >= 0; i-- {
-			merged.Merge(aggs[i])
+			merged.MergeSnapshot(aggs[i].Snapshot())
 		}
 		if merged.Observed() != len(in.Records) {
 			t.Errorf("parts=%d: merged Observed = %d, want %d", parts, merged.Observed(), len(in.Records))

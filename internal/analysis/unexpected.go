@@ -21,8 +21,8 @@ type UnexpectedService struct {
 	// PctShed is the protocol's share of everything shed.
 	PctShed float64
 	// SampleBanner is one observed first-response; the lexicographically
-	// smallest is kept so the choice is deterministic under any shard
-	// merge order.
+	// smallest is kept so the choice is deterministic whatever order the
+	// shards' records interleave in.
 	SampleBanner string
 }
 

@@ -131,6 +131,7 @@ func TestLegacyNeverDialedNotCounted(t *testing.T) {
 func TestChaosCanceledCampaign(t *testing.T) {
 	nw, ip, _ := testTarget(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	reg := obs.NewRegistry()
 	fleet := &Fleet{
 		Network:     nw,
 		Bots:        DefaultMix(457, 3, 0.30),
@@ -138,10 +139,22 @@ func TestChaosCanceledCampaign(t *testing.T) {
 		Sessions:    5_000_000, // far more than can run before the cancel
 		Concurrency: 16,
 		Timeout:     5 * time.Second,
+		Metrics:     reg,
 	}
 	done := make(chan Stats, 1)
 	go func() { done <- fleet.Run(ctx) }()
-	time.Sleep(50 * time.Millisecond)
+	// Cancel once the campaign is under way: a few sessions have run.
+	sessions := reg.Counter("attacker.sessions")
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
+	timeout := time.After(10 * time.Second)
+	for sessions.Load() < 8 {
+		select {
+		case <-poll.C:
+		case <-timeout:
+			t.Fatalf("campaign ran %d sessions in 10s", sessions.Load())
+		}
+	}
 	cancel()
 	var stats Stats
 	select {

@@ -61,11 +61,6 @@ type CensusConfig struct {
 	Retries int
 	// LossRate injects deterministic probe loss.
 	LossRate float64
-	// PortProbe enables the PORT-validation test (on by default in
-	// Run; disable for ablations).
-	DisablePortProbe bool
-	// DisableTLS skips certificate collection.
-	DisableTLS bool
 	// RequestCap bounds enumerator requests per connection (default 500).
 	RequestCap int
 	// RealisticLatency applies the world's deterministic 5–150ms
@@ -160,7 +155,8 @@ type CensusConfig struct {
 	Checkpoint *CheckpointPolicy
 	// Resume, when non-nil, continues a census from the checkpoint a
 	// previous run wrote: the scanners seek to the saved cursors, the
-	// saved aggregate and robustness ledger merge into the result, and —
+	// saved aggregate and robustness ledger seed the run's sink chain
+	// before any record flows, and —
 	// when the caller appends to the same JSONL ledger — the finished
 	// series is byte-identical to an uninterrupted run. The snapshot must
 	// carry checkpoint state matching this configuration (same seed,
@@ -188,72 +184,10 @@ const (
 	TruncateCanceled = "canceled"
 )
 
-// Robustness sums the per-record fault and degradation counters.
-type Robustness struct {
-	// Records counts the records folded into these counters. A record is
-	// counted only after the sink chain accepts it, so Records always
-	// equals Result.Observed — the two ledgers cannot disagree even when
-	// a sink fails mid-stream.
-	Records int
-	// Partial counts records flagged incomplete by the degradation
-	// layer; Failures breaks them (and outright failures) down by class.
-	Partial int
-	// Terminated counts control connections that ended early — server
-	// request limits and transport faults both land here.
-	Terminated int
-	// Truncated counts listings cut by the request cap.
-	Truncated int
-	// SkippedDirs, Retries, and DataBytes sum the per-record counters.
-	SkippedDirs int
-	Retries     int
-	DataBytes   int64
-	Failures    map[string]int
-}
-
-// Merge folds another robustness ledger into this one — the shard-merge
-// counterpart of observe.
-func (r *Robustness) Merge(o Robustness) {
-	r.Records += o.Records
-	r.Partial += o.Partial
-	r.Terminated += o.Terminated
-	r.Truncated += o.Truncated
-	r.SkippedDirs += o.SkippedDirs
-	r.Retries += o.Retries
-	r.DataBytes += o.DataBytes
-	if len(o.Failures) == 0 {
-		return
-	}
-	if r.Failures == nil {
-		r.Failures = make(map[string]int, len(o.Failures))
-	}
-	for class, n := range o.Failures {
-		r.Failures[class] += n
-	}
-}
-
-// observe folds one record in. Called only from the census drain
-// goroutine, so no locking is needed.
-func (r *Robustness) observe(rec *dataset.HostRecord) {
-	r.Records++
-	if rec.Partial {
-		r.Partial++
-	}
-	if rec.ConnTerminated {
-		r.Terminated++
-	}
-	if rec.ListingTruncated {
-		r.Truncated++
-	}
-	r.SkippedDirs += rec.SkippedDirs
-	r.Retries += rec.Retries
-	r.DataBytes += rec.DataBytes
-	if rec.FailureClass != "" {
-		if r.Failures == nil {
-			r.Failures = make(map[string]int)
-		}
-		r.Failures[rec.FailureClass]++
-	}
-}
+// Robustness sums the per-record fault and degradation counters. It is the
+// checkpoint's serialized ledger type itself, so a checkpoint stores it as
+// is and a resumed run continues it.
+type Robustness = analysis.RobustnessState
 
 // Census is a ready-to-run measurement pipeline over one world.
 type Census struct {
@@ -343,29 +277,25 @@ type Result struct {
 // actually flowed, even when the run is cancelled mid-flight.
 //
 // Run drives a single pipeline; ShardedCensus fans the same pipeline out
-// over strided permutation shards and merges the partial aggregates. Both
+// over strided permutation shards, all draining into one sink chain. Both
 // are runN, which also hosts the checkpoint/resume machinery (see
 // checkpoint.go).
 func (c *Census) Run(ctx context.Context) (*Result, error) {
 	return c.runN(ctx, 1)
 }
 
-// newCollector builds the PORT-validation collector unless disabled. The
-// returned closer is a no-op when there is nothing to close.
-func (c *Census) newCollector() (enumerator.Collector, func(), error) {
-	if c.Config.DisablePortProbe {
-		return nil, func() {}, nil
-	}
+// newCollector builds the PORT-validation collector every shard shares.
+func (c *Census) newCollector() (*enumerator.SimCollector, error) {
 	sim, err := enumerator.NewSimCollector(c.Network, CollectorIP, 3100)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: collector: %w", err)
+		return nil, fmt.Errorf("core: collector: %w", err)
 	}
-	return sim, func() { sim.Close() }, nil
+	return sim, nil
 }
 
 // shardSpec parameterizes one census pipeline over the shared world: its
 // stride of the permutation, its source-address block, and the resources
-// shared with sibling shards (the collector and the merged stream) that
+// shared with sibling shards (the collector and the run's sink chain) that
 // the pipeline must use but not own.
 type shardSpec struct {
 	index, total int
@@ -374,9 +304,9 @@ type shardSpec struct {
 	// identification workers (unused when identification is off).
 	identifySource simnet.IP
 	collector      enumerator.Collector
-	// stream receives every record ahead of the aggregator; the pipeline
-	// wraps it KeepOpen so the run's owner closes it exactly once.
-	stream dataset.Sink
+	// sink is the run's one sink chain; every shard drains into it and
+	// runN closes it once all shards have finished.
+	sink dataset.Sink
 	// prefix namespaces the pipeline's registry counters ("shard3.");
 	// prefixed counters also feed the unprefixed merged view.
 	prefix string
@@ -385,17 +315,15 @@ type shardSpec struct {
 	startCursor uint64
 }
 
-// shardOutcome is one pipeline's partial census: the aggregate, the
-// robustness ledger, timings, and any errors.
+// shardOutcome is one pipeline's share of the census: its discovery
+// counters, timing, and any errors. Its records are already in the run's
+// sink chain.
 type shardOutcome struct {
-	agg       *analysis.Aggregator
-	robust    Robustness
 	scanDur   time.Duration
 	probed    uint64
 	responded uint64
 	setupErr  error
 	sinkErr   error
-	closeErr  error
 	scanErr   error
 }
 
@@ -435,7 +363,7 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		Cfg: enumerator.Config{
 			Collector:  spec.collector,
 			RequestCap: c.Config.RequestCap,
-			TryTLS:     !c.Config.DisableTLS,
+			TryTLS:     true,
 			Timeout:    enumTimeout,
 			Retry:      c.Config.EnumRetry,
 			HostBudget: c.Config.HostBudget,
@@ -448,23 +376,10 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		Metrics:    c.Config.Metrics,
 	}
 
-	// The sink chain: the shared stream (if any), then the aggregator,
-	// which resolves each record's HTTP join through a per-record truth
-	// lookup, so the join covers exactly the records that flowed — even
-	// when the run is cancelled mid-flight.
-	agg := analysis.NewAggregator(c.World.ASDB, truthHTTP(c.World))
-	sink := dataset.Sink(agg)
-	if spec.stream != nil {
-		sink = dataset.Tee(dataset.KeepOpen(spec.stream), agg)
-	}
-
-	// Publish the shard's live pieces for the checkpoint coordinator, then
-	// signal readiness: from here on the halt watcher can stop the scanner
-	// and the quiescence loop can read its accounting.
-	var robust Robustness
+	// Publish the scanner for the checkpoint coordinator, then signal
+	// readiness: from here on the halt watcher can stop the scanner and
+	// the quiescence loop can read its accounting.
 	rt.scanner = scanner
-	rt.agg = agg
-	rt.robust = &robust
 	close(rt.ready)
 
 	// Pipeline: scanner results flow straight into the next stage's
@@ -506,11 +421,9 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			}
 		}
 	}()
-	// The single drain goroutine feeds the sink chain, honoring the Sink
-	// contract (one Observe at a time). A sink failure cancels the
-	// pipeline but keeps draining so the fleet can shut down. Robustness
-	// is folded only after the whole chain accepts a record, so its
-	// totals always agree with the aggregator's Observed count.
+	// The shard's single drain goroutine feeds the shared sink chain
+	// (Synced, so shards take turns). A sink failure cancels the pipeline
+	// but keeps draining so the fleet can shut down.
 	mets := newCensusMetrics(c.Config.Metrics, spec.prefix)
 	drained := make(chan error, 1)
 	go func() {
@@ -520,17 +433,16 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			if sinkErr != nil {
 				continue
 			}
-			if err := sink.Observe(rec); err != nil {
+			if err := spec.sink.Observe(rec); err != nil {
 				sinkErr = err
 				mets.sinkErrors.Inc()
 				rt.sinkFailed.Store(true)
 				cancel()
 				continue
 			}
-			robust.observe(rec)
 			// The accepted count is the quiescence watermark: it is
-			// bumped only after the whole chain (and the robustness
-			// fold) has the record, so a coordinator that sees
+			// bumped only after the whole chain (the robustness ledger
+			// last) has the record, so a coordinator that sees
 			// emitted − dead − accepted == 0 also sees every fold.
 			rt.accepted.Add(1)
 			mets.record(rec)
@@ -578,11 +490,7 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 		fleet.Run(ctx, in, fleetOut)
 	}
 	o.sinkErr = <-drained
-	o.closeErr = sink.Close()
 	o.scanErr = <-scanErr
-
-	o.agg = agg
-	o.robust = robust
 	o.probed = scanner.Stats.Probed.Load()
 	o.responded = scanner.Stats.Responded.Load()
 	return o
@@ -603,49 +511,29 @@ func shedRecord(res identify.Result) *dataset.HostRecord {
 	}
 }
 
-// assemble merges shard outcomes into one Result, ordering errors by the
-// established precedence and flagging graceful truncation. With a single
-// outcome it reduces to the unsharded epilogue.
-func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shardOutcome, streamErr error) (*Result, error) {
+// assemble builds the Result from the run's fold and the shard outcomes,
+// ordering errors by the established precedence and flagging graceful
+// truncation.
+func (c *Census) assemble(ctx context.Context, start time.Time, fold *censusFold, outcomes []*shardOutcome, closeErr error) (*Result, error) {
 	for _, o := range outcomes {
 		if o.setupErr != nil {
 			return nil, o.setupErr
 		}
 	}
 
-	// Fold every shard into the first. The aggregates are additive, so
-	// any merge order finalizes identically.
-	base := outcomes[0]
-	agg := base.agg
-	robust := base.robust
 	result := &Result{
-		ScanDuration: base.scanDur,
-		Probed:       base.probed,
-		Responded:    base.responded,
-		agg:          agg,
-		scanned:      c.World.ScanSize,
+		Observed:   fold.agg.Observed(),
+		Probed:     fold.probed,
+		Responded:  fold.responded,
+		Robustness: *fold.robust,
+		agg:        fold.agg,
+		scanned:    c.World.ScanSize,
 	}
-	for _, o := range outcomes[1:] {
-		agg.Merge(o.agg)
-		robust.Merge(o.robust)
+	for _, o := range outcomes {
 		result.Probed += o.probed
 		result.Responded += o.responded
-		if o.scanDur > result.ScanDuration {
-			result.ScanDuration = o.scanDur
-		}
+		result.ScanDuration = max(result.ScanDuration, o.scanDur)
 	}
-	// A resumed run folds the previous run's checkpoint in last: the saved
-	// aggregate merges like one more shard (additive, order-independent),
-	// the robustness ledger sums, and the discovery counters extend — so
-	// the finished result is what an uninterrupted run would have produced.
-	if r := c.Config.Resume; r != nil && r.Checkpoint != nil {
-		agg.MergeSnapshot(r)
-		robust.Merge(robustFromState(r.Checkpoint.Robustness))
-		result.Probed += r.Checkpoint.Probed
-		result.Responded += r.Checkpoint.Responded
-	}
-	result.Observed = agg.Observed()
-	result.Robustness = robust
 	result.EnumDuration = time.Since(start)
 
 	// Error precedence: a broken sink is fatal (the dataset is suspect)
@@ -656,13 +544,8 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 			return result, fmt.Errorf("core: record sink: %w", o.sinkErr)
 		}
 	}
-	for _, o := range outcomes {
-		if o.closeErr != nil {
-			return result, fmt.Errorf("core: closing record sink: %w", o.closeErr)
-		}
-	}
-	if streamErr != nil {
-		return result, fmt.Errorf("core: closing record sink: %w", streamErr)
+	if closeErr != nil {
+		return result, fmt.Errorf("core: closing record sink: %w", closeErr)
 	}
 	for _, o := range outcomes {
 		if o.scanErr != nil && !isContextErr(o.scanErr) {
@@ -673,8 +556,8 @@ func (c *Census) assemble(ctx context.Context, start time.Time, outcomes []*shar
 	// Caller cancellation is graceful truncation, not failure: everything
 	// drained before the cut is a usable dataset — the paper's days-long
 	// measurement had to survive exactly this. All shards share the run
-	// context, so a deadline truncates them together; each one's partial
-	// records are already folded in, and the cause is recorded once.
+	// context, so a deadline truncates them together; every drained
+	// record is already folded in, and the cause is recorded once.
 	if err := ctx.Err(); err != nil {
 		result.Truncated = true
 		result.TruncatedBy = TruncateCanceled
@@ -784,8 +667,8 @@ type Tables struct {
 }
 
 // Snapshot returns the serializable aggregate state this run folded — the
-// mergeable/checkpoint form of the census (see analysis.Snapshot). Nil for
-// a zero Result that never ran a pipeline.
+// checkpoint form of the census (see analysis.Snapshot). Nil for a zero
+// Result that never ran a pipeline.
 func (r *Result) Snapshot() *analysis.Snapshot {
 	if r.agg == nil {
 		return nil

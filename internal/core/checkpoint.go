@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,22 +48,58 @@ type CheckpointPolicy struct {
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match census configuration")
 
 // shardRuntime exposes one running shard's live pieces to the checkpoint
-// coordinator: the scanner (halt/pause/cursor), the aggregate, and the
-// accounting that defines quiescence. ready closes once the fields are
-// published (scanner nil means setup failed).
+// coordinator: the scanner (halt/pause/cursor) and the accounting that
+// defines quiescence. ready closes once the fields are published (scanner
+// nil means setup failed).
 type shardRuntime struct {
 	ready      chan struct{}
 	scanner    *zmap.Scanner
-	agg        *analysis.Aggregator
-	robust     *Robustness
 	accepted   atomic.Uint64
 	sinkFailed atomic.Bool
 }
 
-// runN executes n shard pipelines (n==1 is the plain census) and merges
-// their partial results. It owns the checkpoint machinery: the detached
-// pipeline context, the halt watcher, the periodic quiescent coordinator,
-// and the truncation checkpoint write.
+// censusFold is a run's one sink chain and the state it folds into: every
+// shard drains into sink, Synced(Tee(StreamTo, agg, robust)), so the
+// ledger, the aggregator and the robustness ledger each exist once per run
+// however many shards feed them. A resumed run seeds agg, robust and the
+// discovery counters from its checkpoint before any shard starts, so the
+// earlier run's state is folded in exactly once.
+type censusFold struct {
+	sink   dataset.Sink
+	agg    *analysis.Aggregator
+	robust *Robustness
+	// probed and responded carry the resumed checkpoint's discovery
+	// counters; the shards' own counters add on top.
+	probed, responded uint64
+}
+
+// newFold builds the run's sink chain. The aggregator resolves each
+// record's HTTP join through a per-record truth lookup, so the join covers
+// exactly the records that flowed — even when the run is cancelled
+// mid-flight.
+func (c *Census) newFold(resume *analysis.CheckpointState) *censusFold {
+	f := &censusFold{
+		agg:    analysis.NewAggregator(c.World.ASDB, truthHTTP(c.World)),
+		robust: &Robustness{},
+	}
+	if resume != nil {
+		f.agg.MergeSnapshot(c.Config.Resume)
+		*f.robust = resume.Robustness
+		f.robust.Failures = maps.Clone(resume.Robustness.Failures)
+		f.probed, f.responded = resume.Probed, resume.Responded
+	}
+	var sinks []dataset.Sink
+	if c.Config.StreamTo != nil {
+		sinks = append(sinks, c.Config.StreamTo)
+	}
+	f.sink = dataset.Synced(dataset.Tee(append(sinks, f.agg, f.robust)...))
+	return f
+}
+
+// runN executes n shard pipelines (n==1 is the plain census) over one
+// sink chain. It owns the checkpoint machinery: the detached pipeline
+// context, the halt watcher, the periodic quiescent coordinator, and the
+// truncation checkpoint write.
 func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 	if n < 1 {
 		n = 1
@@ -93,22 +130,12 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 	}
 	defer cancel()
 
-	collector, closeCollector, err := c.newCollector()
+	collector, err := c.newCollector()
 	if err != nil {
 		return nil, err
 	}
-	defer closeCollector()
-
-	// One merged ledger: with several shards the caller's sink observes
-	// records from N drain goroutines, so serialize it; each shard gets a
-	// KeepOpen view and the real Close happens once, below.
-	var stream dataset.Sink
-	if c.Config.StreamTo != nil {
-		stream = c.Config.StreamTo
-		if n > 1 {
-			stream = dataset.Synced(stream)
-		}
-	}
+	defer collector.Close()
+	fold := c.newFold(resume)
 
 	runtimes := make([]*shardRuntime, n)
 	for i := range runtimes {
@@ -154,7 +181,7 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 	var stopTicker func()
 	if policy != nil && policy.Every > 0 {
 		stopTicker = obs.Every(pipeCtx, policy.Every, func() {
-			c.quiescentCheckpoint(pipeCtx, runtimes, n)
+			c.quiescentCheckpoint(pipeCtx, runtimes, fold)
 		})
 	}
 
@@ -165,7 +192,7 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 			sourceBase:     simnet.IP(uint64(ScannerBase) + uint64(i)*shardSourceStride),
 			identifySource: simnet.IP(uint64(IdentifyBase) + uint64(i)*shardSourceStride),
 			collector:      collector,
-			stream:         stream,
+			sink:           fold.sink,
 		}
 		if n > 1 {
 			spec.index, spec.total = i, n
@@ -189,10 +216,7 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 		<-watcherDone
 	}
 
-	var streamErr error
-	if c.Config.StreamTo != nil {
-		streamErr = c.Config.StreamTo.Close()
-	}
+	closeErr := fold.sink.Close()
 
 	// With the pipelines detached from the caller, truncation shows on
 	// callerCtx, not pipeCtx — assemble reads whichever context carries
@@ -201,12 +225,12 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 	if policy != nil {
 		assembleCtx = callerCtx
 	}
-	result, runErr := c.assemble(assembleCtx, start, outcomes, streamErr)
+	result, runErr := c.assemble(assembleCtx, start, fold, outcomes, closeErr)
 
-	// The truncation checkpoint: written after everything drained and
-	// merged, so it is the exact state an uninterrupted run would have
-	// passed through. Skipped after a hard cancel (cursors not exact) and
-	// after a sink failure (the ledger is suspect).
+	// The truncation checkpoint: written after everything drained, so it
+	// is the exact state an uninterrupted run would have passed through.
+	// Skipped after a hard cancel (cursors not exact) and after a sink
+	// failure (the ledger is suspect).
 	if policy != nil && runErr == nil && result != nil && result.Truncated && !hardCanceled.Load() {
 		snap := result.agg.Snapshot()
 		cursors := make([]uint64, n)
@@ -229,7 +253,7 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 // has been accounted (dead or accepted by the sink chain), flushes the
 // ledger, writes a checkpoint, and resumes the walk. Runs on the obs.Every
 // goroutine, so invocations never overlap.
-func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardRuntime, n int) {
+func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardRuntime, fold *censusFold) {
 	for _, rt := range runtimes {
 		select {
 		case <-rt.ready:
@@ -252,7 +276,7 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 	// Quiescence: with the producers parked, emitted is frozen, so the
 	// in-flight count only decreases. accepted is bumped after each
 	// record's folds complete, so pending == 0 is also the memory barrier
-	// that makes reading the aggregates below race-free. The drain is
+	// that makes reading the fold below race-free. The drain is
 	// polled on one ticker per checkpoint, not a fresh timer per spin.
 	poll := time.NewTicker(time.Millisecond)
 	defer poll.Stop()
@@ -284,25 +308,15 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 		}
 	}
 
-	agg := analysis.NewAggregator(nil, nil)
-	var robust Robustness
-	var probed, responded uint64
-	cursors := make([]uint64, n)
+	probed, responded := fold.probed, fold.responded
+	cursors := make([]uint64, len(runtimes))
 	for i, rt := range runtimes {
-		agg.Merge(rt.agg)
-		robust.Merge(*rt.robust)
 		probed += rt.scanner.Stats.Probed.Load()
 		responded += rt.scanner.Stats.Responded.Load()
 		cursors[i] = rt.scanner.Cursor()
 	}
-	if r := c.Config.Resume; r != nil && r.Checkpoint != nil {
-		agg.MergeSnapshot(r)
-		robust.Merge(robustFromState(r.Checkpoint.Robustness))
-		probed += r.Checkpoint.Probed
-		responded += r.Checkpoint.Responded
-	}
-	snap := agg.Snapshot()
-	snap.Checkpoint = c.checkpointState(n, cursors, agg.Observed(), probed, responded, false, robust)
+	snap := fold.agg.Snapshot()
+	snap.Checkpoint = c.checkpointState(len(runtimes), cursors, snap.Observed, probed, responded, false, *fold.robust)
 	if err := c.Config.Checkpoint.Write(snap); err != nil {
 		c.Config.Metrics.Counter("census.checkpoint_errors").Inc()
 		return
@@ -310,14 +324,16 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 	c.Config.Metrics.Counter("census.checkpoints").Inc()
 }
 
-// checkpointState assembles the census-position half of a checkpoint.
+// checkpointState assembles the census-position half of a checkpoint. The
+// robustness ledger is copied, so the live one can keep folding.
 func (c *Census) checkpointState(n int, cursors []uint64, observed int, probed, responded uint64, truncated bool, robust Robustness) *analysis.CheckpointState {
 	streamed := 0
 	if c.Config.StreamTo != nil {
-		// The stream sink sits first in every shard's chain, so every
-		// observed record is on the ledger: line count == Observed.
+		// The stream sink sits first in the chain, so every observed
+		// record is on the ledger: line count == Observed.
 		streamed = observed
 	}
+	robust.Failures = maps.Clone(robust.Failures)
 	p := c.World.Params
 	return &analysis.CheckpointState{
 		Seed:         p.Seed,
@@ -331,7 +347,7 @@ func (c *Census) checkpointState(n int, cursors []uint64, observed int, probed, 
 		Probed:       probed,
 		Responded:    responded,
 		Truncated:    truncated,
-		Robustness:   robustState(robust),
+		Robustness:   robust,
 	}
 }
 
@@ -373,50 +389,12 @@ func (c *Census) configDigest() uint64 {
 	h := fnv.New64a()
 	cfg := c.Config
 	p := c.World.Params
-	fmt.Fprintf(h, "retries=%d loss=%g portprobe=%t tls=%t cap=%d identify=%t idwait=%s enumtimeout=%s enumretry=%+v hostbudget=%s bytebudget=%d",
-		cfg.Retries, cfg.LossRate, !cfg.DisablePortProbe, !cfg.DisableTLS, cfg.RequestCap,
+	// Every census validates PORT and collects certificates; the two
+	// flags stay in the digest so earlier checkpoints still resume.
+	fmt.Fprintf(h, "retries=%d loss=%g portprobe=true tls=true cap=%d identify=%t idwait=%s enumtimeout=%s enumretry=%+v hostbudget=%s bytebudget=%d",
+		cfg.Retries, cfg.LossRate, cfg.RequestCap,
 		cfg.Identify, cfg.IdentifyWait, cfg.EnumTimeout, cfg.EnumRetry, cfg.HostBudget, cfg.ByteBudget)
 	fmt.Fprintf(h, " hostile=%g faultmix=%+v servicemix=%+v churn=%g/%g/%g",
 		p.HostileRate, p.FaultMix, p.ServiceMix, p.ChurnRate, p.UpgradeRate, p.ReallocRate)
 	return h.Sum64()
-}
-
-// robustState converts the live robustness ledger to its serialized form.
-func robustState(r Robustness) analysis.RobustnessState {
-	s := analysis.RobustnessState{
-		Records:     r.Records,
-		Partial:     r.Partial,
-		Terminated:  r.Terminated,
-		Truncated:   r.Truncated,
-		SkippedDirs: r.SkippedDirs,
-		Retries:     r.Retries,
-		DataBytes:   r.DataBytes,
-	}
-	if len(r.Failures) > 0 {
-		s.Failures = make(map[string]int, len(r.Failures))
-		for class, n := range r.Failures {
-			s.Failures[class] = n
-		}
-	}
-	return s
-}
-
-// robustFromState is the inverse of robustState.
-func robustFromState(s analysis.RobustnessState) Robustness {
-	r := Robustness{
-		Records:     s.Records,
-		Partial:     s.Partial,
-		Terminated:  s.Terminated,
-		Truncated:   s.Truncated,
-		SkippedDirs: s.SkippedDirs,
-		Retries:     s.Retries,
-		DataBytes:   s.DataBytes,
-	}
-	if len(s.Failures) > 0 {
-		r.Failures = make(map[string]int, len(s.Failures))
-		for class, n := range s.Failures {
-			r.Failures[class] = n
-		}
-	}
-	return r
 }

@@ -8,20 +8,21 @@ import (
 // ShardedCensus fans one census out over N cooperating shard pipelines,
 // the way "Ten Years of ZMap" describes multi-machine scanning: the
 // discovery permutation is strided so each shard probes a disjoint 1/N of
-// the address walk, and every shard runs its own scanner, enumerator
-// fleet, sink chain, and aggregator against the one shared world. When the
-// shards finish, their partial aggregates merge through the accumulator
-// snapshots and their robustness ledgers sum — the merged Result finalizes
-// byte-identical tables to a single-process run over the same world,
-// because every accumulator is an additive fold with deterministic
-// tie-breaking (see analysis.Snapshot).
+// the address walk, and every shard runs its own scanner and enumerator
+// fleet against the one shared world. The shards split discovery and
+// enumeration only, not the analysis state: every shard drains into the
+// run's one sink chain (the StreamTo ledger, one aggregator, one
+// robustness ledger, serialized behind a mutex), so there is nothing to
+// merge when they finish. The fold is additive with deterministic
+// tie-breaking, so the order in which shards interleave cannot change a
+// table: a sharded Result finalizes byte-identical tables to a
+// single-process run over the same world.
 //
-// Shared pieces are shared safely: one PORT-validation collector serves
-// all shards, and a configured StreamTo sink is serialized behind a mutex
-// so the merged JSONL ledger carries every shard's records (interleaved in
-// completion order) and is closed exactly once. All shards run under one
-// context, so a deadline truncates them together; each shard's partial
-// records are merged as truncated partials, not dropped.
+// The PORT-validation collector is shared too, and the JSONL ledger
+// carries every shard's records interleaved in completion order and is
+// closed exactly once. All shards run under one context, so a deadline
+// truncates them together; the records drained before the cut stay folded
+// in as a truncated partial, not dropped.
 type ShardedCensus struct {
 	Census *Census
 	Shards int
@@ -59,8 +60,8 @@ func NewShardedCensus(cfg CensusConfig, shards int) (*ShardedCensus, error) {
 	return &ShardedCensus{Census: c, Shards: shards}, nil
 }
 
-// Run executes the shard pipelines concurrently and merges their partial
-// results. With one shard it is exactly Census.Run. Both paths are runN
+// Run executes the shard pipelines concurrently over one sink chain. With
+// one shard it is exactly Census.Run. Both paths are runN
 // (see checkpoint.go), so checkpoint/resume works identically sharded and
 // unsharded.
 func (s *ShardedCensus) Run(ctx context.Context) (*Result, error) {

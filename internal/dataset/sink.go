@@ -73,36 +73,11 @@ func (c *Collector) Observe(rec *HostRecord) error {
 // Close is a no-op.
 func (c *Collector) Close() error { return nil }
 
-// Counter counts records, forwarding each to Next when one is set.
-type Counter struct {
-	Next Sink
-	n    int
-}
-
-// Observe counts and forwards.
-func (c *Counter) Observe(rec *HostRecord) error {
-	c.n++
-	if c.Next != nil {
-		return c.Next.Observe(rec)
-	}
-	return nil
-}
-
-// Count returns how many records were observed.
-func (c *Counter) Count() int { return c.n }
-
-// Close closes the forwarding target.
-func (c *Counter) Close() error {
-	if c.Next != nil {
-		return c.Next.Close()
-	}
-	return nil
-}
-
 // Synced adapts a sink for concurrent producers by serializing Observe and
 // Close under a mutex. The Sink contract promises one goroutine at a time;
-// when several pipelines share one ledger (the sharded census streaming to
-// a single JSONL sink), Synced restores that promise at the merge point.
+// when several pipelines drain into one sink chain (the sharded census's
+// shards sharing its ledger, aggregator and robustness ledger), Synced
+// restores that promise at the point where they meet.
 func Synced(s Sink) Sink {
 	return &syncedSink{s: s}
 }
@@ -123,22 +98,6 @@ func (s *syncedSink) Close() error {
 	defer s.mu.Unlock()
 	return s.s.Close()
 }
-
-// KeepOpen returns a view of s whose Close is a no-op. Sink chains close
-// everything they own; when a sink is shared across several chains, each
-// chain gets a KeepOpen view and the owner closes the real sink once after
-// every chain has finished.
-func KeepOpen(s Sink) Sink {
-	return keepOpenSink{s: s}
-}
-
-type keepOpenSink struct {
-	s Sink
-}
-
-func (s keepOpenSink) Observe(rec *HostRecord) error { return s.s.Observe(rec) }
-
-func (s keepOpenSink) Close() error { return nil }
 
 // Tee fans every record out to each sink in order. Observe stops at the
 // first failing sink; Close closes every sink and reports the first error.

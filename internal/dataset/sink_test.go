@@ -58,18 +58,17 @@ func TestWriterSinkClosesCloser(t *testing.T) {
 	}
 }
 
-func TestCollectorAndCounter(t *testing.T) {
+func TestCollector(t *testing.T) {
 	var coll Collector
-	cnt := &Counter{Next: &coll}
 	for i := 0; i < 5; i++ {
-		if err := cnt.Observe(sampleRecord()); err != nil {
+		if err := coll.Observe(sampleRecord()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cnt.Count() != 5 || len(coll.Records) != 5 {
-		t.Errorf("counter %d, collector %d", cnt.Count(), len(coll.Records))
+	if len(coll.Records) != 5 {
+		t.Errorf("collector holds %d records, want 5", len(coll.Records))
 	}
-	if err := cnt.Close(); err != nil {
+	if err := coll.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,35 +125,5 @@ func TestSyncedSerializesConcurrentProducers(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-type closeCountSink struct {
-	Collector
-	closes int
-}
-
-func (s *closeCountSink) Close() error {
-	s.closes++
-	return nil
-}
-
-func TestKeepOpenSuppressesClose(t *testing.T) {
-	inner := &closeCountSink{}
-	view := KeepOpen(inner)
-	if err := view.Observe(sampleRecord()); err != nil {
-		t.Fatal(err)
-	}
-	if len(inner.Records) != 1 {
-		t.Errorf("KeepOpen did not forward Observe: %d records", len(inner.Records))
-	}
-	if err := view.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if inner.closes != 0 {
-		t.Errorf("KeepOpen leaked Close to the shared sink (%d closes)", inner.closes)
-	}
-	if err := inner.Close(); err != nil || inner.closes != 1 {
-		t.Errorf("owner close: err=%v closes=%d", err, inner.closes)
 	}
 }

@@ -1141,11 +1141,7 @@ func (s *session) cmdMdtm(arg string) bool {
 	if node == nil {
 		return s.replyf(ftp.CodeFileUnavailable, "%s: No such file or directory", arg)
 	}
-	t := node.MTime
-	if t.IsZero() {
-		t = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
-	return s.replyf(213, "%s", t.UTC().Format("20060102150405"))
+	return s.replyf(213, "%s", node.ModTime().UTC().Format("20060102150405"))
 }
 
 func (s *session) cmdRest(arg string) bool {

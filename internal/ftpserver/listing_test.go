@@ -378,3 +378,45 @@ func TestMemDriverListSorted(t *testing.T) {
 		t.Fatalf("listing after delete = %s", got)
 	}
 }
+
+// TestZeroMTimeListsAtFixedDate: a node whose MTime is zero renders at one
+// fixed date, 2015-01-01 UTC, not at a date relative to the clock. testFS
+// leaves every MTime zero; its MLSD body rendered a day apart is
+// byte-identical, the body the server sends is that body, and every
+// entry's modify fact agrees with the server's MDTM reply.
+func TestZeroMTimeListsAtFixedDate(t *testing.T) {
+	fs := testFS()
+	now := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	want := renderFresh(fs, "/pub", "MLSD", now)
+	if later := renderFresh(fs, "/pub", "MLSD", now.Add(24*time.Hour)); !bytes.Equal(later, want) {
+		t.Fatalf("MLSD a day apart differs:\n%s\nthen\n%s", want, later)
+	}
+
+	cfg := anonConfig()
+	cfg.Driver = fs
+	env := newEnv(t, cfg)
+	c, _ := env.dial(t)
+	login(t, c)
+	served, err := env.transfer(c, "MLSD", "/pub", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want) {
+		t.Fatalf("served MLSD =\n%s\nwant\n%s", served, want)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(want), "\r\n"), "\r\n")
+	for _, line := range lines {
+		facts, name, _ := strings.Cut(line, " ")
+		_, modify, _ := strings.Cut(facts, ";modify=")
+		modify, _, _ = strings.Cut(modify, ";")
+		if modify != "20150101000000" {
+			t.Errorf("%s: modify=%s, want 20150101000000", name, modify)
+		}
+		if r, err := c.Cmd("MDTM", "/pub/"+name); err != nil || r.Code != 213 || r.Text() != modify {
+			t.Errorf("MDTM /pub/%s = %v %v, MLSD says %s", name, r, err, modify)
+		}
+	}
+	if len(lines) != 2 {
+		t.Errorf("MLSD listed %d entries, want 2", len(lines))
+	}
+}

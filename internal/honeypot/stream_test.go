@@ -43,31 +43,19 @@ func runFleet(t *testing.T, nw *simnet.Network, dep *Deployment, bots int, fleet
 		fleetCfg(fleet)
 	}
 	stats := fleet.Run(context.Background())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if !dep.Acc.Quiesce(ctx, uint64(stats.Sessions)) {
-		t.Fatal("accumulator never quiesced")
-	}
+	quiesce(t, dep.Acc, uint64(stats.Sessions))
 	return stats
 }
 
-// quiesce waits for straggling session-teardown events (disconnects folded
-// after the fleet returns) so comparisons see a stable accumulator.
-func quiesce(t *testing.T, acc *Accumulator) {
+// quiesce waits until the accumulator has folded a disconnect for each of
+// dialed sessions, so a comparison sees every teardown event.
+func quiesce(t *testing.T, acc *Accumulator, dialed uint64) {
 	t.Helper()
-	if acc == nil {
-		return
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !acc.Quiesce(ctx, dialed) {
+		t.Fatal("accumulator never quiesced")
 	}
-	prev := acc.Events()
-	for i := 0; i < 250; i++ {
-		time.Sleep(10 * time.Millisecond)
-		cur := acc.Events()
-		if cur == prev {
-			return
-		}
-		prev = cur
-	}
-	t.Fatal("accumulator never quiesced")
 }
 
 // TestStreamedMatchesEventStreamRefold is the fold equivalence check: the
@@ -90,8 +78,8 @@ func TestStreamedMatchesEventStreamRefold(t *testing.T) {
 		kinds[k.String()] = k
 	}
 	refold := NewAccumulator()
-	for ip, hp := range live.Snapshot().Honeypots {
-		refold.Register(ip, hp.Lure, hp.Deployed)
+	for ip, lure := range dep.Lures {
+		refold.Register(ip.String(), lure, live.honeypots[ip.String()].deployed)
 	}
 	for i, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
 		var se StreamEvent
@@ -140,11 +128,7 @@ func TestCampaignLeavesNoTeardownBacklog(t *testing.T) {
 	if backlog := uint64(stats.Sessions) - dep.Acc.Closed(); backlog > 8 {
 		t.Errorf("%d of %d sessions still open when the campaign returned", backlog, stats.Sessions)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if !dep.Acc.Quiesce(ctx, uint64(stats.Sessions)) {
-		t.Fatal("accumulator never quiesced")
-	}
+	quiesce(t, dep.Acc, uint64(stats.Sessions))
 }
 
 // TestTopSourcePrefixDeterministic: when two /8s tie on scanner count, the
@@ -195,6 +179,7 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 	if s.Deletes != 0 {
 		t.Fatalf("failed DELE counted: Deletes = %d, want 0", s.Deletes)
 	}
+	nc.Close() // its disconnect is one of those quiesce waits for below
 
 	// Successful upload + delete via a write-prober bot.
 	fleet := &attacker.Fleet{
@@ -203,54 +188,12 @@ func TestDeletesCountSuccessfulOnly(t *testing.T) {
 		Targets: dep.IPs,
 		Timeout: 5 * time.Second,
 	}
-	fleet.Run(context.Background())
-	quiesce(t, dep.Acc)
+	stats := fleet.Run(context.Background())
+	// One disconnect for the hand-made session, one per fleet session.
+	quiesce(t, dep.Acc, uint64(stats.Sessions)+1)
 	s = dep.Acc.Summary()
 	if s.Uploads != 1 || s.Deletes != 1 {
 		t.Errorf("write probe: uploads/deletes = %d/%d, want 1/1", s.Uploads, s.Deletes)
-	}
-}
-
-// TestSnapshotMergeEquivalence: folding traffic into two accumulators and
-// merging must match folding everything into one — the sharding contract.
-func TestSnapshotMergeEquivalence(t *testing.T) {
-	events := []ftpserver.Event{
-		{Kind: ftpserver.EventConnect, RemoteIP: "9.1.1.1"},
-		{Kind: ftpserver.EventCommand, RemoteIP: "9.1.1.1", Command: "LIST"},
-		{Kind: ftpserver.EventLoginFail, RemoteIP: "9.1.1.1", User: "admin", Pass: "admin"},
-		{Kind: ftpserver.EventConnect, RemoteIP: "9.2.2.2"},
-		{Kind: ftpserver.EventLoginFail, RemoteIP: "9.2.2.2", User: "admin", Pass: "admin"},
-		{Kind: ftpserver.EventUpload, RemoteIP: "9.2.2.2", Path: "/ftpchk3.txt"},
-		{Kind: ftpserver.EventDelete, RemoteIP: "9.2.2.2", Path: "/ftpchk3.txt"},
-		{Kind: ftpserver.EventPortBounceAttempt, RemoteIP: "9.3.3.3", Detail: "203.0.113.66:9999"},
-	}
-	t0 := time.Unix(1_450_000_000, 0)
-
-	whole := NewAccumulator()
-	whole.Register("hp-a", LureWebroot, t0)
-	whole.Register("hp-b", LureVault, t0)
-	left := NewAccumulator()
-	left.Register("hp-a", LureWebroot, t0)
-	right := NewAccumulator()
-	right.Register("hp-b", LureVault, t0)
-
-	for i, e := range events {
-		e.Time = t0.Add(time.Duration(i+1) * time.Second)
-		if i%2 == 0 {
-			whole.observe("hp-a", e)
-			left.observe("hp-a", e)
-		} else {
-			whole.observe("hp-b", e)
-			right.observe("hp-b", e)
-		}
-	}
-
-	merged := NewAccumulator()
-	merged.Merge(left)
-	merged.MergeSnapshot(right.Snapshot())
-
-	if got, want := merged.Report(), whole.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged report diverges:\nmerged: %+v\nwhole:  %+v", got, want)
 	}
 }
 
@@ -419,7 +362,7 @@ func TestParseLureMix(t *testing.T) {
 }
 
 // TestAccumulatorConcurrentFold: many goroutines folding into one
-// accumulator while snapshots are taken — the race detector's target.
+// accumulator while reports are finalized — the race detector's target.
 func TestAccumulatorConcurrentFold(t *testing.T) {
 	acc := NewAccumulator()
 	acc.Register("hp", LureWebroot, time.Unix(0, 0))
@@ -437,7 +380,7 @@ func TestAccumulatorConcurrentFold(t *testing.T) {
 		}(g)
 	}
 	for g := 0; g < 4; g++ {
-		acc.Snapshot()
+		acc.Report()
 	}
 	for g := 0; g < 8; g++ {
 		<-done

@@ -117,17 +117,27 @@ func TestReporterEmitsRates(t *testing.T) {
 	reg.Gauge("work.inflight").Set(7)
 	var mu sync.Mutex
 	var buf bytes.Buffer
+	wrote := make(chan struct{}, 1)
 	rep := &Reporter{
 		Registry: reg,
 		Interval: 10 * time.Millisecond,
 		W: writerFunc(func(p []byte) (int, error) {
 			mu.Lock()
 			defer mu.Unlock()
+			select {
+			case wrote <- struct{}{}:
+			default:
+			}
 			return buf.Write(p)
 		}),
 	}
 	stop := rep.Start(context.Background())
-	time.Sleep(25 * time.Millisecond)
+	// Wait for the first tick's line; stop then writes the final one.
+	select {
+	case <-wrote:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no progress line within 10s")
+	}
 	reg.Counter("work.items").Add(50)
 	stop()
 	stop() // idempotent

@@ -59,24 +59,17 @@ func (b *listBody) validAt(now time.Time) bool {
 }
 
 // newListBody wraps text, rendered at now from entries, with the clocks it
-// stays valid for, or returns nil when it depends on now at every instant:
-// an entry with a zero MTime is dated relative to now, so a body that shows
-// its date is never cached. A Unix line depends on now only through the
-// recent test, which flips at MTime-180d+1ns and at MTime+180d; the body
-// holds between the nearest such edges on either side of now.
+// stays valid for. Only a Unix body depends on now, through each line's
+// recent test, which flips at ModTime-180d+1ns and at ModTime+180d; the
+// body holds between the nearest such edges on either side of now.
 func newListBody(text []byte, entries []*Node, kind ListKind, now time.Time) *listBody {
 	b := &listBody{text: text}
-	if kind == ListNames {
+	if kind != ListUnix {
 		return b
 	}
 	for _, n := range entries {
-		if n.MTime.IsZero() {
-			return nil
-		}
-		if kind != ListUnix {
-			continue
-		}
-		for _, edge := range [2]time.Time{n.MTime.Add(1 - recentSpan), n.MTime.Add(recentSpan)} {
+		t := n.ModTime()
+		for _, edge := range [2]time.Time{t.Add(1 - recentSpan), t.Add(recentSpan)} {
 			if now.Before(edge) {
 				if !b.hasUntil || edge.Before(b.until) {
 					b.until, b.hasUntil = edge, true

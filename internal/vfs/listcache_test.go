@@ -88,10 +88,7 @@ func treePaths(fs *FS) map[string]*Node {
 func edgeClocks(rng *rand.Rand, entries []*Node, base time.Time) []time.Time {
 	clocks := []time.Time{base, time.Now()}
 	for _, n := range entries {
-		if n.MTime.IsZero() {
-			continue
-		}
-		for _, edge := range []time.Time{n.MTime.Add(-recentSpan), n.MTime.Add(recentSpan)} {
+		for _, edge := range []time.Time{n.ModTime().Add(-recentSpan), n.ModTime().Add(recentSpan)} {
 			clocks = append(clocks, edge.Add(-1), edge, edge.Add(1))
 		}
 	}

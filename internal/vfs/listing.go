@@ -94,15 +94,6 @@ func appendPadRight(dst []byte, s string, w int) []byte {
 	return dst
 }
 
-// listDate resolves the timestamp rendered for a node: zero times become
-// "about a year ago" so synthetic trees still list plausibly.
-func listDate(t, now time.Time) time.Time {
-	if t.IsZero() {
-		return now.Add(-365 * 24 * time.Hour)
-	}
-	return t
-}
-
 // monthAbbrevs holds the three-letter month names, three bytes each.
 const monthAbbrevs = "JanFebMarAprMayJunJulAugSepOctNovDec"
 
@@ -129,7 +120,7 @@ func appendLsDate(dst []byte, t time.Time, recent bool) []byte {
 }
 
 // recentSpan is how close to now AppendUnixLine dates an entry with hh:mm
-// instead of the year: now-180d < MTime < now+180d.
+// instead of the year: now-180d < ModTime < now+180d.
 const recentSpan = 180 * 24 * time.Hour
 
 // AppendUnixLine appends one node as an ls -l line (no terminator).
@@ -154,7 +145,7 @@ func AppendUnixLine(dst []byte, n *Node, now time.Time) []byte {
 	dst = append(dst, ' ')
 	dst = appendPadInt(dst, size, 12)
 	dst = append(dst, ' ')
-	t := listDate(n.MTime, now)
+	t := n.ModTime()
 	d := now.Sub(t)
 	dst = appendLsDate(dst, t, d < recentSpan && d > -recentSpan)
 	dst = append(dst, ' ')
@@ -173,7 +164,7 @@ func FormatUnixLine(n *Node, now time.Time) string {
 
 // AppendDOSLine appends one node as an IIS-style line (no terminator).
 func AppendDOSLine(dst []byte, n *Node, now time.Time) []byte {
-	dst = listDate(n.MTime, now).AppendFormat(dst, "01-02-06  03:04PM")
+	dst = n.ModTime().AppendFormat(dst, "01-02-06  03:04PM")
 	if n.IsDir {
 		dst = append(dst, "       <DIR>          "...)
 	} else {
@@ -223,7 +214,7 @@ func AppendMLSDLine(dst []byte, n *Node, now time.Time) []byte {
 	dst = append(dst, ";size="...)
 	dst = strconv.AppendInt(dst, size, 10)
 	dst = append(dst, ";modify="...)
-	dst = listDate(n.MTime, now).UTC().AppendFormat(dst, "20060102150405")
+	dst = n.ModTime().UTC().AppendFormat(dst, "20060102150405")
 	dst = append(dst, ";UNIX.mode="...)
 	var oct [8]byte
 	o := strconv.AppendUint(oct[:0], uint64(uint16(n.Perm)), 8)

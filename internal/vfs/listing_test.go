@@ -55,7 +55,7 @@ func referenceUnixLine(dst []byte, n *Node, now time.Time) []byte {
 	dst = append(dst, ' ')
 	dst = padInt(dst, size, 12)
 	dst = append(dst, ' ')
-	t := listDate(n.MTime, now)
+	t := n.ModTime()
 	if d := now.Sub(t); d < 180*24*time.Hour && d > -180*24*time.Hour {
 		dst = t.AppendFormat(dst, "Jan _2 15:04")
 	} else {

@@ -70,6 +70,19 @@ type Node struct {
 	children map[string]*Node
 }
 
+// zeroMTimeDate is the date a node with a zero MTime is rendered at.
+var zeroMTimeDate = time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// ModTime is the modification time every listing (LIST, DOS, MLSD, MLST)
+// and MDTM render for the node: MTime, or 2015-01-01 UTC when MTime is
+// zero, so a hand-built tree lists the same at any clock.
+func (n *Node) ModTime() time.Time {
+	if n.MTime.IsZero() {
+		return zeroMTimeDate
+	}
+	return n.MTime
+}
+
 // NewDir builds an empty directory node.
 func NewDir(name string, perm Mode) *Node {
 	return &Node{
