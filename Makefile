@@ -10,6 +10,8 @@
 #                  degradation paths.
 #   make fuzz-smoke — every native fuzz target for FUZZTIME each (default
 #                  10s); not part of tier1.
+#   make loc     — non-test Go lines per tree, the figure each change's net
+#                  line delta is reported in.
 
 GO ?= go
 
@@ -28,7 +30,7 @@ CHAOS_PKGS = ./internal/simnet ./internal/ftp ./internal/listparse \
 	./internal/enumerator ./internal/worldgen ./internal/identify \
 	./internal/core ./internal/attacker
 
-.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos fuzz-smoke smoke
+.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos fuzz-smoke smoke loc
 
 build:
 	$(GO) build ./...
@@ -110,3 +112,10 @@ chaos:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	GO=$(GO) FUZZTIME=$(FUZZTIME) scripts/fuzz-smoke.sh
+
+# Non-test Go lines (*.go minus *_test.go) under each source tree.
+LOC_DIRS = internal cmd bench examples
+loc:
+	@for d in $(LOC_DIRS); do \
+		printf '%-9s %6d\n' "$$d/" $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done

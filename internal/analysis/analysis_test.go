@@ -10,7 +10,7 @@ import (
 
 // testASDB builds two ASes: home.pl-like hosting at 10.0.0.0/16 and an ISP
 // at 20.0.0.0/16.
-func testASDB(t *testing.T) *asdb.DB {
+func testASDB(t testing.TB) *asdb.DB {
 	t.Helper()
 	db, err := asdb.NewDB([]*asdb.AS{
 		{Number: 12824, Name: "home.pl S.A.", Type: asdb.TypeHosting,
@@ -50,7 +50,7 @@ func (in *testInput) hook(r *Record) (HTTPInfo, bool) {
 }
 
 // buildInput assembles a small, fully hand-understood dataset.
-func buildInput(t *testing.T) *testInput {
+func buildInput(t testing.TB) *testInput {
 	t.Helper()
 	records := []*dataset.HostRecord{
 		// Non-FTP open host.

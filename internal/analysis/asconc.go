@@ -31,12 +31,20 @@ type ASConcentration struct {
 // number — plain data rather than *asdb.AS identity — so two accumulators
 // built against the same database merge exactly. The zero value is ready.
 type ASConcentrationAcc struct {
-	all      map[uint32]int
-	anon     map[uint32]int
-	writable map[uint32]int
-	// types remembers each counted AS's operator type for the Table III
+	All, Anon map[uint32]int
+	// Writable's key set is every AS holding a world-writable anonymous
+	// server, which is also §VI's writable-AS count.
+	Writable map[uint32]int
+	// Types remembers each counted AS's operator type for the Table III
 	// breakdown; an AS number maps to exactly one type in the database.
-	types map[uint32]asdb.Type
+	Types map[uint32]asdb.Type
+}
+
+func (a *ASConcentrationAcc) init() {
+	a.All = map[uint32]int{}
+	a.Anon = map[uint32]int{}
+	a.Writable = map[uint32]int{}
+	a.Types = map[uint32]asdb.Type{}
 }
 
 // Observe folds one record.
@@ -48,65 +56,41 @@ func (a *ASConcentrationAcc) Observe(r *Record) {
 	if as == nil {
 		return
 	}
-	if a.all == nil {
-		a.all = map[uint32]int{}
-		a.anon = map[uint32]int{}
-		a.writable = map[uint32]int{}
-		a.types = map[uint32]asdb.Type{}
+	if a.All == nil {
+		a.init()
 	}
 	n := as.Number
-	a.types[n] = as.Type
-	a.all[n]++
+	a.Types[n] = as.Type
+	a.All[n]++
 	if r.Host.AnonymousOK {
-		a.anon[n]++
+		a.Anon[n]++
 		if Writable(r.Host) {
-			a.writable[n]++
+			a.Writable[n]++
 		}
 	}
 }
 
-// ASConcentrationSnap is the serializable state of an ASConcentrationAcc.
-type ASConcentrationSnap struct {
-	All      map[uint32]int
-	Anon     map[uint32]int
-	Writable map[uint32]int
-	Types    map[uint32]asdb.Type
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *ASConcentrationAcc) Snapshot() ASConcentrationSnap {
-	return ASConcentrationSnap{
-		All:      copyCounts(a.all),
-		Anon:     copyCounts(a.anon),
-		Writable: copyCounts(a.writable),
-		Types:    copyCounts(a.types),
-	}
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *ASConcentrationAcc) Merge(s ASConcentrationSnap) {
-	if len(s.All) == 0 && len(s.Types) == 0 {
+// Merge folds another accumulator into this one.
+func (a *ASConcentrationAcc) Merge(o *ASConcentrationAcc) {
+	if len(o.All) == 0 && len(o.Types) == 0 {
 		return
 	}
-	if a.all == nil {
-		a.all = map[uint32]int{}
-		a.anon = map[uint32]int{}
-		a.writable = map[uint32]int{}
-		a.types = map[uint32]asdb.Type{}
+	if a.All == nil {
+		a.init()
 	}
-	addCounts(a.all, s.All)
-	addCounts(a.anon, s.Anon)
-	addCounts(a.writable, s.Writable)
-	for n, t := range s.Types {
-		a.types[n] = t
+	addCounts(a.All, o.All)
+	addCounts(a.Anon, o.Anon)
+	addCounts(a.Writable, o.Writable)
+	for n, t := range o.Types {
+		a.Types[n] = t
 	}
 }
 
 // Finalize produces Table III and Figure 1.
 func (a *ASConcentrationAcc) Finalize() ASConcentration {
-	halfAll, typesAll, cdfAll := concentration(a.all, a.types)
-	halfAnon, typesAnon, cdfAnon := concentration(a.anon, a.types)
-	halfW, _, cdfW := concentration(a.writable, a.types)
+	halfAll, typesAll, cdfAll := concentration(a.All, a.Types)
+	halfAnon, typesAnon, cdfAnon := concentration(a.Anon, a.Types)
+	halfW, _, cdfW := concentration(a.Writable, a.Types)
 
 	return ASConcentration{
 		ASesForHalfAll:      halfAll,
@@ -114,9 +98,9 @@ func (a *ASConcentrationAcc) Finalize() ASConcentration {
 		ASesForHalfWritable: halfW,
 		TypeBreakdownAll:    typesAll,
 		TypeBreakdownAnon:   typesAnon,
-		TotalASesAll:        len(a.all),
-		TotalASesAnon:       len(a.anon),
-		TotalASesWritable:   len(a.writable),
+		TotalASesAll:        len(a.All),
+		TotalASesAnon:       len(a.Anon),
+		TotalASesWritable:   len(a.Writable),
 		CDFAll:              cdfAll,
 		CDFAnon:             cdfAnon,
 		CDFWritable:         cdfW,
@@ -177,16 +161,31 @@ type TopAS struct {
 }
 
 // TopASesAcc accumulates Table VI, keyed by AS number with the row metadata
-// (name, advertised space) carried alongside so snapshots are plain data.
+// (name, advertised space) carried alongside, so the state is plain data.
 // The zero value is ready.
 type TopASesAcc struct {
-	counts map[uint32]*topASAgg
+	Counts map[uint32]*TopASAgg
 }
 
-type topASAgg struct {
-	ftp, anon  int
-	name       string
-	advertised uint64
+// TopASAgg is one AS's Table VI counters.
+type TopASAgg struct {
+	FTP, Anon  int
+	Name       string
+	Advertised uint64
+}
+
+// add counts ftp and anon servers in AS n, creating its row on first use.
+func (a *TopASesAcc) add(n uint32, name string, advertised uint64, ftp, anon int) {
+	if a.Counts == nil {
+		a.Counts = map[uint32]*TopASAgg{}
+	}
+	agg, ok := a.Counts[n]
+	if !ok {
+		agg = &TopASAgg{Name: name, Advertised: advertised}
+		a.Counts[n] = agg
+	}
+	agg.FTP += ftp
+	agg.Anon += anon
 }
 
 // Observe folds one record.
@@ -198,74 +197,31 @@ func (a *TopASesAcc) Observe(r *Record) {
 	if as == nil {
 		return
 	}
-	if a.counts == nil {
-		a.counts = map[uint32]*topASAgg{}
-	}
-	agg, ok := a.counts[as.Number]
-	if !ok {
-		agg = &topASAgg{name: as.Name, advertised: as.Advertised()}
-		a.counts[as.Number] = agg
-	}
-	agg.ftp++
+	anon := 0
 	if r.Host.AnonymousOK {
-		agg.anon++
+		anon = 1
 	}
+	a.add(as.Number, as.Name, as.Advertised(), 1, anon)
 }
 
-// TopASCounts is one AS's serializable Table VI state.
-type TopASCounts struct {
-	FTP, Anon  int
-	Name       string
-	Advertised uint64
-}
-
-// TopASesSnap is the serializable state of a TopASesAcc.
-type TopASesSnap struct {
-	Counts map[uint32]TopASCounts
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *TopASesAcc) Snapshot() TopASesSnap {
-	s := TopASesSnap{}
-	if a.counts != nil {
-		s.Counts = make(map[uint32]TopASCounts, len(a.counts))
-		for n, agg := range a.counts {
-			s.Counts[n] = TopASCounts{FTP: agg.ftp, Anon: agg.anon, Name: agg.name, Advertised: agg.advertised}
-		}
-	}
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *TopASesAcc) Merge(s TopASesSnap) {
-	if len(s.Counts) == 0 {
-		return
-	}
-	if a.counts == nil {
-		a.counts = map[uint32]*topASAgg{}
-	}
-	for n, c := range s.Counts {
-		agg, ok := a.counts[n]
-		if !ok {
-			agg = &topASAgg{name: c.Name, advertised: c.Advertised}
-			a.counts[n] = agg
-		}
-		agg.ftp += c.FTP
-		agg.anon += c.Anon
+// Merge folds another accumulator into this one.
+func (a *TopASesAcc) Merge(o *TopASesAcc) {
+	for n, c := range o.Counts {
+		a.add(n, c.Name, c.Advertised, c.FTP, c.Anon)
 	}
 }
 
 // Finalize produces the top-n Table VI rows.
 func (a *TopASesAcc) Finalize(n int) []TopAS {
-	out := make([]TopAS, 0, len(a.counts))
-	for number, agg := range a.counts {
+	out := make([]TopAS, 0, len(a.Counts))
+	for number, agg := range a.Counts {
 		out = append(out, TopAS{
 			Number:        number,
-			Name:          agg.name,
-			IPsAdvertised: agg.advertised,
-			FTPServers:    agg.ftp,
-			AnonServers:   agg.anon,
-			PctAnon:       percent(agg.anon, agg.ftp),
+			Name:          agg.Name,
+			IPsAdvertised: agg.Advertised,
+			FTPServers:    agg.FTP,
+			AnonServers:   agg.Anon,
+			PctAnon:       percent(agg.Anon, agg.FTP),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -276,18 +232,6 @@ func (a *TopASesAcc) Finalize(n int) []TopAS {
 	})
 	if len(out) > n {
 		out = out[:n]
-	}
-	return out
-}
-
-// copyCounts clones a map for a snapshot; nil stays nil.
-func copyCounts[K comparable, V any](m map[K]V) map[K]V {
-	if m == nil {
-		return nil
-	}
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
 	}
 	return out
 }

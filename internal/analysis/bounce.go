@@ -34,8 +34,10 @@ const homePLASN = 12824
 
 // PortBounceAcc accumulates §VII.B. The zero value is ready.
 type PortBounceAcc struct {
-	b              PortBounce
-	homePLFailures int
+	// B carries only the counter fields — percentages are derived at
+	// Finalize.
+	B              PortBounce
+	HomePLFailures int
 }
 
 // Observe folds one record.
@@ -45,60 +47,48 @@ func (a *PortBounceAcc) Observe(r *Record) {
 		return
 	}
 	if r.Class().Software == "FileZilla Server" {
-		a.b.FileZillaServers++
+		a.B.FileZillaServers++
 	}
 	if !host.AnonymousOK {
 		return
 	}
 	if host.PASVMismatch {
-		a.b.NATed++
+		a.B.NATed++
 	}
 	if host.PortCheck == dataset.PortNotTested || host.PortCheck == "" {
 		return
 	}
-	a.b.Tested++
+	a.B.Tested++
 	if host.PortCheck != dataset.PortNotValidated {
 		return
 	}
-	a.b.NotValidated++
+	a.B.NotValidated++
 	if as := r.AS(); as != nil && as.Number == homePLASN {
-		a.homePLFailures++
+		a.HomePLFailures++
 	}
 	if host.PASVMismatch {
-		a.b.NATedNotValidated++
+		a.B.NATedNotValidated++
 	}
 	if Writable(host) {
-		a.b.WritableNotValidated++
+		a.B.WritableNotValidated++
 	}
 }
 
-// PortBounceSnap is the serializable state of a PortBounceAcc. B carries
-// only the counter fields — percentages are derived at Finalize.
-type PortBounceSnap struct {
-	B              PortBounce
-	HomePLFailures int
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *PortBounceAcc) Snapshot() PortBounceSnap {
-	return PortBounceSnap{B: a.b, HomePLFailures: a.homePLFailures}
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *PortBounceAcc) Merge(s PortBounceSnap) {
-	a.b.Tested += s.B.Tested
-	a.b.NotValidated += s.B.NotValidated
-	a.b.NATed += s.B.NATed
-	a.b.NATedNotValidated += s.B.NATedNotValidated
-	a.b.WritableNotValidated += s.B.WritableNotValidated
-	a.b.FileZillaServers += s.B.FileZillaServers
-	a.homePLFailures += s.HomePLFailures
+// Merge folds another accumulator into this one.
+func (a *PortBounceAcc) Merge(o *PortBounceAcc) {
+	a.B.Tested += o.B.Tested
+	a.B.NotValidated += o.B.NotValidated
+	a.B.NATed += o.B.NATed
+	a.B.NATedNotValidated += o.B.NATedNotValidated
+	a.B.WritableNotValidated += o.B.WritableNotValidated
+	a.B.FileZillaServers += o.B.FileZillaServers
+	a.HomePLFailures += o.HomePLFailures
 }
 
 // Finalize produces §VII.B.
 func (a *PortBounceAcc) Finalize() PortBounce {
-	b := a.b
+	b := a.B
 	b.PctNotValidated = percent(b.NotValidated, b.Tested)
-	b.HomePLShare = percent(a.homePLFailures, b.NotValidated)
+	b.HomePLShare = percent(a.HomePLFailures, b.NotValidated)
 	return b
 }

@@ -26,10 +26,19 @@ type Classification struct {
 // classificationOrder fixes Table II's row order.
 var classificationOrder = []string{"Generic Server", "Hosted Server", "Embedded Server", "Unknown"}
 
-// ClassificationAcc accumulates Table II. The zero value is ready.
+// ClassificationAcc accumulates Table II. The zero value is ready; the
+// first fold creates every Table II row, so a populated state names all
+// four categories.
 type ClassificationAcc struct {
-	counts              map[string]*CategoryCount
-	totalFTP, totalAnon int
+	Counts              map[string]*CategoryCount
+	TotalFTP, TotalAnon int
+}
+
+func (a *ClassificationAcc) init() {
+	a.Counts = map[string]*CategoryCount{}
+	for _, name := range classificationOrder {
+		a.Counts[name] = &CategoryCount{Name: name}
+	}
 }
 
 // Observe folds one record.
@@ -37,61 +46,37 @@ func (a *ClassificationAcc) Observe(r *Record) {
 	if !r.Host.FTP {
 		return
 	}
-	if a.counts == nil {
-		a.counts = map[string]*CategoryCount{}
-		for _, name := range classificationOrder {
-			a.counts[name] = &CategoryCount{Name: name}
-		}
+	if a.Counts == nil {
+		a.init()
 	}
-	a.totalFTP++
+	a.TotalFTP++
 	c := r.Class()
 	name := "Unknown"
 	if c.Known() {
 		name = c.Category.String()
 	}
-	a.counts[name].All++
+	a.Counts[name].All++
 	if r.Host.AnonymousOK {
-		a.totalAnon++
-		a.counts[name].Anon++
+		a.TotalAnon++
+		a.Counts[name].Anon++
 	}
 }
 
-// ClassificationSnap is the serializable state of a ClassificationAcc.
-type ClassificationSnap struct {
-	Counts              map[string]CategoryCount
-	TotalFTP, TotalAnon int
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *ClassificationAcc) Snapshot() ClassificationSnap {
-	s := ClassificationSnap{TotalFTP: a.totalFTP, TotalAnon: a.totalAnon}
-	if a.counts != nil {
-		s.Counts = make(map[string]CategoryCount, len(a.counts))
-		for name, c := range a.counts {
-			s.Counts[name] = *c
-		}
-	}
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *ClassificationAcc) Merge(s ClassificationSnap) {
-	a.totalFTP += s.TotalFTP
-	a.totalAnon += s.TotalAnon
-	if len(s.Counts) == 0 {
+// Merge folds another accumulator into this one.
+func (a *ClassificationAcc) Merge(o *ClassificationAcc) {
+	a.TotalFTP += o.TotalFTP
+	a.TotalAnon += o.TotalAnon
+	if len(o.Counts) == 0 {
 		return
 	}
-	if a.counts == nil {
-		a.counts = map[string]*CategoryCount{}
-		for _, name := range classificationOrder {
-			a.counts[name] = &CategoryCount{Name: name}
-		}
+	if a.Counts == nil {
+		a.init()
 	}
-	for name, c := range s.Counts {
-		dst, ok := a.counts[name]
+	for name, c := range o.Counts {
+		dst, ok := a.Counts[name]
 		if !ok {
 			dst = &CategoryCount{Name: name}
-			a.counts[name] = dst
+			a.Counts[name] = dst
 		}
 		dst.All += c.All
 		dst.Anon += c.Anon
@@ -100,14 +85,14 @@ func (a *ClassificationAcc) Merge(s ClassificationSnap) {
 
 // Finalize produces Table II.
 func (a *ClassificationAcc) Finalize() Classification {
-	out := Classification{TotalFTP: a.totalFTP, TotalAnon: a.totalAnon}
+	out := Classification{TotalFTP: a.TotalFTP, TotalAnon: a.TotalAnon}
 	for _, name := range classificationOrder {
 		row := CategoryCount{Name: name}
-		if a.counts != nil {
-			row = *a.counts[name]
+		if c, ok := a.Counts[name]; ok {
+			row = *c
 		}
-		row.PctAll = percent(row.All, a.totalFTP)
-		row.PctAnon = percent(row.Anon, a.totalAnon)
+		row.PctAll = percent(row.All, a.TotalFTP)
+		row.PctAnon = percent(row.Anon, a.TotalAnon)
 		out.Rows = append(out.Rows, row)
 	}
 	return out
@@ -135,21 +120,24 @@ type DeviceBreakdown struct {
 
 // DevicesAcc accumulates Tables IV, V, and VII. The zero value is ready.
 type DevicesAcc struct {
-	provider map[string]*DeviceCount
-	consumer map[string]*DeviceCount
-	classes  map[string]*DeviceCount
+	Provider, Consumer, Classes map[string]*DeviceCount
 }
 
-func bump(m map[string]*DeviceCount, model string, anon bool) {
+// bump counts one server of model in m, creating the row on first use.
+func bump(m map[string]*DeviceCount, model string, found, anon int) {
 	dc, ok := m[model]
 	if !ok {
 		dc = &DeviceCount{Model: model}
 		m[model] = dc
 	}
-	dc.Found++
-	if anon {
-		dc.Anon++
-	}
+	dc.Found += found
+	dc.Anon += anon
+}
+
+func (a *DevicesAcc) init() {
+	a.Provider = map[string]*DeviceCount{}
+	a.Consumer = map[string]*DeviceCount{}
+	a.Classes = map[string]*DeviceCount{}
 }
 
 // Observe folds one record.
@@ -161,16 +149,18 @@ func (a *DevicesAcc) Observe(r *Record) {
 	if c.DeviceModel == "" {
 		return
 	}
-	if a.provider == nil {
-		a.provider = map[string]*DeviceCount{}
-		a.consumer = map[string]*DeviceCount{}
-		a.classes = map[string]*DeviceCount{}
+	if a.Provider == nil {
+		a.init()
 	}
-	bucket := a.consumer
+	anon := 0
+	if r.Host.AnonymousOK {
+		anon = 1
+	}
+	bucket := a.Consumer
 	if c.ProviderDeployed {
-		bucket = a.provider
+		bucket = a.Provider
 	}
-	bump(bucket, c.DeviceModel, r.Host.AnonymousOK)
+	bump(bucket, c.DeviceModel, 1, anon)
 
 	var className string
 	switch c.DeviceClass {
@@ -184,58 +174,26 @@ func (a *DevicesAcc) Observe(r *Record) {
 		className = "Printers"
 	}
 	if className != "" {
-		bump(a.classes, className, r.Host.AnonymousOK)
+		bump(a.Classes, className, 1, anon)
 	}
 }
 
-// DevicesSnap is the serializable state of a DevicesAcc.
-type DevicesSnap struct {
-	Provider, Consumer, Classes map[string]DeviceCount
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *DevicesAcc) Snapshot() DevicesSnap {
-	flatten := func(m map[string]*DeviceCount) map[string]DeviceCount {
-		if m == nil {
-			return nil
-		}
-		out := make(map[string]DeviceCount, len(m))
-		for model, dc := range m {
-			out[model] = *dc
-		}
-		return out
-	}
-	return DevicesSnap{
-		Provider: flatten(a.provider),
-		Consumer: flatten(a.consumer),
-		Classes:  flatten(a.classes),
-	}
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *DevicesAcc) Merge(s DevicesSnap) {
-	if len(s.Provider)+len(s.Consumer)+len(s.Classes) == 0 {
+// Merge folds another accumulator into this one.
+func (a *DevicesAcc) Merge(o *DevicesAcc) {
+	if len(o.Provider)+len(o.Consumer)+len(o.Classes) == 0 {
 		return
 	}
-	if a.provider == nil {
-		a.provider = map[string]*DeviceCount{}
-		a.consumer = map[string]*DeviceCount{}
-		a.classes = map[string]*DeviceCount{}
+	if a.Provider == nil {
+		a.init()
 	}
-	add := func(dst map[string]*DeviceCount, src map[string]DeviceCount) {
+	add := func(dst, src map[string]*DeviceCount) {
 		for model, c := range src {
-			dc, ok := dst[model]
-			if !ok {
-				dc = &DeviceCount{Model: model}
-				dst[model] = dc
-			}
-			dc.Found += c.Found
-			dc.Anon += c.Anon
+			bump(dst, model, c.Found, c.Anon)
 		}
 	}
-	add(a.provider, s.Provider)
-	add(a.consumer, s.Consumer)
-	add(a.classes, s.Classes)
+	add(a.Provider, o.Provider)
+	add(a.Consumer, o.Consumer)
+	add(a.Classes, o.Classes)
 }
 
 // Finalize produces the device tables.
@@ -256,8 +214,8 @@ func (a *DevicesAcc) Finalize() DeviceBreakdown {
 		return out
 	}
 	return DeviceBreakdown{
-		Provider: finish(a.provider),
-		Consumer: finish(a.consumer),
-		Classes:  finish(a.classes),
+		Provider: finish(a.Provider),
+		Consumer: finish(a.Consumer),
+		Classes:  finish(a.Classes),
 	}
 }

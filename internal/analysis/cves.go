@@ -25,8 +25,21 @@ type CVEExposure struct {
 
 // CVEsAcc accumulates Table XI. The zero value is ready.
 type CVEsAcc struct {
-	counts            map[string]*CVECount
-	vulnerable, total int
+	Counts            map[string]*CVECount
+	Vulnerable, Total int
+}
+
+// add counts ips servers matching cve, creating its row on first use.
+func (a *CVEsAcc) add(cve CVECount, ips int) {
+	if a.Counts == nil {
+		a.Counts = map[string]*CVECount{}
+	}
+	row, ok := a.Counts[cve.ID]
+	if !ok {
+		row = &CVECount{Implementation: cve.Implementation, ID: cve.ID, CVSS: cve.CVSS}
+		a.Counts[cve.ID] = row
+	}
+	row.IPs += ips
 }
 
 // Observe folds one record.
@@ -34,70 +47,33 @@ func (a *CVEsAcc) Observe(r *Record) {
 	if !r.Host.FTP {
 		return
 	}
-	a.total++
+	a.Total++
 	c := r.Class()
 	if c.Software == "" || c.Version == "" {
 		return
 	}
 	matches := cvedb.Match(c.Software, c.Version)
 	if len(matches) > 0 {
-		a.vulnerable++
-	}
-	if a.counts == nil {
-		a.counts = map[string]*CVECount{}
+		a.Vulnerable++
 	}
 	for _, m := range matches {
-		row, ok := a.counts[m.ID]
-		if !ok {
-			row = &CVECount{Implementation: m.Software, ID: m.ID, CVSS: m.CVSS}
-			a.counts[m.ID] = row
-		}
-		row.IPs++
+		a.add(CVECount{Implementation: m.Software, ID: m.ID, CVSS: m.CVSS}, 1)
 	}
 }
 
-// CVEsSnap is the serializable state of a CVEsAcc.
-type CVEsSnap struct {
-	Counts            map[string]CVECount
-	Vulnerable, Total int
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *CVEsAcc) Snapshot() CVEsSnap {
-	s := CVEsSnap{Vulnerable: a.vulnerable, Total: a.total}
-	if a.counts != nil {
-		s.Counts = make(map[string]CVECount, len(a.counts))
-		for id, row := range a.counts {
-			s.Counts[id] = *row
-		}
-	}
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *CVEsAcc) Merge(s CVEsSnap) {
-	a.vulnerable += s.Vulnerable
-	a.total += s.Total
-	if len(s.Counts) == 0 {
-		return
-	}
-	if a.counts == nil {
-		a.counts = map[string]*CVECount{}
-	}
-	for id, src := range s.Counts {
-		row, ok := a.counts[id]
-		if !ok {
-			row = &CVECount{Implementation: src.Implementation, ID: src.ID, CVSS: src.CVSS}
-			a.counts[id] = row
-		}
-		row.IPs += src.IPs
+// Merge folds another accumulator into this one.
+func (a *CVEsAcc) Merge(o *CVEsAcc) {
+	a.Vulnerable += o.Vulnerable
+	a.Total += o.Total
+	for _, row := range o.Counts {
+		a.add(*row, row.IPs)
 	}
 }
 
 // Finalize produces Table XI.
 func (a *CVEsAcc) Finalize() CVEExposure {
-	out := CVEExposure{VulnerableIPs: a.vulnerable, TotalFTP: a.total}
-	for _, row := range a.counts {
+	out := CVEExposure{VulnerableIPs: a.Vulnerable, TotalFTP: a.Total}
+	for _, row := range a.Counts {
 		out.Rows = append(out.Rows, *row)
 	}
 	sort.Slice(out.Rows, func(i, j int) bool {

@@ -193,26 +193,28 @@ func exposureClassOf(c fingerprint.Classification) string {
 // is hot, so only counters survive and the listing memory can be freed.
 // The zero value is ready.
 type ExposureAcc struct {
-	exp Exposure
+	// Exp carries only the counter fields — the Extensions/Sensitive
+	// slices are derived at Finalize and never populated here.
+	Exp Exposure
 
-	extFiles   map[string]int
-	extServers map[string]int
-	sens       map[string]*SensitiveClass
+	ExtFiles   map[string]int
+	ExtServers map[string]int
+	Sens       map[string]*SensitiveClass
 
 	// Table X: exposure type → device class → server count.
-	typeClasses map[string]map[string]int
-	typeTotals  map[string]int
+	TypeClasses map[string]map[string]int
+	TypeTotals  map[string]int
 }
 
 func (a *ExposureAcc) init() {
-	a.extFiles = map[string]int{}
-	a.extServers = map[string]int{}
-	a.sens = map[string]*SensitiveClass{}
+	a.ExtFiles = map[string]int{}
+	a.ExtServers = map[string]int{}
+	a.Sens = map[string]*SensitiveClass{}
 	for _, m := range sensitiveMatchers {
-		a.sens[m.name] = &SensitiveClass{Type: m.typ, Name: m.name}
+		a.Sens[m.name] = &SensitiveClass{Type: m.typ, Name: m.name}
 	}
-	a.typeClasses = map[string]map[string]int{}
-	a.typeTotals = map[string]int{}
+	a.TypeClasses = map[string]map[string]int{}
+	a.TypeTotals = map[string]int{}
 }
 
 // Observe folds one record.
@@ -221,10 +223,10 @@ func (a *ExposureAcc) Observe(r *Record) {
 	if !host.FTP || !host.AnonymousOK {
 		return
 	}
-	if a.sens == nil {
+	if a.Sens == nil {
 		a.init()
 	}
-	e := &a.exp
+	e := &a.Exp
 	e.AnonServers++
 	if host.RobotsTxt != "" {
 		e.RobotsSeen++
@@ -263,10 +265,10 @@ func (a *ExposureAcc) Observe(r *Record) {
 		if isSOHO {
 			if dot := strings.LastIndexByte(lower, '.'); dot >= 0 && dot < len(lower)-1 {
 				ext := "." + lower[dot+1:]
-				a.extFiles[ext]++
+				a.ExtFiles[ext]++
 				if !extSeen[ext] {
 					extSeen[ext] = true
-					a.extServers[ext]++
+					a.ExtServers[ext]++
 				}
 			}
 		}
@@ -297,7 +299,7 @@ func (a *ExposureAcc) Observe(r *Record) {
 			if !m.match(f.Name, lower) {
 				continue
 			}
-			sc := a.sens[m.name]
+			sc := a.Sens[m.name]
 			sc.Files++
 			switch f.Read {
 			case dataset.ReadYes:
@@ -357,91 +359,56 @@ func (a *ExposureAcc) Observe(r *Record) {
 			continue
 		}
 		any = true
-		a.bumpType(typ, cls)
+		a.bumpType(typ, cls, 1)
 	}
 	if any {
-		a.bumpType("All", cls)
+		a.bumpType("All", cls, 1)
 	}
 }
 
-func (a *ExposureAcc) bumpType(typ, cls string) {
-	m, ok := a.typeClasses[typ]
+// bumpType counts n servers of device class cls showing exposure typ.
+func (a *ExposureAcc) bumpType(typ, cls string, n int) {
+	m, ok := a.TypeClasses[typ]
 	if !ok {
 		m = map[string]int{}
-		a.typeClasses[typ] = m
+		a.TypeClasses[typ] = m
 	}
-	m[cls]++
-	a.typeTotals[typ]++
+	m[cls] += n
+	a.TypeTotals[typ] += n
 }
 
-// ExposureSnap is the serializable state of an ExposureAcc. Exp carries
-// only the counter fields — the Extensions/Sensitive slices are derived at
-// Finalize and never populated in the accumulator.
-type ExposureSnap struct {
-	Exp         Exposure
-	ExtFiles    map[string]int
-	ExtServers  map[string]int
-	Sens        map[string]SensitiveClass
-	TypeClasses map[string]map[string]int
-	TypeTotals  map[string]int
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *ExposureAcc) Snapshot() ExposureSnap {
-	s := ExposureSnap{
-		Exp:        a.exp,
-		ExtFiles:   copyCounts(a.extFiles),
-		ExtServers: copyCounts(a.extServers),
-		TypeTotals: copyCounts(a.typeTotals),
-	}
-	if a.sens != nil {
-		s.Sens = make(map[string]SensitiveClass, len(a.sens))
-		for name, sc := range a.sens {
-			s.Sens[name] = *sc
-		}
-	}
-	if a.typeClasses != nil {
-		s.TypeClasses = make(map[string]map[string]int, len(a.typeClasses))
-		for typ, m := range a.typeClasses {
-			s.TypeClasses[typ] = copyCounts(m)
-		}
-	}
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *ExposureAcc) Merge(s ExposureSnap) {
-	e := &a.exp
-	o := s.Exp
-	e.AnonServers += o.AnonServers
-	e.ExposingServers += o.ExposingServers
-	e.IndexHTMLFiles += o.IndexHTMLFiles
-	e.IndexHTMLServers += o.IndexHTMLServers
-	e.PhotoFiles += o.PhotoFiles
-	e.PhotoReadable += o.PhotoReadable
-	e.PhotoServers += o.PhotoServers
-	e.OSRootLinux += o.OSRootLinux
-	e.OSRootWindows += o.OSRootWindows
-	e.HtaccessFiles += o.HtaccessFiles
-	e.HtaccessServers += o.HtaccessServers
-	e.ScriptFiles += o.ScriptFiles
-	e.ScriptServers += o.ScriptServers
-	e.RobotsSeen += o.RobotsSeen
-	e.RobotsExcludeAll += o.RobotsExcludeAll
-	e.Truncated += o.Truncated
-	if len(s.ExtFiles)+len(s.ExtServers)+len(s.Sens)+len(s.TypeClasses)+len(s.TypeTotals) == 0 {
+// Merge folds another accumulator into this one.
+func (a *ExposureAcc) Merge(o *ExposureAcc) {
+	e, x := &a.Exp, &o.Exp
+	e.AnonServers += x.AnonServers
+	e.ExposingServers += x.ExposingServers
+	e.IndexHTMLFiles += x.IndexHTMLFiles
+	e.IndexHTMLServers += x.IndexHTMLServers
+	e.PhotoFiles += x.PhotoFiles
+	e.PhotoReadable += x.PhotoReadable
+	e.PhotoServers += x.PhotoServers
+	e.OSRootLinux += x.OSRootLinux
+	e.OSRootWindows += x.OSRootWindows
+	e.HtaccessFiles += x.HtaccessFiles
+	e.HtaccessServers += x.HtaccessServers
+	e.ScriptFiles += x.ScriptFiles
+	e.ScriptServers += x.ScriptServers
+	e.RobotsSeen += x.RobotsSeen
+	e.RobotsExcludeAll += x.RobotsExcludeAll
+	e.Truncated += x.Truncated
+	if len(o.ExtFiles)+len(o.ExtServers)+len(o.Sens)+len(o.TypeClasses)+len(o.TypeTotals) == 0 {
 		return
 	}
-	if a.sens == nil {
+	if a.Sens == nil {
 		a.init()
 	}
-	addCounts(a.extFiles, s.ExtFiles)
-	addCounts(a.extServers, s.ExtServers)
-	for name, src := range s.Sens {
-		sc, ok := a.sens[name]
+	addCounts(a.ExtFiles, o.ExtFiles)
+	addCounts(a.ExtServers, o.ExtServers)
+	for name, src := range o.Sens {
+		sc, ok := a.Sens[name]
 		if !ok {
 			sc = &SensitiveClass{Type: src.Type, Name: src.Name}
-			a.sens[name] = sc
+			a.Sens[name] = sc
 		}
 		sc.Servers += src.Servers
 		sc.Files += src.Files
@@ -449,24 +416,20 @@ func (a *ExposureAcc) Merge(s ExposureSnap) {
 		sc.NonReadable += src.NonReadable
 		sc.UnkReadable += src.UnkReadable
 	}
-	for typ, src := range s.TypeClasses {
-		m, ok := a.typeClasses[typ]
-		if !ok {
-			m = map[string]int{}
-			a.typeClasses[typ] = m
+	for typ, src := range o.TypeClasses {
+		for cls, n := range src {
+			a.bumpType(typ, cls, n)
 		}
-		addCounts(m, src)
 	}
-	addCounts(a.typeTotals, s.TypeTotals)
 }
 
 // Finalize produces Tables VIII/IX and §V's prose statistics.
 func (a *ExposureAcc) Finalize() Exposure {
-	e := a.exp
+	e := a.Exp
 	e.Extensions = nil
-	for ext, n := range a.extFiles {
+	for ext, n := range a.ExtFiles {
 		e.Extensions = append(e.Extensions, ExtensionCount{
-			Ext: ext, Files: n, Servers: a.extServers[ext],
+			Ext: ext, Files: n, Servers: a.ExtServers[ext],
 		})
 	}
 	sort.Slice(e.Extensions, func(i, j int) bool {
@@ -477,7 +440,7 @@ func (a *ExposureAcc) Finalize() Exposure {
 	})
 	e.Sensitive = nil
 	for _, m := range sensitiveMatchers {
-		if sc, ok := a.sens[m.name]; ok {
+		if sc, ok := a.Sens[m.name]; ok {
 			e.Sensitive = append(e.Sensitive, *sc)
 		} else {
 			e.Sensitive = append(e.Sensitive, SensitiveClass{Type: m.typ, Name: m.name})
@@ -493,9 +456,9 @@ func (a *ExposureAcc) FinalizeByDevice() ExposureByDevice {
 		Totals: make(map[string]int),
 	}
 	for _, typ := range append(append([]string{}, exposureTypes...), "All") {
-		total := a.typeTotals[typ]
+		total := a.TypeTotals[typ]
 		row := make(map[string]float64)
-		for cls, n := range a.typeClasses[typ] {
+		for cls, n := range a.TypeClasses[typ] {
 			row[cls] = percent(n, total)
 		}
 		out.Rows[typ] = row

@@ -38,19 +38,34 @@ type FTPS struct {
 	TotalFTP    int
 }
 
-// certAgg tracks one distinct certificate's spread.
-type certAgg struct {
-	cn         string
-	selfSigned bool
-	servers    int
-	devices    map[string]int
+// CertAgg tracks one distinct certificate's spread.
+type CertAgg struct {
+	CN         string
+	SelfSigned bool
+	Servers    int
+	// Devices counts the certificate's servers by device model.
+	Devices map[string]int
 }
 
 // FTPSAcc accumulates §IX and Tables XII/XIII. The zero value is ready.
 type FTPSAcc struct {
-	totalFTP, supported, requirePre, selfSigned int
+	TotalFTP, Supported, RequirePre, SelfSigned int
 
-	byFP map[string]*certAgg
+	ByFP map[string]*CertAgg
+}
+
+// cert returns fingerprint fp's aggregate, creating it from cn and
+// selfSigned on first use.
+func (a *FTPSAcc) cert(fp, cn string, selfSigned bool) *CertAgg {
+	if a.ByFP == nil {
+		a.ByFP = map[string]*CertAgg{}
+	}
+	agg, ok := a.ByFP[fp]
+	if !ok {
+		agg = &CertAgg{CN: cn, SelfSigned: selfSigned, Devices: map[string]int{}}
+		a.ByFP[fp] = agg
+	}
+	return agg
 }
 
 // Observe folds one record.
@@ -59,91 +74,40 @@ func (a *FTPSAcc) Observe(r *Record) {
 	if !host.FTP {
 		return
 	}
-	a.totalFTP++
+	a.TotalFTP++
 	if !host.FTPSSupported() {
 		return
 	}
-	a.supported++
+	a.Supported++
 	if host.FTPS.RequiredPreLogin {
-		a.requirePre++
+		a.RequirePre++
 	}
 	cert := host.FTPS.Cert
 	if cert == nil {
 		return
 	}
 	if cert.SelfSigned {
-		a.selfSigned++
+		a.SelfSigned++
 	}
-	if a.byFP == nil {
-		a.byFP = map[string]*certAgg{}
-	}
-	agg, ok := a.byFP[cert.FingerprintSHA256]
-	if !ok {
-		agg = &certAgg{cn: cert.CommonName, selfSigned: cert.SelfSigned, devices: map[string]int{}}
-		a.byFP[cert.FingerprintSHA256] = agg
-	}
-	agg.servers++
+	agg := a.cert(cert.FingerprintSHA256, cert.CommonName, cert.SelfSigned)
+	agg.Servers++
 	if c := r.Class(); c.DeviceModel != "" {
-		agg.devices[c.DeviceModel]++
+		agg.Devices[c.DeviceModel]++
 	}
 }
 
-// CertSnap is one certificate's serializable Table XII/XIII state.
-type CertSnap struct {
-	CN         string
-	SelfSigned bool
-	Servers    int
-	Devices    map[string]int
-}
-
-// FTPSSnap is the serializable state of an FTPSAcc.
-type FTPSSnap struct {
-	TotalFTP, Supported, RequirePre, SelfSigned int
-	ByFP                                        map[string]CertSnap
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *FTPSAcc) Snapshot() FTPSSnap {
-	s := FTPSSnap{
-		TotalFTP:   a.totalFTP,
-		Supported:  a.supported,
-		RequirePre: a.requirePre,
-		SelfSigned: a.selfSigned,
-	}
-	if a.byFP != nil {
-		s.ByFP = make(map[string]CertSnap, len(a.byFP))
-		for fp, agg := range a.byFP {
-			s.ByFP[fp] = CertSnap{
-				CN:         agg.cn,
-				SelfSigned: agg.selfSigned,
-				Servers:    agg.servers,
-				Devices:    copyCounts(agg.devices),
-			}
-		}
-	}
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *FTPSAcc) Merge(s FTPSSnap) {
-	a.totalFTP += s.TotalFTP
-	a.supported += s.Supported
-	a.requirePre += s.RequirePre
-	a.selfSigned += s.SelfSigned
-	if len(s.ByFP) == 0 {
-		return
-	}
-	if a.byFP == nil {
-		a.byFP = map[string]*certAgg{}
-	}
-	for fp, src := range s.ByFP {
-		agg, ok := a.byFP[fp]
-		if !ok {
-			agg = &certAgg{cn: src.CN, selfSigned: src.SelfSigned, devices: map[string]int{}}
-			a.byFP[fp] = agg
-		}
-		agg.servers += src.Servers
-		addCounts(agg.devices, src.Devices)
+// Merge folds another accumulator into this one. Every certificate gets a
+// fresh device map here, so a decoded certificate without one never
+// reaches Observe.
+func (a *FTPSAcc) Merge(o *FTPSAcc) {
+	a.TotalFTP += o.TotalFTP
+	a.Supported += o.Supported
+	a.RequirePre += o.RequirePre
+	a.SelfSigned += o.SelfSigned
+	for fp, src := range o.ByFP {
+		agg := a.cert(fp, src.CN, src.SelfSigned)
+		agg.Servers += src.Servers
+		addCounts(agg.Devices, src.Devices)
 	}
 }
 
@@ -153,11 +117,11 @@ func (a *FTPSAcc) Merge(s FTPSSnap) {
 // byte-identically.
 func (a *FTPSAcc) Finalize(topN int) FTPS {
 	f := FTPS{
-		Supported:       a.supported,
-		RequirePreLogin: a.requirePre,
-		SelfSigned:      a.selfSigned,
-		TotalFTP:        a.totalFTP,
-		UniqueCerts:     len(a.byFP),
+		Supported:       a.Supported,
+		RequirePreLogin: a.RequirePre,
+		SelfSigned:      a.SelfSigned,
+		TotalFTP:        a.TotalFTP,
+		UniqueCerts:     len(a.ByFP),
 	}
 	f.PctSupported = percent(f.Supported, f.TotalFTP)
 	f.PctSelfSigned = percent(f.SelfSigned, f.Supported)
@@ -167,19 +131,19 @@ func (a *FTPSAcc) Finalize(topN int) FTPS {
 		fp  string
 	}
 	var deviceRows []deviceRow
-	for fp, agg := range a.byFP {
+	for fp, agg := range a.ByFP {
 		f.TopCerts = append(f.TopCerts, CertCount{
-			CommonName:  agg.cn,
+			CommonName:  agg.CN,
 			Fingerprint: fp,
-			Servers:     agg.servers,
-			SelfSigned:  agg.selfSigned,
+			Servers:     agg.Servers,
+			SelfSigned:  agg.SelfSigned,
 		})
 		// A certificate dominated by one device family is a shared
 		// device certificate (Table XIII).
-		for device, n := range agg.devices {
-			if n*2 >= agg.servers && n > 1 {
+		for device, n := range agg.Devices {
+			if n*2 >= agg.Servers && n > 1 {
 				deviceRows = append(deviceRows, deviceRow{
-					row: DeviceCert{Device: device, CommonName: agg.cn, Servers: n},
+					row: DeviceCert{Device: device, CommonName: agg.CN, Servers: n},
 					fp:  fp,
 				})
 			}

@@ -13,7 +13,7 @@ type Funnel struct {
 
 // FunnelAcc accumulates Table I incrementally. The zero value is ready.
 type FunnelAcc struct {
-	open, ftp, anon int
+	Open, FTP, Anon int
 }
 
 // Observe folds one record.
@@ -21,40 +21,30 @@ func (a *FunnelAcc) Observe(r *Record) {
 	if !r.Host.PortOpen {
 		return
 	}
-	a.open++
+	a.Open++
 	if !r.Host.FTP {
 		return
 	}
-	a.ftp++
+	a.FTP++
 	if r.Host.AnonymousOK {
-		a.anon++
+		a.Anon++
 	}
 }
 
-// FunnelSnap is the serializable state of a FunnelAcc.
-type FunnelSnap struct {
-	Open, FTP, Anon int
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *FunnelAcc) Snapshot() FunnelSnap {
-	return FunnelSnap{Open: a.open, FTP: a.ftp, Anon: a.anon}
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *FunnelAcc) Merge(s FunnelSnap) {
-	a.open += s.Open
-	a.ftp += s.FTP
-	a.anon += s.Anon
+// Merge folds another accumulator into this one.
+func (a *FunnelAcc) Merge(o *FunnelAcc) {
+	a.Open += o.Open
+	a.FTP += o.FTP
+	a.Anon += o.Anon
 }
 
 // Finalize produces Table I for the given sweep size.
 func (a *FunnelAcc) Finalize(ipsScanned uint64) Funnel {
 	f := Funnel{
 		IPsScanned:  ipsScanned,
-		OpenPort21:  a.open,
-		FTPServers:  a.ftp,
-		AnonServers: a.anon,
+		OpenPort21:  a.Open,
+		FTPServers:  a.FTP,
+		AnonServers: a.Anon,
 	}
 	if f.IPsScanned > 0 {
 		f.PctOpen = 100 * float64(f.OpenPort21) / float64(f.IPsScanned)

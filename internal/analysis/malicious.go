@@ -50,25 +50,17 @@ type Malicious struct {
 }
 
 // MaliciousAcc accumulates §VI. The zero value is ready.
+//
+// It keeps no writable-AS set: those ASes are exactly the keys of
+// ASConcentrationAcc.Writable (FTP, anonymous, writable, AS known), so
+// Finalize takes their count from there.
 type MaliciousAcc struct {
-	writableServers     int
-	anonUploadConfirmed int
-	ratFiles            int
-	ratServers          int
-	ddosServers         int
-	holyBibleServers    int
-	holyBibleWritable   int
-	warezServers        int
-	ramnitServers       int
-	httpOverlap         int
-	scriptingOverlap    int
-	totalFTP            int
-
-	// writableASes keys on the AS number — plain data, so snapshots of two
-	// accumulators merge as a set union.
-	writableASes map[uint32]bool
-	campServers  map[string]int
-	campFiles    map[string]int
+	WritableServers, AnonUploadConfirmed    int
+	RATFiles, RATServers, DDoSServers       int
+	HolyBibleServers, HolyBibleWritable     int
+	WarezServers, RamnitServers             int
+	HTTPOverlap, ScriptingOverlap, TotalFTP int
+	CampServers, CampFiles                  map[string]int
 }
 
 // Observe folds one record.
@@ -77,33 +69,29 @@ func (a *MaliciousAcc) Observe(r *Record) {
 	if !host.FTP {
 		return
 	}
-	a.totalFTP++
+	a.TotalFTP++
 	if info, ok := r.HTTP(); ok && info.HTTP {
-		a.httpOverlap++
+		a.HTTPOverlap++
 		if info.Scripting {
-			a.scriptingOverlap++
+			a.ScriptingOverlap++
 		}
 	}
 	if r.Class().Ramnit {
-		a.ramnitServers++
+		a.RamnitServers++
 	}
 	if !host.AnonymousOK {
 		return
 	}
-	if a.writableASes == nil {
-		a.writableASes = map[uint32]bool{}
-		a.campServers = map[string]int{}
-		a.campFiles = map[string]int{}
+	if a.CampServers == nil {
+		a.CampServers = map[string]int{}
+		a.CampFiles = map[string]int{}
 	}
 
 	if Writable(host) {
-		a.writableServers++
-		if as := r.AS(); as != nil {
-			a.writableASes[as.Number] = true
-		}
+		a.WritableServers++
 	}
 	if host.AnonUploadConfirmed {
-		a.anonUploadConfirmed++
+		a.AnonUploadConfirmed++
 	}
 
 	seenHere := map[string]bool{}
@@ -118,130 +106,88 @@ func (a *MaliciousAcc) Observe(r *Record) {
 			continue
 		}
 		for _, key := range campaigns.DetectFilename(f.Name) {
-			a.campFiles[key]++
+			a.CampFiles[key]++
 			if !seenHere[key] {
 				seenHere[key] = true
-				a.campServers[key]++
+				a.CampServers[key]++
 			}
 			if key == campaigns.KeyRATEval {
-				a.ratFiles++
+				a.RATFiles++
 				ratSeen = true
 			}
 		}
 	}
 	if ratSeen {
-		a.ratServers++
+		a.RATServers++
 	}
 	if warezSeen {
-		a.warezServers++
+		a.WarezServers++
 		if !seenHere[campaigns.KeyWaReZ] {
-			a.campServers[campaigns.KeyWaReZ]++
+			a.CampServers[campaigns.KeyWaReZ]++
 		}
 	}
 	if seenHere[campaigns.KeyDDoSHistory] || seenHere[campaigns.KeyDDoSPhzLtoxn] {
-		a.ddosServers++
+		a.DDoSServers++
 	}
 	if hasHolyBible(host) {
-		a.holyBibleServers++
+		a.HolyBibleServers++
 		if Writable(host) {
-			a.holyBibleWritable++
+			a.HolyBibleWritable++
 		}
 	}
 }
 
-// MaliciousSnap is the serializable state of a MaliciousAcc.
-type MaliciousSnap struct {
-	WritableServers, AnonUploadConfirmed    int
-	RATFiles, RATServers, DDoSServers       int
-	HolyBibleServers, HolyBibleWritable     int
-	WarezServers, RamnitServers             int
-	HTTPOverlap, ScriptingOverlap, TotalFTP int
-	// WritableASes is the writable-AS set as a sorted slice, so a given
-	// accumulator state has one canonical snapshot.
-	WritableASes []uint32
-	CampServers  map[string]int
-	CampFiles    map[string]int
-}
-
-// Snapshot captures the accumulator as plain data.
-func (a *MaliciousAcc) Snapshot() MaliciousSnap {
-	s := MaliciousSnap{
-		WritableServers:     a.writableServers,
-		AnonUploadConfirmed: a.anonUploadConfirmed,
-		RATFiles:            a.ratFiles,
-		RATServers:          a.ratServers,
-		DDoSServers:         a.ddosServers,
-		HolyBibleServers:    a.holyBibleServers,
-		HolyBibleWritable:   a.holyBibleWritable,
-		WarezServers:        a.warezServers,
-		RamnitServers:       a.ramnitServers,
-		HTTPOverlap:         a.httpOverlap,
-		ScriptingOverlap:    a.scriptingOverlap,
-		TotalFTP:            a.totalFTP,
-		CampServers:         copyCounts(a.campServers),
-		CampFiles:           copyCounts(a.campFiles),
-	}
-	for n := range a.writableASes {
-		s.WritableASes = append(s.WritableASes, n)
-	}
-	sort.Slice(s.WritableASes, func(i, j int) bool { return s.WritableASes[i] < s.WritableASes[j] })
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one.
-func (a *MaliciousAcc) Merge(s MaliciousSnap) {
-	a.writableServers += s.WritableServers
-	a.anonUploadConfirmed += s.AnonUploadConfirmed
-	a.ratFiles += s.RATFiles
-	a.ratServers += s.RATServers
-	a.ddosServers += s.DDoSServers
-	a.holyBibleServers += s.HolyBibleServers
-	a.holyBibleWritable += s.HolyBibleWritable
-	a.warezServers += s.WarezServers
-	a.ramnitServers += s.RamnitServers
-	a.httpOverlap += s.HTTPOverlap
-	a.scriptingOverlap += s.ScriptingOverlap
-	a.totalFTP += s.TotalFTP
-	if len(s.WritableASes)+len(s.CampServers)+len(s.CampFiles) == 0 {
+// Merge folds another accumulator into this one.
+func (a *MaliciousAcc) Merge(o *MaliciousAcc) {
+	a.WritableServers += o.WritableServers
+	a.AnonUploadConfirmed += o.AnonUploadConfirmed
+	a.RATFiles += o.RATFiles
+	a.RATServers += o.RATServers
+	a.DDoSServers += o.DDoSServers
+	a.HolyBibleServers += o.HolyBibleServers
+	a.HolyBibleWritable += o.HolyBibleWritable
+	a.WarezServers += o.WarezServers
+	a.RamnitServers += o.RamnitServers
+	a.HTTPOverlap += o.HTTPOverlap
+	a.ScriptingOverlap += o.ScriptingOverlap
+	a.TotalFTP += o.TotalFTP
+	if len(o.CampServers)+len(o.CampFiles) == 0 {
 		return
 	}
-	if a.writableASes == nil {
-		a.writableASes = map[uint32]bool{}
-		a.campServers = map[string]int{}
-		a.campFiles = map[string]int{}
+	if a.CampServers == nil {
+		a.CampServers = map[string]int{}
+		a.CampFiles = map[string]int{}
 	}
-	for _, n := range s.WritableASes {
-		a.writableASes[n] = true
-	}
-	addCounts(a.campServers, s.CampServers)
-	addCounts(a.campFiles, s.CampFiles)
+	addCounts(a.CampServers, o.CampServers)
+	addCounts(a.CampFiles, o.CampFiles)
 }
 
-// Finalize produces §VI.
-func (a *MaliciousAcc) Finalize() Malicious {
+// Finalize produces §VI. writableASes is the number of ASes holding a
+// world-writable anonymous server (len(ASConcentrationAcc.Writable)).
+func (a *MaliciousAcc) Finalize(writableASes int) Malicious {
 	m := Malicious{
-		WritableServers:     a.writableServers,
-		WritableASes:        len(a.writableASes),
-		AnonUploadConfirmed: a.anonUploadConfirmed,
-		RATFiles:            a.ratFiles,
-		RATServers:          a.ratServers,
-		DDoSServers:         a.ddosServers,
-		HolyBibleServers:    a.holyBibleServers,
-		WaReZServers:        a.warezServers,
-		RamnitServers:       a.ramnitServers,
-		HTTPOverlap:         a.httpOverlap,
-		ScriptingOverlap:    a.scriptingOverlap,
-		TotalFTP:            a.totalFTP,
+		WritableServers:     a.WritableServers,
+		WritableASes:        writableASes,
+		AnonUploadConfirmed: a.AnonUploadConfirmed,
+		RATFiles:            a.RATFiles,
+		RATServers:          a.RATServers,
+		DDoSServers:         a.DDoSServers,
+		HolyBibleServers:    a.HolyBibleServers,
+		WaReZServers:        a.WarezServers,
+		RamnitServers:       a.RamnitServers,
+		HTTPOverlap:         a.HTTPOverlap,
+		ScriptingOverlap:    a.ScriptingOverlap,
+		TotalFTP:            a.TotalFTP,
 	}
-	m.HolyBiblePctWritable = percent(a.holyBibleWritable, a.holyBibleServers)
-	for key, n := range a.campServers {
+	m.HolyBiblePctWritable = percent(a.HolyBibleWritable, a.HolyBibleServers)
+	for key, n := range a.CampServers {
 		c := campaigns.ByKey(key)
 		name := key
 		if c != nil {
 			name = c.Name
 		}
 		m.Campaigns = append(m.Campaigns, CampaignHit{
-			Key: key, Name: name, Servers: n, Files: a.campFiles[key],
+			Key: key, Name: name, Servers: n, Files: a.CampFiles[key],
 		})
 	}
 	sort.Slice(m.Campaigns, func(i, j int) bool {

@@ -11,32 +11,35 @@ import (
 	"ftpcloud/internal/dataset"
 )
 
-// Snapshot is an Aggregator frozen as plain data: the observed-record count
-// plus every accumulator's state, with no pointers into the AS database or
-// the world. Two snapshots of disjoint record sets merge into the state a
-// single aggregator would have reached over the union — every accumulator
-// is an additive fold, and every Finalize tie-breaks deterministically, so
-// merge order cannot change any finalized table.
+// Snapshot is an aggregator's state as plain data: the observed-record
+// count plus every accumulator, with no pointers into the AS database or
+// the world. The accumulators are their own serialized form: gob matches
+// fields by name, so an accumulator's exported field names are the
+// checkpoint format, and renaming one breaks every file written before.
+// Two snapshots of disjoint record sets merge into the state a single
+// aggregator would have reached over the union — every accumulator is an
+// additive fold, and every Finalize tie-breaks deterministically, so merge
+// order cannot change any finalized table.
 //
 // It is the aggregate half of a census checkpoint: a resumed census seeds
 // its one aggregator with MergeSnapshot before any record flows, so a
 // partial aggregate written to disk is a resumable position in the census.
 type Snapshot struct {
 	Observed        int
-	Funnel          FunnelSnap
-	Classification  ClassificationSnap
-	ASConcentration ASConcentrationSnap
-	Devices         DevicesSnap
-	TopASes         TopASesSnap
-	Exposure        ExposureSnap
-	CVEs            CVEsSnap
-	Malicious       MaliciousSnap
-	PortBounce      PortBounceSnap
-	FTPS            FTPSSnap
+	Funnel          FunnelAcc
+	Classification  ClassificationAcc
+	ASConcentration ASConcentrationAcc
+	Devices         DevicesAcc
+	TopASes         TopASesAcc
+	Exposure        ExposureAcc
+	CVEs            CVEsAcc
+	Malicious       MaliciousAcc
+	PortBounce      PortBounceAcc
+	FTPS            FTPSAcc
 	// Unexpected rides the same version-1 frame: gob tolerates fields
 	// absent from older streams, so pre-funnel snapshots decode with an
 	// empty ledger.
-	Unexpected UnexpectedSnap
+	Unexpected UnexpectedAcc
 
 	// Checkpoint, when non-nil, upgrades the snapshot from a mergeable
 	// aggregate into a resumable census position: the scan cursors, the
@@ -150,41 +153,37 @@ const (
 // detect it with errors.Is.
 var ErrCorruptSnapshot = errors.New("analysis: corrupt snapshot")
 
-// Snapshot captures the aggregator's full accumulator state as plain data.
-// Like the finalize methods it is safe once observation has stopped.
+// Snapshot returns a deep copy of the aggregator's state: a fresh Snapshot
+// with the live one merged in, since every Merge builds its own map
+// entries. Like the finalize methods it is safe once observation has
+// stopped.
 func (a *Aggregator) Snapshot() *Snapshot {
-	return &Snapshot{
-		Observed:        a.observed,
-		Funnel:          a.funnel.Snapshot(),
-		Classification:  a.class.Snapshot(),
-		ASConcentration: a.asconc.Snapshot(),
-		Devices:         a.devices.Snapshot(),
-		TopASes:         a.topASes.Snapshot(),
-		Exposure:        a.exposure.Snapshot(),
-		CVEs:            a.cves.Snapshot(),
-		Malicious:       a.malicious.Snapshot(),
-		PortBounce:      a.portBounce.Snapshot(),
-		FTPS:            a.ftps.Snapshot(),
-		Unexpected:      a.unexpected.Snapshot(),
-	}
+	s := new(Snapshot)
+	s.merge(&a.s)
+	return s
 }
 
 // MergeSnapshot folds a snapshot into the aggregator, as if the records it
-// summarizes had been observed here. Like Observe it must not race with
-// other mutations.
-func (a *Aggregator) MergeSnapshot(s *Snapshot) {
-	a.observed += s.Observed
-	a.funnel.Merge(s.Funnel)
-	a.class.Merge(s.Classification)
-	a.asconc.Merge(s.ASConcentration)
-	a.devices.Merge(s.Devices)
-	a.topASes.Merge(s.TopASes)
-	a.exposure.Merge(s.Exposure)
-	a.cves.Merge(s.CVEs)
-	a.malicious.Merge(s.Malicious)
-	a.portBounce.Merge(s.PortBounce)
-	a.ftps.Merge(s.FTPS)
-	a.unexpected.Merge(s.Unexpected)
+// summarizes had been observed here; its Checkpoint is not merged. Like
+// Observe it must not race with other mutations.
+func (a *Aggregator) MergeSnapshot(s *Snapshot) { a.s.merge(s) }
+
+// merge folds o's observed count and accumulators into s. Merge is the
+// only code that takes in decoded state, and it copies rather than shares
+// o's maps.
+func (s *Snapshot) merge(o *Snapshot) {
+	s.Observed += o.Observed
+	s.Funnel.Merge(&o.Funnel)
+	s.Classification.Merge(&o.Classification)
+	s.ASConcentration.Merge(&o.ASConcentration)
+	s.Devices.Merge(&o.Devices)
+	s.TopASes.Merge(&o.TopASes)
+	s.Exposure.Merge(&o.Exposure)
+	s.CVEs.Merge(&o.CVEs)
+	s.Malicious.Merge(&o.Malicious)
+	s.PortBounce.Merge(&o.PortBounce)
+	s.FTPS.Merge(&o.FTPS)
+	s.Unexpected.Merge(&o.Unexpected)
 }
 
 // Encode writes the snapshot's compact binary form: a fixed header (magic

@@ -16,23 +16,14 @@ import (
 // methods (Funnel, Classification, ...) are pure and may be called any
 // number of times, concurrently, once observation has stopped.
 type Aggregator struct {
-	d        deriver
-	observed int
+	d deriver
 	// rec is the Record being folded, reused so deriving a record does
 	// not allocate; it is cleared after each fold so it pins no host.
 	rec Record
-
-	funnel     FunnelAcc
-	class      ClassificationAcc
-	asconc     ASConcentrationAcc
-	devices    DevicesAcc
-	topASes    TopASesAcc
-	exposure   ExposureAcc
-	cves       CVEsAcc
-	malicious  MaliciousAcc
-	portBounce PortBounceAcc
-	ftps       FTPSAcc
-	unexpected UnexpectedAcc
+	// s is the aggregator's whole state, the observed count and every
+	// accumulator, in the form a checkpoint stores it. Its Checkpoint
+	// stays nil.
+	s Snapshot
 }
 
 // NewAggregator builds an aggregator resolving ASes against db and the
@@ -69,57 +60,60 @@ func (a *Aggregator) Close() error {
 
 // fold dispatches a derived record to the accumulators.
 func (a *Aggregator) fold(r *Record) {
-	a.observed++
-	a.funnel.Observe(r)
-	a.class.Observe(r)
-	a.asconc.Observe(r)
-	a.devices.Observe(r)
-	a.topASes.Observe(r)
-	a.exposure.Observe(r)
-	a.cves.Observe(r)
-	a.malicious.Observe(r)
-	a.portBounce.Observe(r)
-	a.ftps.Observe(r)
-	a.unexpected.Observe(r)
+	s := &a.s
+	s.Observed++
+	s.Funnel.Observe(r)
+	s.Classification.Observe(r)
+	s.ASConcentration.Observe(r)
+	s.Devices.Observe(r)
+	s.TopASes.Observe(r)
+	s.Exposure.Observe(r)
+	s.CVEs.Observe(r)
+	s.Malicious.Observe(r)
+	s.PortBounce.Observe(r)
+	s.FTPS.Observe(r)
+	s.Unexpected.Observe(r)
 }
 
 // Observed returns how many records have been folded.
-func (a *Aggregator) Observed() int { return a.observed }
+func (a *Aggregator) Observed() int { return a.s.Observed }
 
 // Funnel finalizes Table I for the given sweep size.
-func (a *Aggregator) Funnel(ipsScanned uint64) Funnel { return a.funnel.Finalize(ipsScanned) }
+func (a *Aggregator) Funnel(ipsScanned uint64) Funnel { return a.s.Funnel.Finalize(ipsScanned) }
 
 // Classification finalizes Table II.
-func (a *Aggregator) Classification() Classification { return a.class.Finalize() }
+func (a *Aggregator) Classification() Classification { return a.s.Classification.Finalize() }
 
 // ASConcentration finalizes Table III / Figure 1.
-func (a *Aggregator) ASConcentration() ASConcentration { return a.asconc.Finalize() }
+func (a *Aggregator) ASConcentration() ASConcentration { return a.s.ASConcentration.Finalize() }
 
 // Devices finalizes Tables IV, V, and VII.
-func (a *Aggregator) Devices() DeviceBreakdown { return a.devices.Finalize() }
+func (a *Aggregator) Devices() DeviceBreakdown { return a.s.Devices.Finalize() }
 
 // TopASes finalizes Table VI.
-func (a *Aggregator) TopASes(n int) []TopAS { return a.topASes.Finalize(n) }
+func (a *Aggregator) TopASes(n int) []TopAS { return a.s.TopASes.Finalize(n) }
 
 // Exposure finalizes Tables VIII/IX and §V.
-func (a *Aggregator) Exposure() Exposure { return a.exposure.Finalize() }
+func (a *Aggregator) Exposure() Exposure { return a.s.Exposure.Finalize() }
 
 // ExposureByDevice finalizes Table X.
-func (a *Aggregator) ExposureByDevice() ExposureByDevice { return a.exposure.FinalizeByDevice() }
+func (a *Aggregator) ExposureByDevice() ExposureByDevice { return a.s.Exposure.FinalizeByDevice() }
 
 // CVEs finalizes Table XI.
-func (a *Aggregator) CVEs() CVEExposure { return a.cves.Finalize() }
+func (a *Aggregator) CVEs() CVEExposure { return a.s.CVEs.Finalize() }
 
 // Malicious finalizes §VI.
-func (a *Aggregator) Malicious() Malicious { return a.malicious.Finalize() }
+func (a *Aggregator) Malicious() Malicious {
+	return a.s.Malicious.Finalize(len(a.s.ASConcentration.Writable))
+}
 
 // PortBounce finalizes §VII.B.
-func (a *Aggregator) PortBounce() PortBounce { return a.portBounce.Finalize() }
+func (a *Aggregator) PortBounce() PortBounce { return a.s.PortBounce.Finalize() }
 
 // FTPS finalizes §IX and Tables XII/XIII.
-func (a *Aggregator) FTPS(topN int) FTPS { return a.ftps.Finalize(topN) }
+func (a *Aggregator) FTPS(topN int) FTPS { return a.s.FTPS.Finalize(topN) }
 
 // Unexpected finalizes the identification ledger — the endpoints the staged
 // funnel shed before enumeration, by sniffed protocol. Empty on two-stage
 // runs.
-func (a *Aggregator) Unexpected() UnexpectedServices { return a.unexpected.Finalize() }
+func (a *Aggregator) Unexpected() UnexpectedServices { return a.s.Unexpected.Finalize() }

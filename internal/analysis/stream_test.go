@@ -18,6 +18,7 @@ type tableSet struct {
 	Malicious        Malicious
 	PortBounce       PortBounce
 	FTPS             FTPS
+	Unexpected       UnexpectedServices
 }
 
 func finalizeAll(agg *Aggregator, ipsScanned uint64) tableSet {
@@ -33,6 +34,7 @@ func finalizeAll(agg *Aggregator, ipsScanned uint64) tableSet {
 		Malicious:        agg.Malicious(),
 		PortBounce:       agg.PortBounce(),
 		FTPS:             agg.FTPS(10),
+		Unexpected:       agg.Unexpected(),
 	}
 }
 

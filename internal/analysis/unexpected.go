@@ -31,75 +31,39 @@ type UnexpectedService struct {
 // two-stage run) are ignored, so the accumulator is inert unless the
 // identification stage ran.
 type UnexpectedAcc struct {
-	total   int
-	byProto map[string]int
-	sample  map[string]string
-}
-
-// Observe folds one record.
-func (a *UnexpectedAcc) Observe(r *Record) {
-	proto := r.Host.Service
-	if proto == "" {
-		return
-	}
-	a.total++
-	if a.byProto == nil {
-		a.byProto = make(map[string]int)
-		a.sample = make(map[string]string)
-	}
-	a.byProto[proto]++
-	a.keepSample(proto, r.Host.Banner)
-}
-
-// keepSample retains the smallest non-empty banner seen for a protocol.
-func (a *UnexpectedAcc) keepSample(proto, banner string) {
-	if banner == "" {
-		return
-	}
-	if cur, ok := a.sample[proto]; !ok || banner < cur {
-		a.sample[proto] = banner
-	}
-}
-
-// UnexpectedSnap is the serializable state of an UnexpectedAcc.
-type UnexpectedSnap struct {
 	Total   int
 	ByProto map[string]int
 	Sample  map[string]string
 }
 
-// Snapshot captures the accumulator as plain data.
-func (a *UnexpectedAcc) Snapshot() UnexpectedSnap {
-	s := UnexpectedSnap{Total: a.total}
-	if a.byProto != nil {
-		s.ByProto = make(map[string]int, len(a.byProto))
-		for p, n := range a.byProto {
-			s.ByProto[p] = n
-		}
-		s.Sample = make(map[string]string, len(a.sample))
-		for p, b := range a.sample {
-			s.Sample[p] = b
-		}
-	}
-	return s
-}
-
-// Merge folds a snapshot of another accumulator into this one. Counts add;
-// samples keep the smallest, so any merge order finalizes identically.
-func (a *UnexpectedAcc) Merge(s UnexpectedSnap) {
-	a.total += s.Total
-	if len(s.ByProto) == 0 {
+// Observe folds one record.
+func (a *UnexpectedAcc) Observe(r *Record) {
+	if r.Host.Service == "" {
 		return
 	}
-	if a.byProto == nil {
-		a.byProto = make(map[string]int, len(s.ByProto))
-		a.sample = make(map[string]string, len(s.Sample))
+	a.Total++
+	a.add(r.Host.Service, 1, r.Host.Banner)
+}
+
+// add counts n endpoints of proto and keeps banner as its sample if it is
+// the smallest non-empty one seen, so any fold or merge order keeps the
+// same sample.
+func (a *UnexpectedAcc) add(proto string, n int, banner string) {
+	if a.ByProto == nil {
+		a.ByProto = make(map[string]int)
+		a.Sample = make(map[string]string)
 	}
-	for p, n := range s.ByProto {
-		a.byProto[p] += n
+	a.ByProto[proto] += n
+	if cur, ok := a.Sample[proto]; banner != "" && (!ok || banner < cur) {
+		a.Sample[proto] = banner
 	}
-	for p, b := range s.Sample {
-		a.keepSample(p, b)
+}
+
+// Merge folds another accumulator into this one.
+func (a *UnexpectedAcc) Merge(o *UnexpectedAcc) {
+	a.Total += o.Total
+	for p, n := range o.ByProto {
+		a.add(p, n, o.Sample[p])
 	}
 }
 
@@ -107,13 +71,13 @@ func (a *UnexpectedAcc) Merge(s UnexpectedSnap) {
 // protocol name ascending on ties — deterministic regardless of fold or
 // merge order.
 func (a *UnexpectedAcc) Finalize() UnexpectedServices {
-	u := UnexpectedServices{Total: a.total}
-	for proto, n := range a.byProto {
+	u := UnexpectedServices{Total: a.Total}
+	for proto, n := range a.ByProto {
 		u.Services = append(u.Services, UnexpectedService{
 			Protocol:     proto,
 			Count:        n,
-			PctShed:      percent(n, a.total),
-			SampleBanner: a.sample[proto],
+			PctShed:      percent(n, a.Total),
+			SampleBanner: a.Sample[proto],
 		})
 	}
 	sort.Slice(u.Services, func(i, j int) bool {

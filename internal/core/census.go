@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -175,8 +176,9 @@ type Retention int
 // Deprecated: see CensusConfig.RetainRecords.
 const RetainNone Retention = 0
 
-// Truncation classes recorded in Result.TruncatedBy (and folded into
-// Robustness.Failures) when a run is cut short by its caller.
+// Truncation classes recorded in Result.TruncatedBy (and counted in
+// Result.Robustness.Failures, never in a checkpoint's) when a run is cut
+// short by its caller.
 const (
 	// TruncateDeadline marks a run cut by context deadline expiry.
 	TruncateDeadline = "deadline"
@@ -564,6 +566,11 @@ func (c *Census) assemble(ctx context.Context, start time.Time, fold *censusFold
 		if err == context.DeadlineExceeded {
 			result.TruncatedBy = TruncateDeadline
 		}
+		// The cut is counted in the result's own copy of the failure
+		// classes: the live ledger, and so any checkpoint written from
+		// it, keeps only what the records carried, or a resumed run
+		// would report the kill forever.
+		result.Robustness.Failures = maps.Clone(result.Robustness.Failures)
 		if result.Robustness.Failures == nil {
 			result.Robustness.Failures = make(map[string]int)
 		}

@@ -239,7 +239,7 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 				cursors[i] = rt.scanner.Cursor()
 			}
 		}
-		snap.Checkpoint = c.checkpointState(n, cursors, result.Observed, result.Probed, result.Responded, true, result.Robustness)
+		snap.Checkpoint = c.checkpointState(n, cursors, result.Observed, result.Probed, result.Responded, true, *fold.robust)
 		if werr := policy.Write(snap); werr != nil {
 			runErr = fmt.Errorf("core: writing truncation checkpoint: %w", werr)
 		} else {

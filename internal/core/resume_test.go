@@ -204,6 +204,9 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			if res2.Responded != wantRes.Responded {
 				t.Errorf("Responded %d, want %d", res2.Responded, wantRes.Responded)
 			}
+			if !reflect.DeepEqual(res2.Robustness, wantRes.Robustness) {
+				t.Errorf("Robustness %+v, want %+v — the kill must not outlive the resume", res2.Robustness, wantRes.Robustness)
+			}
 		})
 	}
 }

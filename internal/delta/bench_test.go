@@ -40,15 +40,15 @@ func syntheticLedger(n int, epoch int) []*dataset.HostRecord {
 
 // checkpointSnapshot builds a populated v2 snapshot of benchmark size.
 func checkpointSnapshot() *analysis.Snapshot {
-	counts := make(map[string]analysis.CategoryCount, 64)
+	counts := make(map[string]*analysis.CategoryCount, 64)
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("cat-%d", i)
-		counts[name] = analysis.CategoryCount{Name: name, All: i * 11, Anon: i * 3}
+		counts[name] = &analysis.CategoryCount{Name: name, All: i * 11, Anon: i * 3}
 	}
 	return &analysis.Snapshot{
 		Observed:       100_000,
-		Funnel:         analysis.FunnelSnap{Open: 120_000, FTP: 100_000, Anon: 21_000},
-		Classification: analysis.ClassificationSnap{Counts: counts, TotalFTP: 100_000, TotalAnon: 21_000},
+		Funnel:         analysis.FunnelAcc{Open: 120_000, FTP: 100_000, Anon: 21_000},
+		Classification: analysis.ClassificationAcc{Counts: counts, TotalFTP: 100_000, TotalAnon: 21_000},
 		Checkpoint: &analysis.CheckpointState{
 			Seed:      42,
 			Scale:     4096,

@@ -58,16 +58,16 @@ func TestDiffLedgersSynthetic(t *testing.T) {
 func TestComputeAggregateTrends(t *testing.T) {
 	from := &analysis.Snapshot{
 		Observed: 100,
-		Funnel:   analysis.FunnelSnap{Open: 90, FTP: 80, Anon: 20},
-		Classification: analysis.ClassificationSnap{Counts: map[string]analysis.CategoryCount{
+		Funnel:   analysis.FunnelAcc{Open: 90, FTP: 80, Anon: 20},
+		Classification: analysis.ClassificationAcc{Counts: map[string]*analysis.CategoryCount{
 			"Hosted":   {Name: "Hosted", All: 40},
 			"Embedded": {Name: "Embedded", All: 10},
 		}},
 	}
 	to := &analysis.Snapshot{
 		Observed: 110,
-		Funnel:   analysis.FunnelSnap{Open: 95, FTP: 88, Anon: 18},
-		Classification: analysis.ClassificationSnap{Counts: map[string]analysis.CategoryCount{
+		Funnel:   analysis.FunnelAcc{Open: 95, FTP: 88, Anon: 18},
+		Classification: analysis.ClassificationAcc{Counts: map[string]*analysis.CategoryCount{
 			"Hosted":  {Name: "Hosted", All: 44},
 			"Generic": {Name: "Generic", All: 5},
 		}},

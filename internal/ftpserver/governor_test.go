@@ -22,13 +22,31 @@ type fakeConn struct {
 	net.Conn
 	mu     sync.Mutex
 	closed bool
+	done   chan struct{} // closed by the first Close
 }
 
 func (c *fakeConn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
+	if !c.closed {
+		c.closed = true
+		close(c.doneLocked())
+	}
 	return nil
+}
+
+func (c *fakeConn) doneLocked() chan struct{} {
+	if c.done == nil {
+		c.done = make(chan struct{})
+	}
+	return c.done
+}
+
+// closing returns a channel that is closed once c is.
+func (c *fakeConn) closing() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.doneLocked()
 }
 
 func (c *fakeConn) wasClosed() bool {
@@ -92,15 +110,20 @@ func TestGovernorReapsIdle(t *testing.T) {
 		t.Fatal("acquire refused")
 	}
 	_ = ics
-	// Keep one session active past several idle windows; the other goes
-	// quiet and must be reaped.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && !idle.wasClosed() {
-		bcs.touch()
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !idle.wasClosed() {
-		t.Fatal("idle connection was not reaped")
+	// Keep one session active, touching it four times per idle window,
+	// until the other, quiet one is reaped.
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(2 * time.Second)
+	for reaped := false; !reaped; {
+		select {
+		case <-idle.closing():
+			reaped = true
+		case <-tick.C:
+			bcs.touch()
+		case <-deadline:
+			t.Fatal("idle connection was not reaped")
+		}
 	}
 	if busy.wasClosed() {
 		t.Fatal("active connection was reaped")
@@ -159,23 +182,19 @@ func TestServerShedsOverCap(t *testing.T) {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
-	// Free a slot and verify admission recovers.
+	// Free a slot and verify admission recovers. A session releases its
+	// slot before it closes its connection, so c1's EOF is the release.
 	if _, err := c1.Cmd("QUIT", ""); err != nil {
 		t.Fatal(err)
 	}
-	ok := false
-	for i := 0; i < 50; i++ { // the session goroutine releases async
-		c4, r := env.dial(t)
-		if r.Code == ftp.CodeReady {
-			login(t, c4)
-			ok = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := c1.ReadReply(); err == nil {
+		t.Fatal("connection stayed open after QUIT")
 	}
-	if !ok {
-		t.Fatal("slot not reusable after QUIT")
+	c4, r := env.dial(t)
+	if r.Code != ftp.CodeReady {
+		t.Fatalf("slot not reusable after QUIT: banner %+v", r)
 	}
+	login(t, c4)
 }
 
 func TestServerPerIPCap(t *testing.T) {
@@ -221,6 +240,10 @@ func TestServerReapsIdleSession(t *testing.T) {
 		_, err := idle.ReadReply()
 		done <- err
 	}()
+	// The busy session NOOPs five times per idle window until the idle
+	// one's read fails.
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
 	deadline := time.After(2 * time.Second)
 	for {
 		select {
@@ -235,11 +258,10 @@ func TestServerReapsIdleSession(t *testing.T) {
 			return
 		case <-deadline:
 			t.Fatal("idle session was not reaped")
-		default:
+		case <-tick.C:
 			if r, err := busy.Cmd("NOOP", ""); err != nil || r.Code != ftp.CodeOK {
 				t.Fatalf("busy NOOP: %v %v", r, err)
 			}
-			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }
@@ -275,7 +297,10 @@ func TestTokenBucketTryTake(t *testing.T) {
 	if b.TryTake(1) {
 		t.Fatal("empty bucket granted TryTake")
 	}
-	time.Sleep(200 * time.Millisecond) // ~2 tokens refill
+	// The bucket refills from the wall clock, so elapsed time is the
+	// input under test: 200 ms at 10 tokens/s refills about 2 tokens, and
+	// a late wake-up only adds more.
+	time.Sleep(200 * time.Millisecond)
 	if !b.TryTake(1) {
 		t.Fatal("refilled bucket refused TryTake")
 	}
@@ -324,12 +349,13 @@ func TestGovernorExpiryClosesDataConn(t *testing.T) {
 	}
 	defer g.Release(cs)
 	cs.setData(data)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && !(ctrl.wasClosed() && data.wasClosed()) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !ctrl.wasClosed() || !data.wasClosed() {
-		t.Fatalf("after expiry: control closed %v, data closed %v", ctrl.wasClosed(), data.wasClosed())
+	deadline := time.After(2 * time.Second)
+	for _, c := range []*fakeConn{ctrl, data} {
+		select {
+		case <-c.closing():
+		case <-deadline:
+			t.Fatalf("after expiry: control closed %v, data closed %v", ctrl.wasClosed(), data.wasClosed())
+		}
 	}
 	late := &fakeConn{}
 	cs.setData(late)
@@ -361,7 +387,10 @@ func TestGovernorUncappedKeepsNoPerIPState(t *testing.T) {
 	}
 }
 
-// waitGauge polls g until it reads want or the deadline passes.
+// waitGauge polls g until it reads want or the deadline passes. A gauge
+// sends no change notification, so polling it is how to wait on the state
+// itself: the 5 ms sleep paces the reads, and the deadline only bounds a
+// failure.
 func waitGauge(t *testing.T, g *obs.Gauge, want int64, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
@@ -466,6 +495,8 @@ func TestSessionsLeaveNoGoroutines(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// Nothing signals a goroutine's exit, so the count is polled: the
+	// sleep paces the reads, and the deadline only bounds a leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {

@@ -139,6 +139,9 @@ func TestIdentifyDialRefused(t *testing.T) {
 func TestIdentifyChaosDrippedBanner(t *testing.T) {
 	res := identifyOne(t, 500*time.Millisecond, func(_ *simnet.Network, conn net.Conn) {
 		defer conn.Close()
+		// The gaps are the hostile behaviour under test, not a wait:
+		// each is well inside the 500 ms window, and the test checks
+		// only the verdict, never the timing.
 		for _, chunk := range []string{"2", "2", "0 slow drip ftp\r\n"} {
 			conn.Write([]byte(chunk))
 			time.Sleep(20 * time.Millisecond)
@@ -158,7 +161,7 @@ func TestIdentifyChaosStalledBanner(t *testing.T) {
 	res := identifyOne(t, 80*time.Millisecond, func(_ *simnet.Network, conn net.Conn) {
 		defer conn.Close()
 		conn.Write([]byte("2"))
-		time.Sleep(2 * time.Second)
+		readAll(conn) // stall until the scanner hangs up
 	})
 	if res.Protocol != fingerprint.ProtoGarbage {
 		t.Errorf("stalled banner: got %q, want garbage", res.Protocol)
