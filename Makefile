@@ -70,8 +70,9 @@ race-sharded:
 		./internal/core ./internal/analysis ./internal/dataset ./internal/obs
 
 # Server core under the race detector: pooled sessions, the connection
-# governor's per-session idle timers, token buckets, and the served vfs tree
-# with its listing cache are all mutated by concurrent session goroutines.
+# governor's per-session idle timers, and the served vfs tree with its
+# listing cache are all mutated by concurrent session goroutines. The
+# session fuzzer's seed corpus runs here too.
 race-server:
 	$(GO) test -race ./internal/ftpserver ./internal/honeypot ./internal/vfs
 

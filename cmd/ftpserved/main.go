@@ -8,6 +8,9 @@
 //	ftpserved -addr 127.0.0.1:2121 -personality proftpd-1.3.5 -anon -writable
 //	ftpserved -addr 127.0.0.1:2121 -max-conns 10000 -progress 5s
 //	ftpserved -list
+//
+// ftpserved keeps no transfer or event log; honeypotd -events-out streams
+// every session event of the honeypot study as JSON lines.
 package main
 
 import (
@@ -86,19 +89,8 @@ func run() error {
 
 		maxConns = flag.Int("max-conns", 0,
 			"cap concurrent sessions; excess connections are shed with a 421 (0 = uncapped)")
-		maxConnsPerIP = flag.Int("max-conns-per-ip", 0,
-			"cap concurrent sessions per remote IP (0 = uncapped)")
 		idleTimeout = flag.Duration("idle-timeout", 0,
 			"disconnect sessions idle this long (0 = engine default 60s)")
-		bwSession = flag.Int64("bw-session", 0,
-			"bandwidth cap per session in bytes/s (0 = unshaped)")
-		bwGlobal = flag.Int64("bw-global", 0,
-			"global bandwidth cap across all sessions in bytes/s (0 = unshaped)")
-
-		xferlog = flag.String("xferlog", "",
-			"append transfers to this file in wu-ftpd xferlog(5) format")
-		auditJSONL = flag.String("audit-jsonl", "",
-			"append every session event (connects, commands, credentials, transfers) to this file as JSON lines")
 
 		progress = flag.Duration("progress", 0,
 			"emit a progress line (conns, sessions/s, sheds) to stderr at this interval (0 = off)")
@@ -126,48 +118,16 @@ func run() error {
 	}
 
 	reg := obs.NewRegistry()
-	cfg := ftpserver.Config{
-		Pers:                pers,
-		Driver:              demoFS(),
-		HostName:            "ftpserved.local",
-		AllowAnonymous:      *anon,
-		AnonWritable:        *writable,
-		MaxConns:            *maxConns,
-		MaxConnsPerIP:       *maxConnsPerIP,
-		IdleTimeout:         *idleTimeout,
-		BandwidthPerSession: *bwSession,
-		BandwidthGlobal:     *bwGlobal,
-		Metrics:             reg,
-	}
-
-	// Audit sinks ride the Observer hook; both flags may combine, and a
-	// future honeypot recorder would join the same fan-out.
-	var observers []ftpserver.Observer
-	for _, sink := range []struct {
-		path string
-		open func(io.Writer) ftpserver.Observer
-	}{
-		{*xferlog, func(w io.Writer) ftpserver.Observer { return ftpserver.NewXferlogSink(w) }},
-		{*auditJSONL, func(w io.Writer) ftpserver.Observer { return ftpserver.NewJSONLSink(w) }},
-	} {
-		if sink.path == "" {
-			continue
-		}
-		f, err := os.OpenFile(sink.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("audit log: %w", err)
-		}
-		o := sink.open(f)
-		defer func(f *os.File, o ftpserver.Observer) {
-			if c, ok := o.(io.Closer); ok {
-				c.Close()
-			}
-			f.Close()
-		}(f, o)
-		observers = append(observers, o)
-	}
-	cfg.Observer = ftpserver.MultiObserver(observers...)
-	srv, err := ftpserver.New(cfg)
+	srv, err := ftpserver.New(ftpserver.Config{
+		Pers:           pers,
+		Driver:         demoFS(),
+		HostName:       "ftpserved.local",
+		AllowAnonymous: *anon,
+		AnonWritable:   *writable,
+		MaxConns:       *maxConns,
+		IdleTimeout:    *idleTimeout,
+		Metrics:        reg,
+	})
 	if err != nil {
 		return err
 	}

@@ -8,10 +8,10 @@
 // sockets (via ServeTCP and the Serve accept loop, used by cmd/ftpserved),
 // so the enumerator can be validated against the same code over a real
 // network. Every host serves a vfs tree, whose listing cache answers the
-// LIST family; connection governance (caps, idle reaping, bandwidth
-// shaping) lives in Governor and TokenBucket; and the session loop is
-// allocation-lean — preformatted replies, pooled sessions and transfer
-// buffers — so one process sustains ~10k concurrent sessions
+// LIST family; connection governance (the session cap and idle reaping)
+// lives in Governor; and the session loop is allocation-lean —
+// preformatted replies, pooled sessions and transfer buffers — so one
+// process sustains ~10k concurrent sessions
 // (BenchmarkServerConcurrentSessions).
 package ftpserver
 
@@ -77,14 +77,6 @@ type Config struct {
 	// MaxConns caps concurrent sessions; excess connections are shed
 	// with a polite 421. Zero means no admission limit.
 	MaxConns int
-	// MaxConnsPerIP caps concurrent sessions per remote address.
-	MaxConnsPerIP int
-	// BandwidthPerSession, when positive, shapes each session's data
-	// channels to this many bytes/second (token bucket).
-	BandwidthPerSession int64
-	// BandwidthGlobal, when positive, shapes the sum of all sessions'
-	// data channels to this many bytes/second.
-	BandwidthGlobal int64
 	// Metrics, when non-nil, receives the server's counters and gauges
 	// (accepts, sessions, sheds, logins, transfers, bytes). A nil
 	// registry still yields functional unregistered metrics.
@@ -109,6 +101,35 @@ type Observer interface {
 	Event(e Event)
 }
 
+// multiObserver fans events to several observers in order.
+type multiObserver []Observer
+
+func (m multiObserver) Event(e Event) {
+	for _, o := range m {
+		o.Event(e)
+	}
+}
+
+// MultiObserver combines observers into one; nils are dropped. Zero or one
+// usable observer short-circuits to exactly that value, so the hot-path
+// nil check in session.observe keeps working when nothing listens.
+func MultiObserver(obs ...Observer) Observer {
+	var m multiObserver
+	for _, o := range obs {
+		if o != nil {
+			m = append(m, o)
+		}
+	}
+	switch len(m) {
+	case 0:
+		return nil
+	case 1:
+		return m[0]
+	default:
+		return m
+	}
+}
+
 // EventKind classifies observer events.
 type EventKind int
 
@@ -129,7 +150,7 @@ const (
 	EventDelete
 )
 
-// String names the kind for audit sinks and logs.
+// String names the kind for event logs.
 func (k EventKind) String() string {
 	switch k {
 	case EventConnect:
@@ -211,8 +232,6 @@ type Server struct {
 	gov *Governor
 	m   serverMetrics
 
-	// globalBW shapes the sum of all data channels; nil when uncapped.
-	globalBW *TokenBucket
 	// listKind is the personality's LIST dialect.
 	listKind vfs.ListKind
 
@@ -242,14 +261,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg,
-		gov: NewGovernor(cfg.MaxConns, cfg.MaxConnsPerIP, cfg.IdleTimeout),
+		gov: NewGovernor(cfg.MaxConns, cfg.IdleTimeout),
 		m:   resolveMetrics(cfg.Metrics),
 	}
 	if cfg.Pers.Quirks.ListStyle == vfs.StyleDOS {
 		s.listKind = vfs.ListDOS
-	}
-	if cfg.BandwidthGlobal > 0 {
-		s.globalBW = NewTokenBucket(float64(cfg.BandwidthGlobal), float64(cfg.BandwidthGlobal))
 	}
 
 	banner := cfg.Pers.ExpandBanner(remoteIP0(&cfg), cfg.HostName)
@@ -271,9 +287,6 @@ func New(cfg Config) (*Server, error) {
 	s.wireHelp = ftp.NewReply(ftp.CodeHelp, helpLines...).Wire()
 	return s, nil
 }
-
-// Governor returns the server's connection governor.
-func (s *Server) Governor() *Governor { return s.gov }
 
 // Close stops admitting sessions; later connections are shed with a 421.
 // In-flight sessions are left to finish on their own goroutines.
@@ -424,10 +437,8 @@ type session struct {
 	// scratch backs single-line reply formatting; it grows to the longest
 	// reply the session sends and is reused for every subsequent one.
 	scratch []byte
-	// bw shapes this session's data channels; lazily built.
-	bw *TokenBucket
 	// xfer wraps the data conn of the transfer in progress.
-	xfer shapedConn
+	xfer stampedConn
 }
 
 // sessionPool recycles session state (including reply scratch buffers and
@@ -456,7 +467,7 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 	// Admission: over-cap connections are shed with a 421 before the
 	// banner — polite refusal instead of a silent close or an
 	// accepted-but-starved session.
-	cs, ok := s.gov.Acquire(remoteIP, nc)
+	cs, ok := s.gov.Acquire(nc)
 	if !ok {
 		s.m.sheds.Inc()
 		nc.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -567,19 +578,6 @@ func (s *session) replyf(code int, format string, args ...any) bool {
 	b, err := s.conn.SendReplyLine(s.scratch, code, format, args...)
 	s.scratch = b
 	return err != nil
-}
-
-// bwBucket returns the session's bandwidth bucket, building it on first
-// transfer. Nil when the server imposes no per-session cap.
-func (s *session) bwBucket() *TokenBucket {
-	if s.cfg.BandwidthPerSession <= 0 {
-		return nil
-	}
-	if s.bw == nil {
-		bps := float64(s.cfg.BandwidthPerSession)
-		s.bw = NewTokenBucket(bps, bps)
-	}
-	return s.bw
 }
 
 // dispatch executes one command; the return value reports session end.
@@ -898,10 +896,10 @@ func (s *session) closeData() {
 }
 
 // withDataConn runs fn over an established data connection, bracketing it
-// with the 150/226 replies. The connection is bandwidth-shaped when the
-// server or session carries a cap, stamps activity per chunk so idle expiry
-// spares long slow transfers, and is registered with the session's idle
-// timer so a transfer stalled on its peer is torn down with the session.
+// with the 150/226 replies. The connection stamps activity per chunk so
+// idle expiry spares long slow transfers, and is registered with the
+// session's idle timer so a transfer stalled on its peer is torn down with
+// the session.
 func (s *session) withDataConn(openingMsg []byte, fn func(dc net.Conn) error) bool {
 	dc, err := s.openData()
 	if err != nil {
@@ -911,14 +909,14 @@ func (s *session) withDataConn(openingMsg []byte, fn func(dc net.Conn) error) bo
 	s.cs.setData(dc)
 	defer func() {
 		s.cs.setData(nil)
-		s.xfer = shapedConn{}
+		s.xfer = stampedConn{}
 		dc.Close()
 		s.closeData()
 	}()
 	if s.replyRaw(openingMsg) {
 		return true
 	}
-	s.xfer = shapedConn{Conn: dc, session: s.bwBucket(), global: s.srv.globalBW, cs: s.cs}
+	s.xfer = stampedConn{Conn: dc, cs: s.cs}
 	if err := fn(&s.xfer); err != nil {
 		return s.replyRaw(wireTransferAborted)
 	}

@@ -810,6 +810,24 @@ func TestObserverDeleteEvents(t *testing.T) {
 	}
 }
 
+// TestMultiObserver: fan-out reaches every sink, drops nils, and
+// short-circuits to nil when nothing listens (preserving the server's
+// no-observer fast path).
+func TestMultiObserver(t *testing.T) {
+	if MultiObserver(nil, nil) != nil {
+		t.Error("MultiObserver of nils must be nil")
+	}
+	a, b := newRecorder(), newRecorder()
+	if got := MultiObserver(nil, a); got != Observer(a) {
+		t.Error("single observer must short-circuit to itself")
+	}
+	m := MultiObserver(a, nil, b)
+	m.Event(Event{Kind: EventConnect})
+	if a.kinds()[EventConnect] != 1 || b.kinds()[EventConnect] != 1 {
+		t.Error("fan-out missed a sink")
+	}
+}
+
 // TestCaseInsensitiveQuirkThroughDriver: an iis-7.5 server gets its
 // personality's case-insensitive path semantics on the tree it serves, so
 // CWD PUB resolves to /pub. LIST PUB and LIST pub share one cached listing:

@@ -18,7 +18,6 @@ import (
 type connState struct {
 	g          *Governor
 	nc         net.Conn
-	ip         string
 	lastActive atomic.Int64 // unix nanos
 
 	mu       sync.Mutex
@@ -30,6 +29,43 @@ type connState struct {
 
 // touch stamps the connection as active now.
 func (cs *connState) touch() { cs.lastActive.Store(time.Now().UnixNano()) }
+
+// stampChunk bounds how many bytes one data-conn write sends between
+// activity stamps, so a long write into a slow reader keeps stamping while
+// it drains.
+const stampChunk = 32 << 10
+
+// stampedConn is a data conn that stamps its session active on every chunk
+// it moves, so idle expiry spares a transfer that keeps moving and reaps
+// only one stalled on its peer. Sessions embed one and reuse it for every
+// transfer.
+type stampedConn struct {
+	net.Conn
+	cs *connState
+}
+
+func (c *stampedConn) Write(p []byte) (int, error) {
+	total := 0
+	for len(p) > 0 {
+		chunk := p[:min(len(p), stampChunk)]
+		c.cs.touch()
+		n, err := c.Conn.Write(chunk)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		p = p[n:]
+	}
+	return total, nil
+}
+
+func (c *stampedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.cs.touch()
+	}
+	return n, err
+}
 
 // setData registers dc as the session's open data conn (nil clears it). A
 // session that already expired gets dc closed at once.
@@ -70,35 +106,26 @@ func (cs *connState) idleCheck() {
 	}
 }
 
-// Governor enforces connection caps and idle timeouts for a server: a
-// global concurrent-connection ceiling, a per-IP ceiling, and a per-session
-// idle timer that closes connections idle past the deadline. Connections
-// over a cap are shed politely (the server sends a 421 and closes) instead
-// of being accepted and starved. An uncapped governor keeps no per-address
-// state and runs no goroutine of its own.
+// Governor enforces a connection cap and idle timeouts for a server: a
+// concurrent-connection ceiling and a per-session idle timer that closes
+// connections idle past the deadline. Connections over the cap are shed
+// politely (the server sends a 421 and closes) instead of being accepted and
+// starved. A governor runs no goroutine of its own.
 type Governor struct {
 	// MaxConns caps concurrent connections; zero means unlimited.
 	MaxConns int
-	// MaxConnsPerIP caps concurrent connections from one remote address;
-	// zero means unlimited.
-	MaxConnsPerIP int
 	// IdleTimeout closes connections with no activity for this long;
 	// zero disables idle expiry.
 	IdleTimeout time.Duration
 
 	mu     sync.Mutex
 	total  int
-	perIP  map[string]int // nil unless MaxConnsPerIP > 0
 	closed bool
 }
 
 // NewGovernor builds a governor with the given limits.
-func NewGovernor(maxConns, maxPerIP int, idle time.Duration) *Governor {
-	g := &Governor{MaxConns: maxConns, MaxConnsPerIP: maxPerIP, IdleTimeout: idle}
-	if maxPerIP > 0 {
-		g.perIP = make(map[string]int)
-	}
-	return g
+func NewGovernor(maxConns int, idle time.Duration) *Governor {
+	return &Governor{MaxConns: maxConns, IdleTimeout: idle}
 }
 
 // Active returns the number of connections currently admitted.
@@ -111,21 +138,16 @@ func (g *Governor) Active() int {
 // Acquire admits a connection, arming its idle timer, or reports that it
 // must be shed. The returned state must be passed to Release when the
 // session ends.
-func (g *Governor) Acquire(ip string, nc net.Conn) (*connState, bool) {
+func (g *Governor) Acquire(nc net.Conn) (*connState, bool) {
 	g.mu.Lock()
-	if g.closed ||
-		(g.MaxConns > 0 && g.total >= g.MaxConns) ||
-		(g.perIP != nil && g.perIP[ip] >= g.MaxConnsPerIP) {
+	if g.closed || (g.MaxConns > 0 && g.total >= g.MaxConns) {
 		g.mu.Unlock()
 		return nil, false
 	}
 	g.total++
-	if g.perIP != nil {
-		g.perIP[ip]++
-	}
 	g.mu.Unlock()
 
-	cs := &connState{g: g, nc: nc, ip: ip}
+	cs := &connState{g: g, nc: nc}
 	cs.touch()
 	if g.IdleTimeout > 0 {
 		// Armed under cs.mu so a timer firing at once still sees it set.
@@ -151,13 +173,6 @@ func (g *Governor) Release(cs *connState) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.total--
-	if g.perIP != nil {
-		if n := g.perIP[cs.ip]; n <= 1 {
-			delete(g.perIP, cs.ip)
-		} else {
-			g.perIP[cs.ip] = n - 1
-		}
-	}
 }
 
 // Close stops admission: later Acquire calls are shed. Open connections are

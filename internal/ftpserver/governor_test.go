@@ -56,20 +56,20 @@ func (c *fakeConn) wasClosed() bool {
 }
 
 func TestGovernorCaps(t *testing.T) {
-	g := NewGovernor(2, 0, 0)
+	g := NewGovernor(2, 0)
 	defer g.Close()
-	a, ok := g.Acquire("1.1.1.1", &fakeConn{})
+	a, ok := g.Acquire(&fakeConn{})
 	if !ok {
 		t.Fatal("first acquire refused")
 	}
-	if _, ok := g.Acquire("2.2.2.2", &fakeConn{}); !ok {
+	if _, ok := g.Acquire(&fakeConn{}); !ok {
 		t.Fatal("second acquire refused")
 	}
-	if _, ok := g.Acquire("3.3.3.3", &fakeConn{}); ok {
+	if _, ok := g.Acquire(&fakeConn{}); ok {
 		t.Fatal("over-cap acquire admitted")
 	}
 	g.Release(a)
-	if _, ok := g.Acquire("3.3.3.3", &fakeConn{}); !ok {
+	if _, ok := g.Acquire(&fakeConn{}); !ok {
 		t.Fatal("post-release acquire refused")
 	}
 	if got := g.Active(); got != 2 {
@@ -77,35 +77,16 @@ func TestGovernorCaps(t *testing.T) {
 	}
 }
 
-func TestGovernorPerIPCap(t *testing.T) {
-	g := NewGovernor(0, 1, 0)
-	defer g.Close()
-	a, ok := g.Acquire("9.9.9.9", &fakeConn{})
-	if !ok {
-		t.Fatal("first acquire refused")
-	}
-	if _, ok := g.Acquire("9.9.9.9", &fakeConn{}); ok {
-		t.Fatal("same-IP second acquire admitted")
-	}
-	if _, ok := g.Acquire("8.8.8.8", &fakeConn{}); !ok {
-		t.Fatal("other-IP acquire refused")
-	}
-	g.Release(a)
-	if _, ok := g.Acquire("9.9.9.9", &fakeConn{}); !ok {
-		t.Fatal("same-IP acquire after release refused")
-	}
-}
-
 func TestGovernorReapsIdle(t *testing.T) {
-	g := NewGovernor(10, 0, 20*time.Millisecond)
+	g := NewGovernor(10, 20*time.Millisecond)
 	defer g.Close()
 	idle := &fakeConn{}
 	busy := &fakeConn{}
-	ics, ok := g.Acquire("1.1.1.1", idle)
+	ics, ok := g.Acquire(idle)
 	if !ok {
 		t.Fatal("acquire refused")
 	}
-	bcs, ok := g.Acquire("2.2.2.2", busy)
+	bcs, ok := g.Acquire(busy)
 	if !ok {
 		t.Fatal("acquire refused")
 	}
@@ -131,12 +112,12 @@ func TestGovernorReapsIdle(t *testing.T) {
 }
 
 func TestGovernorClosedRefuses(t *testing.T) {
-	g := NewGovernor(10, 0, time.Minute)
-	if _, ok := g.Acquire("1.1.1.1", &fakeConn{}); !ok {
+	g := NewGovernor(10, time.Minute)
+	if _, ok := g.Acquire(&fakeConn{}); !ok {
 		t.Fatal("acquire refused before close")
 	}
 	g.Close()
-	if _, ok := g.Acquire("2.2.2.2", &fakeConn{}); ok {
+	if _, ok := g.Acquire(&fakeConn{}); ok {
 		t.Fatal("closed governor admitted a connection")
 	}
 }
@@ -197,30 +178,6 @@ func TestServerShedsOverCap(t *testing.T) {
 	login(t, c4)
 }
 
-func TestServerPerIPCap(t *testing.T) {
-	env, _ := governedEnv(t, func(cfg *Config) {
-		cfg.MaxConnsPerIP = 1
-		cfg.IdleTimeout = time.Minute
-	})
-	c1, _ := env.dial(t)
-	login(t, c1)
-	if _, r := env.dial(t); r.Code != ftp.CodeServiceNotAvail {
-		t.Fatalf("same-IP second conn = %+v, want 421", r)
-	}
-	// A different source address is admitted.
-	otherIP := simnet.MustParseIP("4.3.2.1")
-	nc, err := env.nw.DialFrom(otherIP, env.serverIP, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	c := ftp.NewConn(nc)
-	c.Timeout = 5 * time.Second
-	if r, err := c.ReadReply(); err != nil || r.Code != ftp.CodeReady {
-		t.Fatalf("other-IP banner: %v %v", r, err)
-	}
-}
-
 // TestServerReapsIdleSession checks idle expiry end to end on a capped
 // server: a session that goes quiet is torn down by its idle timer (its
 // blocked read fails), while a chatty one survives.
@@ -266,84 +223,13 @@ func TestServerReapsIdleSession(t *testing.T) {
 	}
 }
 
-func TestTokenBucketTake(t *testing.T) {
-	b := NewTokenBucket(1000, 1000)
-	if w := b.Take(1000); w != 0 {
-		t.Fatalf("burst take waited %v", w)
-	}
-	// The bucket is now empty: 500 more tokens ≈ 500ms of debt.
-	w := b.Take(500)
-	if w < 400*time.Millisecond || w > 600*time.Millisecond {
-		t.Fatalf("debt wait = %v, want ~500ms", w)
-	}
-	// Unlimited and nil buckets never wait.
-	if w := NewTokenBucket(0, 10).Take(1 << 30); w != 0 {
-		t.Fatalf("unlimited bucket waited %v", w)
-	}
-	var nilBucket *TokenBucket
-	if w := nilBucket.Take(100); w != 0 {
-		t.Fatalf("nil bucket waited %v", w)
-	}
-	if !nilBucket.TryTake(100) {
-		t.Fatal("nil bucket refused TryTake")
-	}
-}
-
-func TestTokenBucketTryTake(t *testing.T) {
-	b := NewTokenBucket(10, 5)
-	if !b.TryTake(5) {
-		t.Fatal("burst TryTake refused")
-	}
-	if b.TryTake(1) {
-		t.Fatal("empty bucket granted TryTake")
-	}
-	// The bucket refills from the wall clock, so elapsed time is the
-	// input under test: 200 ms at 10 tokens/s refills about 2 tokens, and
-	// a late wake-up only adds more.
-	time.Sleep(200 * time.Millisecond)
-	if !b.TryTake(1) {
-		t.Fatal("refilled bucket refused TryTake")
-	}
-}
-
-// TestServerBandwidthShaping transfers a file through a tightly shaped
-// session and checks the transfer takes at least the shaped duration.
-func TestServerBandwidthShaping(t *testing.T) {
-	env, _ := governedEnv(t, func(cfg *Config) {
-		cfg.MaxConns = 4
-		cfg.IdleTimeout = time.Minute
-		cfg.AnonWritable = true
-		cfg.BandwidthPerSession = 64 << 10 // burst = rate = 64KiB
-	})
-	c, _ := env.dial(t)
-	login(t, c)
-
-	// 128 KiB at 64 KiB/s with a 64 KiB burst ⇒ ≥ ~1s of induced sleep.
-	dc := env.openPassive(t, c)
-	r, err := c.Cmd("STOR", "/incoming/pad.bin")
-	if err != nil || r.Code != ftp.CodeDataOpen {
-		t.Fatalf("STOR: %v %v", r, err)
-	}
-	start := time.Now()
-	if _, err := dc.Write(make([]byte, 128<<10)); err != nil {
-		t.Fatal(err)
-	}
-	dc.Close()
-	if r, err := c.ReadReply(); err != nil || r.Code != ftp.CodeTransferOK {
-		t.Fatalf("STOR completion: %v %v", r, err)
-	}
-	if elapsed := time.Since(start); elapsed < 500*time.Millisecond {
-		t.Fatalf("shaped 128KiB upload finished in %v, want ≥500ms", elapsed)
-	}
-}
-
 // TestGovernorExpiryClosesDataConn: idle expiry tears down the session's
 // open data conn with its control conn, and a data conn registered after
 // expiry is closed at once.
 func TestGovernorExpiryClosesDataConn(t *testing.T) {
-	g := NewGovernor(0, 0, 20*time.Millisecond)
+	g := NewGovernor(0, 20*time.Millisecond)
 	ctrl, data := &fakeConn{}, &fakeConn{}
-	cs, ok := g.Acquire("1.1.1.1", ctrl)
+	cs, ok := g.Acquire(ctrl)
 	if !ok {
 		t.Fatal("acquire refused")
 	}
@@ -364,20 +250,17 @@ func TestGovernorExpiryClosesDataConn(t *testing.T) {
 	}
 }
 
-// TestGovernorUncappedKeepsNoPerIPState: a governor without caps admits
-// everyone and keeps no per-address map.
-func TestGovernorUncappedKeepsNoPerIPState(t *testing.T) {
-	g := NewGovernor(0, 0, time.Minute)
+// TestGovernorUncappedAdmitsAll: a governor without a cap admits everyone,
+// and releasing every session brings Active back to zero.
+func TestGovernorUncappedAdmitsAll(t *testing.T) {
+	g := NewGovernor(0, time.Minute)
 	var held []*connState
 	for i := 0; i < 100; i++ {
-		cs, ok := g.Acquire("7.7.7.7", &fakeConn{})
+		cs, ok := g.Acquire(&fakeConn{})
 		if !ok {
 			t.Fatalf("uncapped governor shed connection %d", i)
 		}
 		held = append(held, cs)
-	}
-	if g.perIP != nil {
-		t.Error("uncapped governor allocated a per-IP map")
 	}
 	for _, cs := range held {
 		g.Release(cs)
@@ -426,6 +309,83 @@ func TestServerStalledDataConnReaped(t *testing.T) {
 		if _, err := c.ReadReply(); err == nil {
 			t.Fatal("control conn survived idle expiry")
 		}
+	}
+}
+
+// TestServerMovingTransferOutlivesIdle: a transfer that keeps moving
+// outlives IdleTimeout. No command arrives while it runs, so only the data
+// conn's per-chunk stamp keeps the session alive; STOR exercises the read
+// side and RETR the chunked write into a slow reader.
+func TestServerMovingTransferOutlivesIdle(t *testing.T) {
+	const (
+		idle  = 250 * time.Millisecond
+		tick  = 10 * time.Millisecond
+		ticks = 80 // over three idle windows
+		step  = 16 << 10
+	)
+	root := vfs.NewDir("/", vfs.Perm755)
+	root.Add(vfs.NewFileContent("big.bin", vfs.Perm644, make([]byte, ticks*step)))
+	root.Add(vfs.NewDir("incoming", vfs.Perm777))
+	env, _ := governedEnv(t, func(cfg *Config) {
+		cfg.Driver = vfs.New(root)
+		cfg.AnonWritable = true
+		cfg.IdleTimeout = idle
+	})
+	for _, dir := range []string{"STOR", "RETR"} {
+		t.Run(dir, func(t *testing.T) {
+			c, _ := env.dial(t)
+			login(t, c)
+			dc := env.openPassive(t, c)
+			path, want := "/big.bin", ticks*step
+			if dir == "STOR" {
+				path, want = "/incoming/up.bin", ticks<<10
+			}
+			if r, err := c.Cmd(dir, path); err != nil || r.Code != ftp.CodeDataOpen {
+				t.Fatalf("%s: %v %v", dir, r, err)
+			}
+			// The ticker paces the transfer, and the wall-clock time it
+			// takes is the input under test: one step every tick for over
+			// three idle windows. A late tick only widens one gap; the
+			// widest gap between stamps is two ticks (a 32 KiB write chunk
+			// drains in two 16 KiB reads), so the session survives unless
+			// a tick is over 230 ms late.
+			pace := time.NewTicker(tick)
+			defer pace.Stop()
+			buf := make([]byte, step)
+			moved := 0
+			for i := 0; ; i++ {
+				<-pace.C
+				if dir == "STOR" {
+					if i == ticks {
+						dc.Close()
+						break
+					}
+					n, err := dc.Write(buf[:1<<10])
+					moved += n
+					if err != nil {
+						t.Fatalf("upload cut after %d bytes: %v", moved, err)
+					}
+					continue
+				}
+				n, err := dc.Read(buf)
+				moved += n
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("download cut after %d bytes: %v", moved, err)
+				}
+			}
+			if moved != want {
+				t.Fatalf("moved %d bytes, want %d", moved, want)
+			}
+			if r, err := c.ReadReply(); err != nil || r.Code != ftp.CodeTransferOK {
+				t.Fatalf("%s completion: %v %v", dir, r, err)
+			}
+			if r, err := c.Cmd("NOOP", ""); err != nil || r.Code != ftp.CodeOK {
+				t.Fatalf("session reaped mid-transfer: %v %v", r, err)
+			}
+		})
 	}
 }
 
