@@ -42,7 +42,7 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 42, "world and scan-order seed")
 		scale    = fs.Int("scale", 2048, "divisor of the paper's full-Internet population")
 		epoch    = fs.Uint64("epoch", 0, "world epoch: later epochs churn hosts, upgrade versions, and reallocate tail ASes deterministically")
-		workers  = fs.Int("workers", 64, "enumeration worker count")
+		workers  = fs.Int("workers", 64, "concurrent enumeration connections")
 		retries  = fs.Int("retries", 2, "discovery probe retries")
 		rate     = fs.Int("rate", 0, "cap discovery probes per second across all shards (0 = unthrottled)")
 		loss     = fs.Float64("loss", 0.02, "simulated probe loss rate")
@@ -362,21 +362,23 @@ func run(args []string) error {
 }
 
 // censusProgress renders one progress line tuned to the census pipeline:
-// probe rate, discovery yield, enumeration throughput, live worker load,
-// per-shard progress when the census is sharded, and any failure classes
-// that moved during the interval. The unprefixed counters are the merged
-// view — shard counters feed them on every increment — so the headline
-// numbers are identical between sharded and single-pipeline runs.
+// probe rate, discovery yield, enumeration throughput, admitted hosts
+// (inflight, parked ones included) and those parked in a retry backoff
+// without a connection slot (backoff), per-shard progress when the census
+// is sharded, and any failure classes that moved during the interval. The
+// unprefixed counters are the merged view — shard counters feed them on
+// every increment — so the headline numbers are identical between sharded
+// and single-pipeline runs.
 func censusProgress(w io.Writer, delta, cur obs.Snapshot, elapsed time.Duration) {
 	secs := elapsed.Seconds()
 	if secs <= 0 {
 		secs = 1
 	}
-	fmt.Fprintf(w, "progress: probed=%d (%.0f/s) responded=%d enumerated=%d (%.1f/s) inflight=%d",
+	fmt.Fprintf(w, "progress: probed=%d (%.0f/s) responded=%d enumerated=%d (%.1f/s) inflight=%d backoff=%d",
 		cur.Counters["zmap.probed"], float64(delta.Counters["zmap.probed"])/secs,
 		cur.Counters["zmap.responded"],
 		cur.Counters["census.observed"], float64(delta.Counters["census.observed"])/secs,
-		cur.Gauges["enum.inflight"])
+		cur.Gauges["enum.inflight"], cur.Gauges["enum.backoff"])
 
 	// With the identification stage active, show the funnel's midsection:
 	// how fast endpoints are being fingerprinted and how many were shed

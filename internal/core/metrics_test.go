@@ -45,8 +45,10 @@ func TestCensusMetricsEndToEnd(t *testing.T) {
 	if got := snap.Counters["enum.hosts"]; got != uint64(res.Observed) {
 		t.Errorf("enum.hosts=%d, want %d", got, res.Observed)
 	}
-	if got := snap.Gauges["enum.inflight"]; got != 0 {
-		t.Errorf("enum.inflight=%d after the run, want 0", got)
+	for _, g := range []string{"enum.inflight", "enum.backoff"} {
+		if got, ok := snap.Gauges[g]; !ok || got != 0 {
+			t.Errorf("%s=%d (registered %v) after the run, want 0", g, got, ok)
+		}
 	}
 
 	// The per-interaction latency histograms the paper-adjacent LZR work

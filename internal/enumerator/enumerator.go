@@ -21,7 +21,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"ftpcloud/internal/campaigns"
@@ -226,9 +225,10 @@ func (l *latencies) forVerb(verb string) *obs.Histogram {
 // hostConn is what one enumeration needs while it works a host: a
 // control-channel wrapper, rebound with Reset for every connection and
 // banner retry, and a 16 KiB data-read buffer. A Fleet lends them from one
-// pool, so it holds one per host in flight instead of allocating them per
-// host; a host that never answers takes none. A record never aliases
-// either: replies and bodies are copied out as strings.
+// pool, so it holds one per open connection instead of allocating them per
+// host; a host that never answers takes none, and one waiting out a banner
+// retry's backoff gives its back. A record never aliases either: replies
+// and bodies are copied out as strings.
 type hostConn struct {
 	conn *ftp.Conn
 	buf  []byte
@@ -241,8 +241,8 @@ func newHostConn() *hostConn {
 // session carries one enumeration's state.
 type session struct {
 	cfg     Config
-	conns   *sync.Pool // lends hc; nil allocates it
-	hc      *hostConn  // taken at the first connection
+	slot    *slot     // the Fleet's lease: source address and hc; nil for Enumerate
+	hc      *hostConn // taken at the first connection
 	conn    *ftp.Conn
 	rec     *dataset.HostRecord
 	target  string // control IP
@@ -262,10 +262,14 @@ func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRe
 	return enumerate(ctx, cfg, targetIP, nil)
 }
 
-// enumerate is Enumerate with the host's hostConn lent by conns, when
-// non-nil, and handed back when the host is done.
-func enumerate(ctx context.Context, cfg Config, targetIP string, conns *sync.Pool) *dataset.HostRecord {
+// enumerate is Enumerate for a Fleet host when sl is non-nil: the host dials
+// from sl's source address, borrows its hostConn from sl's lender, and waits
+// out connect-phase backoffs parked (see session.pause).
+func enumerate(ctx context.Context, cfg Config, targetIP string, sl *slot) *dataset.HostRecord {
 	cfg = cfg.withDefaults()
+	if sl != nil {
+		cfg.Dialer = sl.dialer()
+	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
@@ -276,7 +280,7 @@ func enumerate(ctx context.Context, cfg Config, targetIP string, conns *sync.Poo
 		PortOpen:  true,
 		PortCheck: dataset.PortNotTested,
 	}
-	s := &session{cfg: cfg, conns: conns, rec: rec, target: targetIP, lat: noLatencies}
+	s := &session{cfg: cfg, slot: sl, rec: rec, target: targetIP, lat: noLatencies}
 	if cfg.Metrics != nil {
 		s.lat = newLatencies(cfg.Metrics)
 	}
@@ -285,15 +289,8 @@ func enumerate(ctx context.Context, cfg Config, targetIP string, conns *sync.Poo
 	}
 	s.bud.maxBytes = cfg.ByteBudget
 
-	// Deferred first so it runs last, after the connection is closed. The
-	// wrapper lets go of that connection before it is lent again, so a
-	// pooled wrapper pins no closed connection.
-	defer func() {
-		if conns != nil && s.hc != nil {
-			s.hc.conn.Reset(nil)
-			conns.Put(s.hc)
-		}
-	}()
+	// Deferred first so it runs last, after the connection is closed.
+	defer s.putHostConn()
 	banner, ok := s.connect()
 	if !ok {
 		return rec
@@ -368,13 +365,13 @@ func (s *session) connect() (ftp.Reply, bool) {
 			return ftp.Reply{}, false
 		}
 		s.rec.Retries++
-		time.Sleep(pol.backoff(s.target, attempt))
+		s.pause(pol.backoff(s.target, attempt))
 	}
 
 	for attempt := 1; ; attempt++ {
 		if s.hc == nil {
-			if s.conns != nil {
-				s.hc = s.conns.Get().(*hostConn)
+			if s.slot != nil {
+				s.hc = s.slot.conns.Get().(*hostConn)
 			} else {
 				s.hc = newHostConn()
 			}
@@ -402,7 +399,7 @@ func (s *session) connect() (ftp.Reply, bool) {
 		// Transient (reset, timeout, premature EOF): a fresh session
 		// costs one dial and often succeeds against flaky gear.
 		s.rec.Retries++
-		time.Sleep(pol.backoff(s.target, attempt))
+		s.pause(pol.backoff(s.target, attempt))
 		redial := time.Now()
 		nc, err = s.cfg.Dialer.Dial("tcp", addr)
 		s.lat.dial.Since(redial)
@@ -412,6 +409,32 @@ func (s *session) connect() (ftp.Reply, bool) {
 			return ftp.Reply{}, false
 		}
 	}
+}
+
+// pause waits d before a connect-phase redial. No connection is open, so a
+// Fleet host parks: its hostConn goes back to the pool and its slot to the
+// fleet for the wait, and it redials from whichever slot it takes next.
+// Enumerate sleeps in place.
+func (s *session) pause(d time.Duration) {
+	if s.slot == nil {
+		time.Sleep(d)
+		return
+	}
+	s.putHostConn()
+	s.slot.park(d)
+	s.cfg.Dialer = s.slot.dialer()
+}
+
+// putHostConn hands a Fleet host's hostConn back to the pool. The wrapper
+// lets go of its connection first, so a pooled wrapper pins no closed
+// connection.
+func (s *session) putHostConn() {
+	if s.slot == nil || s.hc == nil {
+		return
+	}
+	s.hc.conn.Reset(nil)
+	s.slot.conns.Put(s.hc)
+	s.hc, s.conn = nil, nil
 }
 
 // opTimeout bounds one control-channel operation: the configured per-command

@@ -13,37 +13,74 @@ import (
 
 // Fleet runs enumerations concurrently over a stream of discovered hosts —
 // the paper spreads load "across a large number of widely dispersed hosts";
-// here the dispersal is worker goroutines with distinct source addresses.
+// here the dispersal is Workers source addresses, each lent to one host at a
+// time.
 type Fleet struct {
 	// Cfg is the per-host enumeration configuration. Its Dialer is
-	// ignored; each worker gets its own source-bound dialer.
+	// ignored; each host dials from the source address of its slot.
 	Cfg Config
 	// Network is the simulated Internet.
 	Network *simnet.Network
-	// SourceBase is the first scanner source address; worker i binds
+	// SourceBase is the first scanner source address; slot i binds
 	// SourceBase+i.
 	SourceBase simnet.IP
-	// Workers is the concurrency; 0 means 32.
+	// Workers bounds the concurrent enumeration connections; 0 means 32.
+	// A host holds one of Workers source-address slots while it has a
+	// connection open; waiting out a connect-phase retry backoff it holds
+	// none.
 	Workers int
 	// Metrics, when non-nil, registers fleet-level throughput metrics
-	// (enum.hosts, enum.inflight, enum.host_seconds) and passes the
-	// registry down to each enumeration for per-command latencies.
+	// (enum.hosts, enum.inflight, enum.backoff, enum.host_seconds) and
+	// passes the registry down to each enumeration for per-command
+	// latencies. enum.inflight counts admitted hosts, parked ones
+	// included; enum.backoff counts the parked ones, which hold no slot.
 	Metrics *obs.Registry
 }
 
-// deliverGrace bounds how long a worker waits to hand over a finished
-// record after cancellation before giving up on the consumer.
+// deliverGrace bounds how long a host waits to hand over a finished record
+// after cancellation before giving up on the consumer.
 const deliverGrace = 5 * time.Second
 
+// lender is what a Fleet lends its hosts: the free source-address slots,
+// and the control-channel wrappers and data buffers that go with an open
+// connection.
+type lender struct {
+	slots  chan simnet.IP
+	conns  sync.Pool
+	nw     *simnet.Network
+	parked *obs.Gauge
+}
+
+// slot is one host's claim on a lender's source address.
+type slot struct {
+	*lender
+	src simnet.IP
+}
+
+func (s *slot) dialer() simnet.Dialer { return simnet.Dialer{Net: s.nw, Src: s.src} }
+
+// park waits d holding no source address, then takes whichever slot is
+// free first.
+func (s *slot) park(d time.Duration) {
+	s.parked.Inc()
+	s.slots <- s.src
+	time.Sleep(d)
+	s.src = <-s.slots
+	s.parked.Dec()
+}
+
 // Run enumerates every IP from in, sending records to out in completion
-// order. It closes out when done.
+// order. It closes out when done. A host is admitted from in only when a
+// slot is free, and keeps its slot until its record is delivered, except
+// while it waits out a connect-phase backoff (see Workers). Parked hosts are
+// bounded by the admission rate times the backoff, not by Workers.
 //
 // Cancellation is graceful with respect to finished work: a record whose
 // enumeration completed is still delivered after ctx is cancelled — losing
 // it would turn a deadline expiry into data loss. Consumers must therefore
 // keep draining out until it closes (the census drain does); a consumer
 // that stops reading entirely only delays shutdown by a bounded grace
-// period per in-flight worker.
+// period per admitted host.
 func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *dataset.HostRecord) {
 	defer close(out)
 	workers := f.Workers
@@ -53,48 +90,63 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 	hosts := f.Metrics.Counter("enum.hosts")
 	inflight := f.Metrics.Gauge("enum.inflight")
 	hostDur := f.Metrics.Histogram("enum.host_seconds", obs.WideBuckets...)
-	conns := &sync.Pool{New: func() any { return newHostConn() }}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(src simnet.IP) {
-			defer wg.Done()
-			cfg := f.Cfg
-			cfg.Dialer = simnet.Dialer{Net: f.Network, Src: src}
-			cfg.Metrics = f.Metrics
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case ip, ok := <-in:
-					if !ok {
-						return
-					}
-					inflight.Inc()
-					start := time.Now()
-					rec := enumerate(ctx, cfg, ip.String(), conns)
-					hostDur.Since(start)
-					inflight.Dec()
-					hosts.Inc()
-					select {
-					case out <- rec:
-					case <-ctx.Done():
-						// The work is done; give the consumer a
-						// bounded window to take the record before
-						// dropping it.
-						t := time.NewTimer(deliverGrace)
-						select {
-						case out <- rec:
-							t.Stop()
-						case <-t.C:
-						}
-						return
-					}
-				}
-			}
-		}(simnet.IP(uint64(f.SourceBase) + uint64(i)))
+	l := &lender{
+		slots:  make(chan simnet.IP, workers),
+		conns:  sync.Pool{New: func() any { return newHostConn() }},
+		nw:     f.Network,
+		parked: f.Metrics.Gauge("enum.backoff"),
 	}
-	wg.Wait()
+	for i := 0; i < workers; i++ {
+		l.slots <- simnet.IP(uint64(f.SourceBase) + uint64(i))
+	}
+	cfg := f.Cfg
+	cfg.Metrics = f.Metrics
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for {
+		var ip simnet.IP
+		select {
+		case <-ctx.Done():
+			return
+		case next, ok := <-in:
+			if !ok {
+				return
+			}
+			ip = next
+		}
+		sl := &slot{lender: l}
+		select {
+		case <-ctx.Done():
+			return
+		case sl.src = <-l.slots:
+		}
+		inflight.Inc()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			rec := enumerate(ctx, cfg, ip.String(), sl)
+			hostDur.Since(start)
+			inflight.Dec()
+			hosts.Inc()
+			select {
+			case out <- rec:
+			case <-ctx.Done():
+				// The work is done; give the consumer a bounded
+				// window to take the record before dropping it.
+				t := time.NewTimer(deliverGrace)
+				select {
+				case out <- rec:
+				case <-t.C:
+				}
+				t.Stop()
+			}
+			// The slot goes back only once the record is taken, so a
+			// slow consumer holds admission back.
+			l.slots <- sl.src
+		}()
+	}
 }
 
 // SimCollector is the third-party endpoint used by the PORT-validation

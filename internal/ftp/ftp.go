@@ -9,6 +9,7 @@
 package ftp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -29,6 +30,11 @@ func (c Command) String() string {
 	return c.Name + " " + c.Arg
 }
 
+// ErrBadCommand marks a control line that arrived whole but parses as no
+// command: an empty line, or a verb with a byte other than a letter or '-'.
+// The session can carry on past it, unlike a transport error.
+var ErrBadCommand = errors.New("ftp: unparseable command line")
+
 // ParseCommand parses one control-channel line (without trailing CRLF) into
 // a Command. FTP verbs are case-insensitive; the verb is canonicalized to
 // upper case while the argument is preserved byte-for-byte (paths are case
@@ -36,7 +42,7 @@ func (c Command) String() string {
 func ParseCommand(line string) (Command, error) {
 	line = strings.TrimRight(line, "\r\n")
 	if line == "" {
-		return Command{}, fmt.Errorf("ftp: empty command line")
+		return Command{}, fmt.Errorf("%w: empty", ErrBadCommand)
 	}
 	verb := line
 	arg := ""
@@ -44,11 +50,11 @@ func ParseCommand(line string) (Command, error) {
 		verb, arg = line[:i], strings.TrimLeft(line[i+1:], " ")
 	}
 	if verb == "" {
-		return Command{}, fmt.Errorf("ftp: command line %q has no verb", line)
+		return Command{}, fmt.Errorf("%w: %q has no verb", ErrBadCommand, line)
 	}
 	for _, r := range verb {
 		if (r < 'a' || r > 'z') && (r < 'A' || r > 'Z') && r != '-' {
-			return Command{}, fmt.Errorf("ftp: malformed command verb %q", verb)
+			return Command{}, fmt.Errorf("%w: malformed verb %q", ErrBadCommand, verb)
 		}
 	}
 	return Command{Name: strings.ToUpper(verb), Arg: arg}, nil

@@ -384,6 +384,7 @@ var (
 	wireGoodbye         = ftp.Replyf(ftp.CodeClosing, "Goodbye.").Wire()
 	wireNoop            = ftp.Replyf(ftp.CodeOK, "NOOP command successful").Wire()
 	wireTooManyRequests = ftp.Replyf(ftp.CodeServiceNotAvail, "Too many requests; closing control connection.").Wire()
+	wireUnrecognized    = ftp.Replyf(ftp.CodeCmdUnrecognized, "Syntax error, command unrecognized.").Wire()
 	wireShed            = ftp.Replyf(ftp.CodeServiceNotAvail, "Too many connections; try again later.").Wire()
 	wirePleaseLogin     = ftp.Replyf(ftp.CodeNotLoggedIn, "Please login with USER and PASS.").Wire()
 	wireAnonGranted     = ftp.Replyf(ftp.CodeLoggedIn, "Anonymous access granted, restrictions apply").Wire()
@@ -511,17 +512,29 @@ func (s *Server) serve(nc net.Conn, trans transport) {
 	}
 
 	for {
+		// A line that parses as no command draws a 500 and counts as a
+		// request, as in servers in the wild; only a transport error or an
+		// overlong line ends the session.
 		cmd, err := c.ReadCommand()
-		if err != nil {
+		bad := errors.Is(err, ftp.ErrBadCommand)
+		if err != nil && !bad {
 			return
 		}
 		cs.touch()
 		sess.requests++
 		s.m.commands.Inc()
-		sess.observe(Event{Kind: EventCommand, Command: cmd.Name, Arg: cmd.Arg})
+		if !bad {
+			sess.observe(Event{Kind: EventCommand, Command: cmd.Name, Arg: cmd.Arg})
+		}
 		if s.cfg.RequestLimit > 0 && sess.requests > s.cfg.RequestLimit {
 			c.SendRaw(wireTooManyRequests)
 			return
+		}
+		if bad {
+			if c.SendRaw(wireUnrecognized) != nil {
+				return
+			}
+			continue
 		}
 		if done := sess.dispatch(cmd); done {
 			return

@@ -575,6 +575,27 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
+// TestUnparseableLine: an empty line and a verb with a digit draw a 500 and
+// the session carries on; each counts as a request toward RequestLimit.
+func TestUnparseableLine(t *testing.T) {
+	cfg := anonConfig()
+	cfg.RequestLimit = 3
+	env := newEnv(t, cfg)
+	c, _ := env.dial(t)
+	for _, verb := range []string{"", "NOOP1"} {
+		r, err := c.Cmd(verb, "")
+		if err != nil || r.Code != ftp.CodeCmdUnrecognized || r.Text() != "Syntax error, command unrecognized." {
+			t.Fatalf("%q: %+v %v, want 500 Syntax error, command unrecognized.", verb, r, err)
+		}
+	}
+	if r, err := c.Cmd("NOOP", ""); err != nil || r.Code != ftp.CodeOK {
+		t.Fatalf("NOOP after two unparseable lines: %+v %v", r, err)
+	}
+	if r, err := c.Cmd("", ""); err != nil || r.Code != ftp.CodeServiceNotAvail {
+		t.Fatalf("fourth request, an empty line: %+v %v, want 421", r, err)
+	}
+}
+
 func TestListWithFlags(t *testing.T) {
 	env := newEnv(t, anonConfig())
 	c, _ := env.dial(t)
