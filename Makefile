@@ -64,9 +64,10 @@ race-full: race
 # checkpoint/resume suite rides along: mid-scan halts, periodic quiescent
 # checkpoints that snapshot the shared fold (checked against the ledger
 # prefix by TestLedgerPrefix), and resume validation all cut across those
-# same shared structures.
+# same shared structures. TestCensusEvictsHosts has N shard pipelines pin
+# and release hosts on one shared world.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestSnapshot|TestAggregatorMerge|TestSynced|TestChildCounter|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix' \
+	$(GO) test -race -run 'TestSharded|TestSnapshot|TestAggregatorMerge|TestSynced|TestChildCounter|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts' \
 		./internal/core ./internal/analysis ./internal/dataset ./internal/obs
 
 # Server core under the race detector: pooled sessions, the connection

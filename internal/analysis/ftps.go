@@ -43,7 +43,8 @@ type CertAgg struct {
 	CN         string
 	SelfSigned bool
 	Servers    int
-	// Devices counts the certificate's servers by device model.
+	// Devices counts the certificate's servers by device model; nil until
+	// a server with a device model presents the certificate.
 	Devices map[string]int
 }
 
@@ -62,7 +63,7 @@ func (a *FTPSAcc) cert(fp, cn string, selfSigned bool) *CertAgg {
 	}
 	agg, ok := a.ByFP[fp]
 	if !ok {
-		agg = &CertAgg{CN: cn, SelfSigned: selfSigned, Devices: map[string]int{}}
+		agg = &CertAgg{CN: cn, SelfSigned: selfSigned}
 		a.ByFP[fp] = agg
 	}
 	return agg
@@ -92,13 +93,14 @@ func (a *FTPSAcc) Observe(r *Record) {
 	agg := a.cert(cert.FingerprintSHA256, cert.CommonName, cert.SelfSigned)
 	agg.Servers++
 	if c := r.Class(); c.DeviceModel != "" {
+		if agg.Devices == nil {
+			agg.Devices = map[string]int{}
+		}
 		agg.Devices[c.DeviceModel]++
 	}
 }
 
-// Merge folds another accumulator into this one. Every certificate gets a
-// fresh device map here, so a decoded certificate without one never
-// reaches Observe.
+// Merge folds another accumulator into this one.
 func (a *FTPSAcc) Merge(o *FTPSAcc) {
 	a.TotalFTP += o.TotalFTP
 	a.Supported += o.Supported
@@ -107,6 +109,9 @@ func (a *FTPSAcc) Merge(o *FTPSAcc) {
 	for fp, src := range o.ByFP {
 		agg := a.cert(fp, src.CN, src.SelfSigned)
 		agg.Servers += src.Servers
+		if len(src.Devices) > 0 && agg.Devices == nil {
+			agg.Devices = make(map[string]int, len(src.Devices))
+		}
 		addCounts(agg.Devices, src.Devices)
 	}
 }

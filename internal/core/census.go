@@ -219,6 +219,7 @@ func NewCensus(cfg CensusConfig) (*Census, error) {
 	nw := simnet.NewNetwork(world)
 	if cfg.Metrics != nil {
 		nw.BindMetrics(cfg.Metrics)
+		world.BindMetrics(cfg.Metrics)
 	}
 	nw.LossRate = cfg.LossRate
 	nw.LossSeed = cfg.Seed

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/obs"
 	"ftpcloud/internal/worldgen"
 )
 
@@ -20,6 +21,7 @@ func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result, []*da
 		FaultMix:    worldgen.DefaultFaultMix(),
 		EnumTimeout: 700 * time.Millisecond,
 		HostBudget:  3 * time.Second,
+		Metrics:     obs.NewRegistry(),
 	})
 }
 
@@ -28,7 +30,7 @@ func chaosCensus(t *testing.T, rate float64, scale int) (*Census, *Result, []*da
 // yields a record (possibly partial, possibly an outright classified
 // failure), never a silent drop or a hang.
 func TestChaosCensusDropsNoHosts(t *testing.T) {
-	_, res, records := chaosCensus(t, 1.0, 131072)
+	c, res, records := chaosCensus(t, 1.0, 131072)
 
 	if res.Observed == 0 {
 		t.Fatal("hostile census observed no hosts")
@@ -51,6 +53,12 @@ func TestChaosCensusDropsNoHosts(t *testing.T) {
 		if rec.Partial && rec.FailureClass == "" {
 			t.Errorf("%s: partial record without a failure class", rec.IP)
 		}
+	}
+
+	// The fault paths end every connection they open, so each host they
+	// pinned was released and, written by nobody, evicted.
+	if n := c.Config.Metrics.Gauge("world.resident").Load(); n != 0 {
+		t.Errorf("world.resident=%d after a hostile census, want 0", n)
 	}
 }
 

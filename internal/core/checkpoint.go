@@ -215,6 +215,10 @@ func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
 	if watcherDone != nil {
 		<-watcherDone
 	}
+	// Every client has closed its connections; wait for the world's
+	// servers to see those closes, so the hosts they release are evicted
+	// before the run's metrics are read.
+	c.World.WaitIdle()
 
 	closeErr := fold.sink.Close()
 

@@ -45,10 +45,15 @@ func TestCensusMetricsEndToEnd(t *testing.T) {
 	if got := snap.Counters["enum.hosts"]; got != uint64(res.Observed) {
 		t.Errorf("enum.hosts=%d, want %d", got, res.Observed)
 	}
-	for _, g := range []string{"enum.inflight", "enum.backoff"} {
+	for _, g := range []string{"enum.inflight", "enum.backoff", "world.resident"} {
 		if got, ok := snap.Gauges[g]; !ok || got != 0 {
 			t.Errorf("%s=%d (registered %v) after the run, want 0", g, got, ok)
 		}
+	}
+	// A benign census writes nothing, so every host it built was evicted
+	// when its last connection closed.
+	if built, evicted := snap.Counters["world.materialized"], snap.Counters["world.evicted"]; built == 0 || built != evicted {
+		t.Errorf("world.materialized=%d, world.evicted=%d; want equal and nonzero", built, evicted)
 	}
 
 	// The per-interaction latency histograms the paper-adjacent LZR work

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -195,6 +196,8 @@ type FS struct {
 	// listings holds the listing cache by directory node, so every path
 	// that resolves to a directory shares its entry.
 	listings map[*Node]*dirListing
+	// gen counts successful mutations; see Generation.
+	gen atomic.Uint64
 
 	// CaseInsensitive models Windows-backed servers.
 	CaseInsensitive bool
@@ -213,6 +216,12 @@ func New(root *Node) *FS {
 // once the tree is served, change it only through the FS's methods, which
 // hold its lock and drop the listings a change makes stale.
 func (f *FS) Root() *Node { return f.root }
+
+// Generation counts the mutations made through Mkdir, Put, PutUpload and
+// Delete (a rename is a PutUpload and a Delete). A caller that records it
+// can tell later whether the tree has changed since; changes made to nodes
+// directly, as a tree is built, are not counted.
+func (f *FS) Generation() uint64 { return f.gen.Load() }
 
 // Clean normalizes an FTP path: backslashes become slashes, the result is
 // absolute, and "."/".." segments are resolved without escaping the root.
@@ -299,6 +308,7 @@ func (f *FS) Mkdir(p string, perm Mode) (*Node, error) {
 	child.MTime = time.Now()
 	parent.Add(child)
 	f.dropListings(parent, grand, nil)
+	f.gen.Add(1)
 	return child, nil
 }
 
@@ -343,6 +353,7 @@ func (f *FS) PutUpload(p string, content []byte, perm Mode, replace bool, owner 
 	replaced := parent.Child(name)
 	parent.Add(node)
 	f.dropListings(parent, grand, replaced)
+	f.gen.Add(1)
 	return node, nil
 }
 
@@ -368,6 +379,7 @@ func (f *FS) Delete(p string) error {
 	}
 	parent.Remove(base)
 	f.dropListings(parent, grand, target)
+	f.gen.Add(1)
 	return nil
 }
 

@@ -155,6 +155,41 @@ func TestMkdirPutDelete(t *testing.T) {
 	}
 }
 
+// TestGenerationCountsMutations: each successful Mkdir, Put and Delete
+// moves the generation by one; reads, listings and refused writes leave it.
+func TestGenerationCountsMutations(t *testing.T) {
+	fs := sampleFS()
+	want := uint64(0)
+	step := func(what string, changed bool) {
+		t.Helper()
+		if changed {
+			want++
+		}
+		if got := fs.Generation(); got != want {
+			t.Fatalf("after %s: generation %d, want %d", what, got, want)
+		}
+	}
+	step("build", false)
+	fs.Lookup("/pub/index.html")
+	fs.Listing("/pub", ListUnix, time.Time{})
+	step("reads", false)
+	_, err := fs.Mkdir("/incoming/drop", Perm777)
+	step("Mkdir", err == nil)
+	_, err = fs.Mkdir("/incoming/drop", Perm777)
+	step("duplicate Mkdir", err == nil)
+	_, err = fs.Put("/incoming/drop/f", []byte("x"), Perm644, true)
+	step("Put", err == nil)
+	_, err = fs.PutUpload("/ghost/f", []byte("x"), Perm644, true, "ftp", true)
+	step("PutUpload under a missing parent", err == nil)
+	err = fs.Delete("/incoming/drop/f")
+	step("Delete", err == nil)
+	err = fs.Delete("/pub")
+	step("Delete of a non-empty dir", err == nil)
+	if want != 3 {
+		t.Fatalf("%d mutations succeeded, want 3", want)
+	}
+}
+
 func TestPutUploadRename(t *testing.T) {
 	fs := sampleFS()
 	for i := 0; i < 3; i++ {

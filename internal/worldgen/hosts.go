@@ -12,32 +12,123 @@ import (
 	"ftpcloud/internal/vfs"
 )
 
-// hostEntry is one materialized host. FTP hosts carry a live server whose
-// filesystem persists across connections (so an attacker's upload is visible
-// to a later crawl); non-FTP hosts carry a junk banner handler.
+// hostEntry is one materialized host. FTP hosts carry a live server and
+// the filesystem it serves; non-FTP hosts carry a junk banner handler.
+//
+// A built host is resident — in its shard's map — only while something
+// holds it. A connection being served pins it, and a write that made its
+// filesystem differ from its truth pins it for good, so an attacker's
+// upload is visible to a later crawl. A clean host is evicted when its last
+// served connection ends, and rebuilt from truth on its next contact: a
+// host is a pure function of (seed, epoch, ip), so the rebuild serves what
+// the first build did.
 type hostEntry struct {
+	w       *World
 	truth   HostTruth
 	handler simnet.Handler
+	// fs is an FTP host's filesystem (nil for the others) and builtGen
+	// its generation once the build, planted files included, was done.
+	fs       *vfs.FS
+	builtGen uint64
+	// pins counts the connections being served; guarded by the shard
+	// lock.
+	pins int
 }
 
-// Listening implements simnet.Host.
-func (h *hostEntry) Listening(port uint16) bool { return port == 21 }
+// dirty reports whether a write has moved the host away from its truth.
+func (h *hostEntry) dirty() bool { return h.fs != nil && h.fs.Generation() != h.builtGen }
 
-// Handler implements simnet.Host.
+// Listening implements simnet.Host. A dial to any other port is refused
+// without being served, so it ends there: a clean host that no connection
+// pins is evicted, as after a served connection.
+func (h *hostEntry) Listening(port uint16) bool {
+	if port == 21 {
+		return true
+	}
+	sh := h.w.shard(h.truth.IP)
+	sh.mu.Lock()
+	h.w.evictLocked(sh, h)
+	sh.mu.Unlock()
+	return false
+}
+
+// Handler implements simnet.Host. simnet calls it once it has committed to
+// serving a connection, so this is where the host is pinned: under the
+// shard lock, the IP's resident entry is pinned and returned as the
+// connection's handler. When h was evicted since Lookup returned it, a
+// host built since for the IP serves instead, or h is re-admitted; either
+// way no two entries for one IP serve connections at once, so no write is
+// lost to an entry the map no longer holds. ServeConn unpins.
 func (h *hostEntry) Handler(port uint16) simnet.Handler {
 	if port != 21 {
 		return nil
 	}
-	return h.handler
+	w, ip := h.w, h.truth.IP
+	sh := w.shard(ip)
+	sh.mu.Lock()
+	e, ok := sh.m[ip]
+	if !ok {
+		e = h
+		w.admitLocked(sh, h)
+	}
+	e.pins++
+	w.serving.Add(1)
+	sh.mu.Unlock()
+	return e
+}
+
+// ServeConn implements simnet.Handler for a pinned entry: it serves the
+// connection, then unpins the entry and evicts it if nothing else holds
+// it.
+func (h *hostEntry) ServeConn(nw *simnet.Network, conn net.Conn) {
+	defer h.unpin()
+	h.handler.ServeConn(nw, conn)
+}
+
+func (h *hostEntry) unpin() {
+	w := h.w
+	sh := w.shard(h.truth.IP)
+	sh.mu.Lock()
+	h.pins--
+	w.evictLocked(sh, h)
+	sh.mu.Unlock()
+	if w.serving.Add(-1) == 0 {
+		w.idleMu.Lock()
+		w.idle.Broadcast()
+		w.idleMu.Unlock()
+	}
+}
+
+// shard returns the map shard holding ip.
+func (w *World) shard(ip simnet.IP) *hostShard { return &w.hosts[uint32(ip)&(hostShards-1)] }
+
+// admitLocked makes h its IP's resident entry; sh.mu is held.
+func (w *World) admitLocked(sh *hostShard, h *hostEntry) {
+	sh.m[h.truth.IP] = h
+	w.m.materialized.Inc()
+	w.m.resident.Inc()
+}
+
+// evictLocked drops h from the resident set unless a connection pins it, a
+// write has made it dirty, or it is no longer the resident entry; sh.mu is
+// held.
+func (w *World) evictLocked(sh *hostShard, h *hostEntry) {
+	if h.pins > 0 || h.dirty() || sh.m[h.truth.IP] != h {
+		return
+	}
+	delete(sh.m, h.truth.IP)
+	w.m.evicted.Inc()
+	w.m.resident.Dec()
 }
 
 // Lookup implements simnet.HostProvider. Scanner probes never reach it —
 // they go through PortOpen, which answers from truth alone — so Lookup only
-// runs when a connection is actually built. Materialization happens on that
-// first real contact and is cached (sharded by IP) so filesystem state
-// persists across connections.
+// runs when a connection is actually built. It returns the IP's resident
+// host, building it from truth if none is. A host Lookup builds stays
+// resident until a connection to it has been served and closed (or a dial
+// to it refused); Lookup itself pins nothing.
 func (w *World) Lookup(ip simnet.IP) simnet.Host {
-	sh := &w.hosts[uint32(ip)&(hostShards-1)]
+	sh := w.shard(ip)
 	sh.mu.Lock()
 	if entry, ok := sh.m[ip]; ok {
 		sh.mu.Unlock()
@@ -58,14 +149,16 @@ func (w *World) Lookup(ip simnet.IP) simnet.Host {
 		sh.mu.Unlock()
 		return prior
 	}
-	sh.m[ip] = entry
+	w.admitLocked(sh, entry)
 	sh.mu.Unlock()
 	return entry
 }
 
-// MaterializedHosts reports how many hosts have been built (diagnostics and
-// the lazy-vs-eager ablation). With truth-only discovery this equals the
-// hosts the enumerator dialed, not the hosts the scanner probed.
+// MaterializedHosts reports how many built hosts are resident: those a
+// connection is being served by, those a write has made differ from their
+// truth, and those Lookup built that no connection has closed yet. After a
+// census it counts the written hosts alone; the world.materialized counter
+// (BindMetrics) counts every host that entered the resident set.
 func (w *World) MaterializedHosts() int {
 	n := 0
 	for i := range w.hosts {
@@ -76,13 +169,25 @@ func (w *World) MaterializedHosts() int {
 	return n
 }
 
+// WaitIdle blocks until no connection to a world host is being served. A
+// client's close reaches the serving goroutine a moment later, so a caller
+// that has closed its last connection waits here before it reads the
+// resident set.
+func (w *World) WaitIdle() {
+	w.idleMu.Lock()
+	for w.serving.Load() > 0 {
+		w.idle.Wait()
+	}
+	w.idleMu.Unlock()
+}
+
 // materialize builds the live host for a ground truth record.
 func (w *World) materialize(t HostTruth) *hostEntry {
 	if t.NonFTPOpen {
 		if t.Service != ServiceNone {
-			return &hostEntry{truth: t, handler: serviceHandler(t.Service, uint32(t.IP), w.Params.Seed)}
+			return &hostEntry{w: w, truth: t, handler: serviceHandler(t.Service, uint32(t.IP), w.Params.Seed)}
 		}
-		return &hostEntry{truth: t, handler: nonFTPHandler(uint32(t.IP), w.Params.Seed)}
+		return &hostEntry{w: w, truth: t, handler: nonFTPHandler(uint32(t.IP), w.Params.Seed)}
 	}
 
 	// Application-level hostile personalities replace the server outright;
@@ -90,9 +195,9 @@ func (w *World) materialize(t HostTruth) *hostEntry {
 	// from FaultFor via the network layer.
 	switch t.Fault {
 	case FaultGarbage:
-		return &hostEntry{truth: t, handler: garbageHandler(uint32(t.IP), w.Params.Seed)}
+		return &hostEntry{w: w, truth: t, handler: garbageHandler(uint32(t.IP), w.Params.Seed)}
 	case FaultPrematureEOF:
-		return &hostEntry{truth: t, handler: prematureEOFHandler()}
+		return &hostEntry{w: w, truth: t, handler: prematureEOFHandler()}
 	}
 
 	pers := personality.ByKey(t.PersonalityKey)
@@ -118,7 +223,7 @@ func (w *World) materialize(t HostTruth) *hostEntry {
 		// Config assembly is internal; a failure is a generator bug.
 		panic("worldgen: building host server: " + err.Error())
 	}
-	return &hostEntry{truth: t, handler: srv.SimHandler()}
+	return &hostEntry{w: w, truth: t, handler: srv.SimHandler(), fs: fs, builtGen: fs.Generation()}
 }
 
 // buildHostFS constructs the filesystem, robots.txt, and infections.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
 )
 
@@ -54,9 +55,12 @@ func TestPortOpenOnlyPort21(t *testing.T) {
 }
 
 // TestProbeDoesNotMaterialize: truth-only discovery — a full probe sweep
-// builds zero hosts; only an actual connection materializes one.
+// builds zero hosts; only an actual connection materializes one, and its
+// close evicts it again.
 func TestProbeDoesNotMaterialize(t *testing.T) {
 	w := testWorld(t, 65536)
+	reg := obs.NewRegistry()
+	w.BindMetrics(reg)
 	nw := simnet.NewNetwork(w)
 	base := uint64(w.ScanBase)
 	var firstOpen simnet.IP
@@ -80,9 +84,16 @@ func TestProbeDoesNotMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialFrom(%s): %v", firstOpen, err)
 	}
-	conn.Close()
 	if got := w.MaterializedHosts(); got != 1 {
+		t.Fatalf("during one dial, %d hosts resident, want 1", got)
+	}
+	conn.Close()
+	w.WaitIdle()
+	if got := reg.Counter("world.materialized").Load(); got != 1 {
 		t.Fatalf("after one dial, materialized %d hosts, want 1", got)
+	}
+	if got := w.MaterializedHosts(); got != 0 {
+		t.Fatalf("after the dial closed, %d hosts resident, want 0", got)
 	}
 }
 

@@ -3,10 +3,12 @@ package worldgen
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/certs"
+	"ftpcloud/internal/obs"
 	"ftpcloud/internal/personality"
 	"ftpcloud/internal/simnet"
 )
@@ -30,13 +32,21 @@ type World struct {
 	// probe fast path consults it for every closed address.
 	nonFTPRate float64
 
-	// hosts is the materialized-host cache, sharded by IP so concurrent
-	// enumerator workers materializing different hosts never contend on
-	// one lock. The probe path never touches it.
+	// hosts holds the resident hosts (see hosts.go), sharded by IP so
+	// concurrent enumerator workers materializing different hosts never
+	// contend on one lock. The probe path never touches it.
 	hosts [hostShards]hostShard
+	// m counts host lifecycle events; BindMetrics moves it into a registry.
+	m hostMetrics
+
+	// serving counts connections being served by world hosts; WaitIdle
+	// waits on idle for it to reach zero.
+	serving atomic.Int64
+	idleMu  sync.Mutex
+	idle    *sync.Cond
 }
 
-// hostShards is the host-cache fan-out; a power of two so the shard index
+// hostShards is the host-map fan-out; a power of two so the shard index
 // is a mask.
 const hostShards = 64
 
@@ -44,6 +54,29 @@ type hostShard struct {
 	mu sync.Mutex
 	m  map[simnet.IP]*hostEntry
 }
+
+// hostMetrics counts hosts entering and leaving the resident set:
+// world.materialized == world.evicted + world.resident at every quiet
+// point.
+type hostMetrics struct {
+	materialized *obs.Counter
+	evicted      *obs.Counter
+	resident     *obs.Gauge
+}
+
+// newHostMetrics binds the set; a nil registry yields standalone metrics.
+func newHostMetrics(reg *obs.Registry) hostMetrics {
+	return hostMetrics{
+		materialized: reg.Counter("world.materialized"),
+		evicted:      reg.Counter("world.evicted"),
+		resident:     reg.Gauge("world.resident"),
+	}
+}
+
+// BindMetrics rebinds the world's host lifecycle metrics into reg as
+// world.materialized, world.evicted and world.resident. Like
+// simnet.Network.BindMetrics, it must be called before traffic flows.
+func (w *World) BindMetrics(reg *obs.Registry) { w.m = newHostMetrics(reg) }
 
 // New synthesizes a world from parameters.
 func New(p Params) (*World, error) {
@@ -71,7 +104,9 @@ func New(p Params) (*World, error) {
 		uniqueCerts: uniqueNames,
 		ScanBase:    simnet.MustParseIP("1.0.0.0"),
 		ScanSize:    p.ScanSpaceSize(),
+		m:           newHostMetrics(nil),
 	}
+	w.idle = sync.NewCond(&w.idleMu)
 	w.nonFTPRate = nonFTPOpenRateFor(p)
 	for i := range w.hosts {
 		w.hosts[i].m = make(map[simnet.IP]*hostEntry)

@@ -1,6 +1,7 @@
 // Command checkmetrics validates a metrics snapshot written by
 // -metrics-out: it must parse as an obs.Snapshot, carry non-zero pipeline
-// counters, and include populated enumerator latency histograms. Used by
+// counters, account for every host the world built (evicted or still
+// resident), and include populated enumerator latency histograms. Used by
 // scripts/smoke.sh.
 package main
 
@@ -34,7 +35,7 @@ func run() error {
 	if snap.Empty() {
 		return fmt.Errorf("snapshot is empty")
 	}
-	for _, name := range []string{"zmap.probed", "zmap.responded", "census.observed", "enum.hosts"} {
+	for _, name := range []string{"zmap.probed", "zmap.responded", "census.observed", "enum.hosts", "world.materialized"} {
 		if snap.Counters[name] == 0 {
 			return fmt.Errorf("counter %s missing or zero", name)
 		}
@@ -42,6 +43,11 @@ func run() error {
 	if snap.Counters["census.observed"] != snap.Counters["enum.hosts"] {
 		return fmt.Errorf("census.observed=%d disagrees with enum.hosts=%d",
 			snap.Counters["census.observed"], snap.Counters["enum.hosts"])
+	}
+	built, evicted := snap.Counters["world.materialized"], snap.Counters["world.evicted"]
+	if resident := snap.Gauges["world.resident"]; resident < 0 || built != evicted+uint64(resident) {
+		return fmt.Errorf("world.materialized=%d disagrees with world.evicted=%d + world.resident=%d",
+			built, evicted, resident)
 	}
 	for _, name := range []string{"enum.latency.dial", "enum.latency.banner", "enum.latency.list", "enum.host_seconds"} {
 		h, ok := snap.Histograms[name]
