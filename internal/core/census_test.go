@@ -8,6 +8,7 @@ import (
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/enumerator"
 	"ftpcloud/internal/obs"
 )
 
@@ -111,20 +112,20 @@ func TestCensusEndToEnd(t *testing.T) {
 // TestTruthOnlyDiscovery: the scanner's 100K+ probes answer from ground
 // truth alone; the world materializes exactly the hosts the enumerator
 // dialed — one per discovery-responsive address — not the hosts probed.
-// A host is evicted when its connection closes, so a banner redial after
-// a hang-up may build it once more: one build per control dial at most.
+// A host is evicted when its connection closes, so the census runs without
+// redials: a redial after a hang-up rebuilds its host (TestCensusEvictsHosts
+// bounds those builds).
 func TestTruthOnlyDiscovery(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, res, _ := collectCensus(t, CensusConfig{Seed: 7, Scale: 65536, Metrics: reg})
+	_, res, _ := collectCensus(t, CensusConfig{Seed: 7, Scale: 65536, Metrics: reg,
+		EnumRetry: enumerator.RetryPolicy{Attempts: 1}})
 	if res.Probed <= uint64(res.Observed) {
 		t.Fatalf("probed %d, records %d; probe volume should dwarf dials",
 			res.Probed, res.Observed)
 	}
-	got := reg.Counter("world.materialized").Load()
-	lo, hi := uint64(res.Observed), uint64(res.Observed+res.Robustness.Retries)
-	if got < lo || got > hi {
-		t.Errorf("materialized %d hosts, want %d (hosts dialed by the enumerator) to %d (plus redials)",
-			got, lo, hi)
+	if got, want := reg.Counter("world.materialized").Load(), uint64(res.Observed); got != want {
+		t.Errorf("materialized %d hosts, want %d (hosts dialed by the enumerator)",
+			got, want)
 	}
 }
 
