@@ -30,7 +30,7 @@ CHAOS_PKGS = ./internal/simnet ./internal/ftp ./internal/listparse \
 	./internal/enumerator ./internal/worldgen ./internal/identify \
 	./internal/core ./internal/attacker
 
-.PHONY: build test vet vet-obs race race-full race-sharded race-server bench-check bench-micro tier1 chaos fuzz-smoke smoke loc
+.PHONY: build test vet vet-obs race race-full race-census race-server bench-check bench-micro tier1 chaos fuzz-smoke smoke loc
 
 build:
 	$(GO) build ./...
@@ -57,18 +57,19 @@ race:
 race-full: race
 	$(GO) test -race ./internal/core ./internal/analysis ./internal/delta
 
-# Sharded census under the race detector: N concurrent shard pipelines
-# share one world, collector and metrics registry, and drain into one
-# sink chain (ledger, aggregator, robustness ledger) behind dataset.Synced
-# — exactly the surfaces a data race would corrupt silently. The
-# checkpoint/resume suite rides along: mid-scan halts, periodic quiescent
-# checkpoints that snapshot the shared fold (checked against the ledger
-# prefix by TestLedgerPrefix), and resume validation all cut across those
-# same shared structures. TestCensusEvictsHosts has N shard pipelines pin
-# and release hosts on one shared world.
-race-sharded:
-	$(GO) test -race -run 'TestSharded|TestSnapshot|TestAggregatorMerge|TestSynced|TestChildCounter|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts' \
-		./internal/core ./internal/analysis ./internal/dataset ./internal/obs
+# Checkpoint, resume and eviction under the race detector: the scanner,
+# the identification pool and the enumerator fleet share one world,
+# collector and metrics registry while a single drain goroutine folds into
+# the run's sink chain (ledger, aggregator, robustness ledger). A periodic
+# quiescent checkpoint reads that fold from another goroutine, behind the
+# accepted-record watermark (checked against the ledger prefix by
+# TestLedgerPrefix); mid-scan halts, resume validation and the
+# aggregate-snapshot codec cut across the same structures, and
+# TestCensusEvictsHosts has hundreds of connections pin and release hosts
+# on one world.
+race-census:
+	$(GO) test -race -run 'TestSnapshot|TestAggregatorMerge|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts' \
+		./internal/core ./internal/analysis
 
 # Server core under the race detector: pooled sessions, the connection
 # governor's per-session idle timers, and the served vfs tree with its
@@ -96,7 +97,7 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorObserve' -benchtime 1x ./internal/analysis
 	$(GO) test -run '^$$' -bench 'BenchmarkClassify' -benchtime 1x ./internal/fingerprint
 
-tier1: build vet vet-obs test race race-sharded race-server bench-check bench-micro smoke
+tier1: build vet vet-obs test race race-census race-server bench-check bench-micro smoke
 
 # Observability smoke test: a real ftpcensus run with live progress must
 # produce a parseable, non-empty metrics snapshot.

@@ -316,28 +316,27 @@ func BenchmarkPipeline_FullCensus(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedCensus sweeps the shard fan-out over one fixed workload.
-// Realistic latency makes enumeration dial-latency-bound (as a real census
-// is), so the speedup comes from shards overlapping their hosts' round
-// trips — the scaling the paper's multi-machine deployment relied on.
-// workers-1 is the single-pipeline baseline (ShardedCensus degrades to
-// Census.Run); near-linear scaling to workers-4 is the acceptance bar.
-func BenchmarkShardedCensus(b *testing.B) {
+// BenchmarkCensusWorkers sweeps the enumerator fleet size over one fixed
+// workload. Realistic latency makes enumeration dial-latency-bound (as a
+// real census is), so the speedup comes from more connections overlapping
+// their hosts' round trips — the dispersal over many source hosts the
+// paper's enumerator relied on.
+func BenchmarkCensusWorkers(b *testing.B) {
 	scale := benchScale() * 8
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+	for _, workers := range []int{8, 16, 32, 64} {
+		b.Run(fmt.Sprintf("enum-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sharded, err := core.NewShardedCensus(core.CensusConfig{
+				census, err := core.NewCensus(core.CensusConfig{
 					Seed:             42,
 					Scale:            scale,
 					ScanWorkers:      32,
-					EnumWorkers:      8,
+					EnumWorkers:      workers,
 					RealisticLatency: true,
-				}, workers)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := sharded.Run(context.Background())
+				res, err := census.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -44,15 +44,14 @@ func run(args []string) error {
 		epoch    = fs.Uint64("epoch", 0, "world epoch: later epochs churn hosts, upgrade versions, and reallocate tail ASes deterministically")
 		workers  = fs.Int("workers", 64, "concurrent enumeration connections")
 		retries  = fs.Int("retries", 2, "discovery probe retries")
-		rate     = fs.Int("rate", 0, "cap discovery probes per second across all shards (0 = unthrottled)")
+		rate     = fs.Int("rate", 0, "cap discovery probes per second (0 = unthrottled)")
 		loss     = fs.Float64("loss", 0.02, "simulated probe loss rate")
 		out      = fs.String("out", "", "write the per-host dataset (JSONL) to this file")
 		notifyTo = fs.String("notify", "", "write per-AS disclosure notices, built from the -out ledger, to this file")
 		csvTo    = fs.String("figure1-csv", "", "write Figure 1's CDF series (CSV) to this file")
 		quiet    = fs.Bool("quiet", false, "suppress the table report")
 		timeout  = fs.Duration("timeout", 30*time.Minute, "overall run deadline")
-		shards   = fs.Int("shards", 1,
-			"fan the census out over this many cooperating shard pipelines")
+
 		snapshotOut = fs.String("snapshot-out", "",
 			"write the run's aggregate snapshot (binary) to this file")
 		checkpointTo = fs.String("checkpoint", "",
@@ -69,7 +68,7 @@ func run(args []string) error {
 		identifyWait = fs.Duration("identify-wait", 0,
 			"identification banner wait before sending the trigger (0 = default 2s)")
 		identifyWorkers = fs.Int("identify-workers", 0,
-			"identification worker count per shard (0 = default 32)")
+			"identification worker count (0 = default 32)")
 
 		hostile = fs.Float64("hostile", 0,
 			"fraction of FTP hosts given a hostile fault personality")
@@ -93,12 +92,6 @@ func run(args []string) error {
 	)
 	fs.Parse(args)
 
-	// Shard counts outside [1,63] are config errors: zero or negative
-	// pipelines cannot carry a census, and beyond 63 the per-shard probe
-	// floor (1/s) makes the aggregate rate wildly overshoot -rate.
-	if *shards < 1 || *shards > 63 {
-		return fmt.Errorf("-shards %d out of range: must be between 1 and 63", *shards)
-	}
 	// A scale below 1 divides the population by nothing meaningful; the
 	// library would quietly substitute its default and run a census far
 	// larger than the one asked for.
@@ -237,7 +230,7 @@ func run(args []string) error {
 		}
 	}
 
-	sharded, err := core.NewShardedCensus(core.CensusConfig{
+	census, err := core.NewCensus(core.CensusConfig{
 		Seed:            *seed,
 		Scale:           *scale,
 		Epoch:           *epoch,
@@ -259,17 +252,12 @@ func run(args []string) error {
 		HostBudget:      *hostBudget,
 		ByteBudget:      *byteBudget,
 		Metrics:         reg,
-	}, *shards)
+	})
 	if err != nil {
 		return err
 	}
-	census := sharded.Census
-	shardNote := ""
-	if sharded.Shards > 1 {
-		shardNote = fmt.Sprintf(", %d shards", sharded.Shards)
-	}
-	fmt.Fprintf(os.Stderr, "ftpcensus: scanning %d addresses (scale 1:%d, seed %d%s)\n",
-		census.World.ScanSize, *scale, *seed, shardNote)
+	fmt.Fprintf(os.Stderr, "ftpcensus: scanning %d addresses (scale 1:%d, seed %d)\n",
+		census.World.ScanSize, *scale, *seed)
 
 	if *progress > 0 {
 		rep := &obs.Reporter{Registry: reg, Interval: *progress, Format: censusProgress}
@@ -278,7 +266,7 @@ func run(args []string) error {
 	}
 
 	ran = true // Run owns the sink chain from here: it flushes and closes it.
-	result, err = sharded.Run(ctx)
+	result, err = census.Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -364,11 +352,8 @@ func run(args []string) error {
 // censusProgress renders one progress line tuned to the census pipeline:
 // probe rate, discovery yield, enumeration throughput, admitted hosts
 // (inflight, parked ones included) and those parked in a retry backoff
-// without a connection slot (backoff), per-shard progress when the census
-// is sharded, and any failure classes that moved during the interval. The
-// unprefixed counters are the merged view — shard counters feed them on
-// every increment — so the headline numbers are identical between sharded
-// and single-pipeline runs.
+// without a connection slot (backoff), and any failure classes that moved
+// during the interval.
 func censusProgress(w io.Writer, delta, cur obs.Snapshot, elapsed time.Duration) {
 	secs := elapsed.Seconds()
 	if secs <= 0 {
@@ -387,18 +372,6 @@ func censusProgress(w io.Writer, delta, cur obs.Snapshot, elapsed time.Duration)
 		fmt.Fprintf(w, " identified=%d (%.1f/s) shed=%d",
 			cur.Counters["identify.dials"], float64(delta.Counters["identify.dials"])/secs,
 			cur.Counters["identify.shed"])
-	}
-
-	var shardCounts []string
-	for name := range cur.Counters {
-		if strings.HasPrefix(name, "shard") && strings.HasSuffix(name, ".census.observed") {
-			shardCounts = append(shardCounts, fmt.Sprintf("%s=%d",
-				strings.TrimSuffix(name, ".census.observed"), cur.Counters[name]))
-		}
-	}
-	if len(shardCounts) > 0 {
-		sort.Strings(shardCounts)
-		fmt.Fprintf(w, " [%s]", strings.Join(shardCounts, " "))
 	}
 
 	var classes []string
@@ -451,7 +424,7 @@ func writeNotices(ledger, path string, db *asdb.DB) (int, error) {
 }
 
 // readCheckpoint loads and sanity-checks a resume file. Deep validation
-// (seed, epoch, shards, config digest) happens in core when the census
+// (seed, epoch, shard count, config digest) happens in core when the census
 // starts; this only rejects files that are not checkpoints at all.
 func readCheckpoint(path string) (*analysis.Snapshot, error) {
 	f, err := os.Open(path)

@@ -21,7 +21,6 @@ func TestRunRefusesBadUsage(t *testing.T) {
 	}{
 		{[]string{"-scale", "0"}, "-scale 0 out of range"},
 		{[]string{"-scale", "-8"}, "-scale -8 out of range"},
-		{[]string{"-shards", "0"}, "-shards 0 out of range"},
 		{[]string{"-notify", notices}, "-notify needs -out"},
 	} {
 		err := run(tc.args)

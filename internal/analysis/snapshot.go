@@ -52,12 +52,13 @@ type Snapshot struct {
 
 // CheckpointState is the census-position half of a checkpoint: everything a
 // resumed run needs beyond the aggregate itself. The zmap cyclic-group walk
-// makes the scan position one integer per shard (see zmap.Permutation.Seek),
-// so the whole scan state is Cursors.
+// makes the scan position one integer (see zmap.Permutation.Seek), so the
+// whole scan state is one cursor.
 type CheckpointState struct {
 	// Seed, Epoch, Scale, Shards, and ScanSize identify the world and
 	// pipeline shape this checkpoint belongs to; a resume against any
-	// other configuration must be refused.
+	// other configuration must be refused. A census writes Shards 1; the
+	// field keeps its name because gob matches fields by name.
 	Seed     uint64
 	Epoch    uint64
 	Scale    int
@@ -68,8 +69,8 @@ type CheckpointState struct {
 	// observes. Resume validates it so a checkpoint cannot silently
 	// continue under different measurement semantics.
 	ConfigDigest uint64
-	// Cursors holds each shard's permutation position (group steps
-	// consumed), Shards entries in shard order.
+	// Cursors holds the permutation position (group steps consumed), one
+	// entry per shard: a census writes exactly one.
 	Cursors []uint64
 	// Streamed counts the records in the JSONL ledger at checkpoint time;
 	// a resume appends after exactly this many lines so the concatenated

@@ -22,7 +22,7 @@ type UnexpectedService struct {
 	PctShed float64
 	// SampleBanner is one observed first-response; the lexicographically
 	// smallest is kept so the choice is deterministic whatever order the
-	// shards' records interleave in.
+	// workers finish records in.
 	SampleBanner string
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ftpcloud/internal/analysis"
@@ -38,11 +39,16 @@ var (
 	// HoneypotBase is where the honeypot study deploys.
 	HoneypotBase = simnet.MustParseIP("250.1.0.1")
 	// IdentifyBase is the first source address of the identification
-	// stage; shard i binds its identify workers starting at IdentifyBase +
-	// i*shardSourceStride. The block sits above the honeypot range so it
-	// can never collide with enumerator sources or deployed listeners.
+	// stage; worker i binds IdentifyBase + i. The block sits above the
+	// honeypot range so it can never collide with enumerator sources or
+	// deployed listeners.
 	IdentifyBase = simnet.MustParseIP("250.2.0.1")
 )
+
+// maxEnumWorkers is how many enumerator source addresses fit between
+// ScannerBase and CollectorIP: a larger fleet would bind a source on the
+// collector's address.
+var maxEnumWorkers = int(CollectorIP - ScannerBase)
 
 // CensusConfig sizes a census run.
 type CensusConfig struct {
@@ -53,10 +59,10 @@ type CensusConfig struct {
 	// ScanWorkers / EnumWorkers set stage parallelism.
 	ScanWorkers int
 	EnumWorkers int
-	// ScanRate caps discovery probes per second across all shards (the
-	// paper's ZMap rate knob); 0 means unthrottled. Pacing changes when
-	// hosts are observed, never what is observed, so it is not part of
-	// the checkpoint's config digest.
+	// ScanRate caps discovery probes per second (the paper's ZMap rate
+	// knob); 0 means unthrottled. Pacing changes when hosts are observed,
+	// never what is observed, so it is not part of the checkpoint's
+	// config digest.
 	ScanRate int
 	// Retries resends discovery probes to absorb simulated loss.
 	Retries int
@@ -155,13 +161,13 @@ type CensusConfig struct {
 	// quiescent points when Every is set). See CheckpointPolicy.
 	Checkpoint *CheckpointPolicy
 	// Resume, when non-nil, continues a census from the checkpoint a
-	// previous run wrote: the scanners seek to the saved cursors, the
+	// previous run wrote: the scanner seeks to the saved cursor, the
 	// saved aggregate and robustness ledger seed the run's sink chain
 	// before any record flows, and —
 	// when the caller appends to the same JSONL ledger — the finished
 	// series is byte-identical to an uninterrupted run. The snapshot must
 	// carry checkpoint state matching this configuration (same seed,
-	// epoch, scale, shard count, and measurement knobs) or Run fails with
+	// epoch, scale, and measurement knobs) or Run fails with
 	// ErrCheckpointMismatch.
 	Resume *analysis.Snapshot
 }
@@ -200,6 +206,9 @@ type Census struct {
 
 // NewCensus synthesizes the world and network.
 func NewCensus(cfg CensusConfig) (*Census, error) {
+	if cfg.EnumWorkers > maxEnumWorkers {
+		return nil, fmt.Errorf("core: %d enum workers exceeds the source-address block (max %d)", cfg.EnumWorkers, maxEnumWorkers)
+	}
 	if cfg.Scale < 1 {
 		cfg.Scale = 2048
 	}
@@ -279,15 +288,134 @@ type Result struct {
 // inside that pass, so the join is always consistent with the records that
 // actually flowed, even when the run is cancelled mid-flight.
 //
-// Run drives a single pipeline; ShardedCensus fans the same pipeline out
-// over strided permutation shards, all draining into one sink chain. Both
-// are runN, which also hosts the checkpoint/resume machinery (see
-// checkpoint.go).
-func (c *Census) Run(ctx context.Context) (*Result, error) {
-	return c.runN(ctx, 1)
+// Run also owns the checkpoint machinery (see checkpoint.go): the detached
+// pipeline context, the halt watcher, the periodic quiescent coordinator,
+// and the truncation checkpoint write.
+func (c *Census) Run(callerCtx context.Context) (*Result, error) {
+	start := time.Now()
+
+	resume, err := c.resumeState()
+	if err != nil {
+		return nil, err
+	}
+
+	// With a checkpoint policy the pipeline runs under a context detached
+	// from the caller's: cancellation must not abort in-flight work, or
+	// the committed cursor would not cover what drained. The halt watcher
+	// below translates caller cancellation into a graceful stop. Without a
+	// policy caller cancellation cuts the pipeline directly.
+	policy := c.Config.Checkpoint
+	var pipeCtx context.Context
+	var cancel context.CancelFunc
+	if policy != nil {
+		pipeCtx, cancel = context.WithCancel(context.WithoutCancel(callerCtx))
+	} else {
+		pipeCtx, cancel = context.WithCancel(callerCtx)
+	}
+	defer cancel()
+
+	collector, err := c.newCollector()
+	if err != nil {
+		return nil, err
+	}
+	defer collector.Close()
+	fold := c.newFold(resume)
+	scanner, err := zmap.NewScanner(zmap.Config{
+		Network:     c.Network,
+		Base:        c.World.ScanBase,
+		Size:        c.World.ScanSize,
+		Port:        21,
+		Seed:        c.Config.Seed,
+		Workers:     c.Config.ScanWorkers,
+		RatePerSec:  c.Config.ScanRate,
+		Retries:     c.Config.Retries,
+		StartCursor: fold.cursor,
+		Metrics:     c.Config.Metrics,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: scanner: %w", err)
+	}
+	rt := &pipeRuntime{scanner: scanner}
+
+	pipeDone := make(chan struct{})
+	var hardCanceled atomic.Bool
+	var watcherDone chan struct{}
+	if policy != nil {
+		watcherDone = make(chan struct{})
+		go func() {
+			defer close(watcherDone)
+			select {
+			case <-pipeDone:
+				return
+			case <-callerCtx.Done():
+			}
+			// Halt the scanner at its next batch boundary; in-flight
+			// work keeps draining under the detached pipeline context,
+			// so when the pipeline finishes the cursor is exact.
+			scanner.Halt()
+			grace := policy.DrainGrace
+			if grace <= 0 {
+				grace = 30 * time.Second
+			}
+			select {
+			case <-pipeDone:
+			case <-time.After(grace):
+				// The drain is stuck; cut it. The cursor no longer
+				// bounds what drained, so the checkpoint is skipped.
+				hardCanceled.Store(true)
+				cancel()
+			}
+		}()
+	}
+
+	var stopTicker func()
+	if policy != nil && policy.Every > 0 {
+		stopTicker = obs.Every(pipeCtx, policy.Every, func() {
+			c.quiescentCheckpoint(pipeCtx, rt, fold)
+		})
+	}
+
+	o := c.runPipeline(pipeCtx, cancel, start, collector, fold, rt)
+	close(pipeDone)
+	if stopTicker != nil {
+		stopTicker()
+	}
+	if watcherDone != nil {
+		<-watcherDone
+	}
+	// Every client has closed its connections; wait for the world's
+	// servers to see those closes, so the hosts they release are evicted
+	// before the run's metrics are read.
+	c.World.WaitIdle()
+
+	closeErr := fold.sink.Close()
+
+	// With the pipeline detached from the caller, truncation shows on
+	// callerCtx, not pipeCtx — assemble reads whichever context carries
+	// the caller's intent.
+	assembleCtx := pipeCtx
+	if policy != nil {
+		assembleCtx = callerCtx
+	}
+	result, runErr := c.assemble(assembleCtx, start, fold, o, closeErr)
+
+	// The truncation checkpoint: written after everything drained, so it
+	// is the exact state an uninterrupted run would have passed through.
+	// Skipped after a hard cancel (cursor not exact) and after a sink
+	// failure (the ledger is suspect).
+	if policy != nil && runErr == nil && result != nil && result.Truncated && !hardCanceled.Load() {
+		snap := result.agg.Snapshot()
+		snap.Checkpoint = c.checkpointState(scanner.Cursor(), result.Observed, result.Probed, result.Responded, true, *fold.robust)
+		if werr := policy.Write(snap); werr != nil {
+			runErr = fmt.Errorf("core: writing truncation checkpoint: %w", werr)
+		} else {
+			c.Config.Metrics.Counter("census.checkpoints").Inc()
+		}
+	}
+	return result, runErr
 }
 
-// newCollector builds the PORT-validation collector every shard shares.
+// newCollector builds the run's PORT-validation collector.
 func (c *Census) newCollector() (*enumerator.SimCollector, error) {
 	sim, err := enumerator.NewSimCollector(c.Network, CollectorIP, 3100)
 	if err != nil {
@@ -296,75 +424,31 @@ func (c *Census) newCollector() (*enumerator.SimCollector, error) {
 	return sim, nil
 }
 
-// shardSpec parameterizes one census pipeline over the shared world: its
-// stride of the permutation, its source-address block, and the resources
-// shared with sibling shards (the collector and the run's sink chain) that
-// the pipeline must use but not own.
-type shardSpec struct {
-	index, total int
-	sourceBase   simnet.IP
-	// identifySource is the first source address of this shard's
-	// identification workers (unused when identification is off).
-	identifySource simnet.IP
-	collector      enumerator.Collector
-	// sink is the run's one sink chain; every shard drains into it and
-	// runN closes it once all shards have finished.
-	sink dataset.Sink
-	// prefix namespaces the pipeline's registry counters ("shard3.");
-	// prefixed counters also feed the unprefixed merged view.
-	prefix string
-	// startCursor resumes this shard's permutation walk at the saved
-	// checkpoint position (group steps); zero starts from the beginning.
-	startCursor uint64
-}
-
-// shardOutcome is one pipeline's share of the census: its discovery
-// counters, timing, and any errors. Its records are already in the run's
-// sink chain.
-type shardOutcome struct {
+// pipeOutcome is the pipeline's discovery counters, timing, and errors. Its
+// records are already in the run's sink chain.
+type pipeOutcome struct {
 	scanDur   time.Duration
 	probed    uint64
 	responded uint64
-	setupErr  error
 	sinkErr   error
 	scanErr   error
 }
 
-// runShard executes one discovery+enumeration pipeline over the spec's
-// slice of the scan. A sink failure cancels the whole run (all shards share
-// the cancel); every other error is recorded in the outcome for assemble to
-// order by the established precedence. The shard publishes its live pieces
-// through rt for the checkpoint coordinator (see checkpoint.go).
-func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start time.Time, spec shardSpec, rt *shardRuntime) *shardOutcome {
-	o := &shardOutcome{}
-	scanner, err := zmap.NewScanner(zmap.Config{
-		Network:       c.Network,
-		Base:          c.World.ScanBase,
-		Size:          c.World.ScanSize,
-		Port:          21,
-		Seed:          c.Config.Seed,
-		Workers:       c.Config.ScanWorkers,
-		RatePerSec:    c.Config.ScanRate,
-		Retries:       c.Config.Retries,
-		Shard:         spec.index,
-		TotalShards:   spec.total,
-		StartCursor:   spec.startCursor,
-		Metrics:       c.Config.Metrics,
-		MetricsPrefix: spec.prefix,
-	})
-	if err != nil {
-		o.setupErr = fmt.Errorf("core: scanner: %w", err)
-		close(rt.ready)
-		return o
-	}
-
+// runPipeline executes discovery and enumeration: rt's scanner walks the
+// scan, and every record drains into the fold's sink chain. A sink failure
+// cancels the run; every other error is recorded in the outcome for
+// assemble to order by the established precedence. The drain keeps rt's
+// quiescence accounting for the checkpoint coordinator (see checkpoint.go).
+func (c *Census) runPipeline(ctx context.Context, cancel context.CancelFunc, start time.Time, collector enumerator.Collector, fold *censusFold, rt *pipeRuntime) *pipeOutcome {
+	o := &pipeOutcome{}
+	scanner := rt.scanner
 	enumTimeout := c.Config.EnumTimeout
 	if enumTimeout == 0 {
 		enumTimeout = 15 * time.Second
 	}
 	fleet := &enumerator.Fleet{
 		Cfg: enumerator.Config{
-			Collector:  spec.collector,
+			Collector:  collector,
 			RequestCap: c.Config.RequestCap,
 			TryTLS:     true,
 			Timeout:    enumTimeout,
@@ -374,16 +458,10 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			Now:        c.Config.Now,
 		},
 		Network:    c.Network,
-		SourceBase: spec.sourceBase,
+		SourceBase: ScannerBase,
 		Workers:    c.Config.EnumWorkers,
 		Metrics:    c.Config.Metrics,
 	}
-
-	// Publish the scanner for the checkpoint coordinator, then signal
-	// readiness: from here on the halt watcher can stop the scanner and
-	// the quiescence loop can read its accounting.
-	rt.scanner = scanner
-	close(rt.ready)
 
 	// Pipeline: scanner results flow straight into the next stage's
 	// intake, in batches so discovery fan-out costs one channel handoff
@@ -424,10 +502,10 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			}
 		}
 	}()
-	// The shard's single drain goroutine feeds the shared sink chain
-	// (Synced, so shards take turns). A sink failure cancels the pipeline
-	// but keeps draining so the fleet can shut down.
-	mets := newCensusMetrics(c.Config.Metrics, spec.prefix)
+	// The single drain goroutine is the sink chain's only caller until the
+	// run closes it. A sink failure cancels the pipeline but keeps
+	// draining so the fleet can shut down.
+	mets := newCensusMetrics(c.Config.Metrics)
 	drained := make(chan error, 1)
 	go func() {
 		var sinkErr error
@@ -436,7 +514,7 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			if sinkErr != nil {
 				continue
 			}
-			if err := spec.sink.Observe(rec); err != nil {
+			if err := fold.sink.Observe(rec); err != nil {
 				sinkErr = err
 				mets.sinkErrors.Inc()
 				rt.sinkFailed.Store(true)
@@ -464,11 +542,10 @@ func (c *Census) runShard(ctx context.Context, cancel context.CancelFunc, start 
 			Cfg: identify.Config{
 				BannerWait: c.Config.IdentifyWait,
 			},
-			Network:       c.Network,
-			SourceBase:    spec.identifySource,
-			Workers:       c.Config.IdentifyWorkers,
-			Metrics:       c.Config.Metrics,
-			MetricsPrefix: spec.prefix,
+			Network:    c.Network,
+			SourceBase: IdentifyBase,
+			Workers:    c.Config.IdentifyWorkers,
+			Metrics:    c.Config.Metrics,
 		}
 		fleetOut := make(chan *dataset.HostRecord, 1024)
 		var fwd sync.WaitGroup
@@ -514,53 +591,38 @@ func shedRecord(res identify.Result) *dataset.HostRecord {
 	}
 }
 
-// assemble builds the Result from the run's fold and the shard outcomes,
-// ordering errors by the established precedence and flagging graceful
-// truncation.
-func (c *Census) assemble(ctx context.Context, start time.Time, fold *censusFold, outcomes []*shardOutcome, closeErr error) (*Result, error) {
-	for _, o := range outcomes {
-		if o.setupErr != nil {
-			return nil, o.setupErr
-		}
-	}
-
+// assemble builds the Result from the run's fold and the pipeline's
+// outcome, ordering errors by the established precedence and flagging
+// graceful truncation.
+func (c *Census) assemble(ctx context.Context, start time.Time, fold *censusFold, o *pipeOutcome, closeErr error) (*Result, error) {
 	result := &Result{
-		Observed:   fold.agg.Observed(),
-		Probed:     fold.probed,
-		Responded:  fold.responded,
-		Robustness: *fold.robust,
-		agg:        fold.agg,
-		scanned:    c.World.ScanSize,
+		Observed:     fold.agg.Observed(),
+		ScanDuration: o.scanDur,
+		EnumDuration: time.Since(start),
+		Probed:       fold.probed + o.probed,
+		Responded:    fold.responded + o.responded,
+		Robustness:   *fold.robust,
+		agg:          fold.agg,
+		scanned:      c.World.ScanSize,
 	}
-	for _, o := range outcomes {
-		result.Probed += o.probed
-		result.Responded += o.responded
-		result.ScanDuration = max(result.ScanDuration, o.scanDur)
-	}
-	result.EnumDuration = time.Since(start)
 
 	// Error precedence: a broken sink is fatal (the dataset is suspect)
 	// but the partial result still rides along for inspection; a scanner
 	// failure other than cancellation is fatal outright.
-	for _, o := range outcomes {
-		if o.sinkErr != nil {
-			return result, fmt.Errorf("core: record sink: %w", o.sinkErr)
-		}
+	if o.sinkErr != nil {
+		return result, fmt.Errorf("core: record sink: %w", o.sinkErr)
 	}
 	if closeErr != nil {
 		return result, fmt.Errorf("core: closing record sink: %w", closeErr)
 	}
-	for _, o := range outcomes {
-		if o.scanErr != nil && !isContextErr(o.scanErr) {
-			return nil, fmt.Errorf("core: discovery scan: %w", o.scanErr)
-		}
+	if o.scanErr != nil && !isContextErr(o.scanErr) {
+		return nil, fmt.Errorf("core: discovery scan: %w", o.scanErr)
 	}
 
 	// Caller cancellation is graceful truncation, not failure: everything
 	// drained before the cut is a usable dataset — the paper's days-long
-	// measurement had to survive exactly this. All shards share the run
-	// context, so a deadline truncates them together; every drained
-	// record is already folded in, and the cause is recorded once.
+	// measurement had to survive exactly this. Every drained record is
+	// already folded in, and the cause is recorded once.
 	if err := ctx.Err(); err != nil {
 		result.Truncated = true
 		result.TruncatedBy = TruncateCanceled
@@ -599,17 +661,15 @@ type censusMetrics struct {
 	failures   map[string]*obs.Counter
 }
 
-// newCensusMetrics binds the drain counters, namespaced by prefix for
-// sharded pipelines (prefixed counters feed the merged unprefixed view).
-// Failure-class counters stay global: progress reads classes, not shards.
-func newCensusMetrics(reg *obs.Registry, prefix string) *censusMetrics {
+// newCensusMetrics binds the drain counters.
+func newCensusMetrics(reg *obs.Registry) *censusMetrics {
 	return &censusMetrics{
 		reg:        reg,
-		drained:    reg.ChildCounter(prefix, "census.drained"),
-		observed:   reg.ChildCounter(prefix, "census.observed"),
-		partial:    reg.ChildCounter(prefix, "census.partial"),
-		terminated: reg.ChildCounter(prefix, "census.terminated"),
-		sinkErrors: reg.ChildCounter(prefix, "census.sink_errors"),
+		drained:    reg.Counter("census.drained"),
+		observed:   reg.Counter("census.observed"),
+		partial:    reg.Counter("census.partial"),
+		terminated: reg.Counter("census.terminated"),
+		sinkErrors: reg.Counter("census.sink_errors"),
 		failures:   make(map[string]*obs.Counter),
 	}
 }

@@ -209,6 +209,19 @@ func TestCensusCancellation(t *testing.T) {
 	}
 }
 
+// TestNewCensusRefusesOversizedFleet: the enumerator binds one source
+// address per worker from ScannerBase up, so a fleet that would reach
+// CollectorIP is refused before any world is built; the largest fleet that
+// fits is accepted. Only the census is constructed: no fleet starts.
+func TestNewCensusRefusesOversizedFleet(t *testing.T) {
+	if _, err := NewCensus(CensusConfig{Scale: 131072, EnumWorkers: 65281}); err == nil {
+		t.Error("65281 enum workers accepted; the last would bind the collector's address")
+	}
+	if _, err := NewCensus(CensusConfig{Scale: 131072, EnumWorkers: 65280}); err != nil {
+		t.Errorf("65280 enum workers refused: %v", err)
+	}
+}
+
 // TestCensusDeadlineTruncation: an expired deadline mid-run must yield the
 // partial dataset — every record drained before the cut, flagged with the
 // deadline truncation class — and the tables must still compute.
@@ -241,6 +254,9 @@ func TestCensusDeadlineTruncation(t *testing.T) {
 	if res.Observed != probe.seen {
 		t.Errorf("Observed=%d but StreamTo saw %d records", res.Observed, probe.seen)
 	}
+	if probe.closes != 1 {
+		t.Errorf("StreamTo closed %d times, want exactly once", probe.closes)
+	}
 	if res.Observed != res.Robustness.Records {
 		t.Errorf("Observed=%d disagrees with Robustness.Records=%d",
 			res.Observed, res.Robustness.Records)
@@ -254,12 +270,14 @@ func TestCensusDeadlineTruncation(t *testing.T) {
 	}
 }
 
-// cancelAfterSink passes records through, optionally stalling after a few
-// so a surrounding deadline reliably fires mid-drain.
+// cancelAfterSink counts the records it is handed and its Close calls,
+// optionally stalling after a few so a surrounding deadline reliably fires
+// mid-drain.
 type cancelAfterSink struct {
-	after int
-	seen  int
-	block chan struct{}
+	after  int
+	seen   int
+	closes int
+	block  chan struct{}
 }
 
 func (s *cancelAfterSink) Observe(*dataset.HostRecord) error {
@@ -270,7 +288,10 @@ func (s *cancelAfterSink) Observe(*dataset.HostRecord) error {
 	return nil
 }
 
-func (s *cancelAfterSink) Close() error { return nil }
+func (s *cancelAfterSink) Close() error {
+	s.closes++
+	return nil
+}
 
 // TestDrainConsistencyOnSinkFailure: a sink failing mid-stream must not
 // desynchronize the ledgers — Robustness counts exactly the records the

@@ -6,22 +6,19 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
-	"ftpcloud/internal/obs"
-	"ftpcloud/internal/simnet"
 	"ftpcloud/internal/zmap"
 )
 
 // CheckpointPolicy makes a census resumable. With a policy configured,
-// caller cancellation no longer tears the pipeline down: the scanners halt
+// caller cancellation no longer tears the pipeline down: the scanner halts
 // at a batch boundary, everything already emitted drains through the sink
-// chain, and Write receives a snapshot whose per-shard cursors exactly
-// cover the records the run folded (and streamed). A later run configured
+// chain, and Write receives a snapshot whose cursor exactly covers the
+// records the run folded (and streamed). A later run configured
 // with Resume continues from that snapshot as if the interruption never
 // happened.
 type CheckpointPolicy struct {
@@ -30,14 +27,14 @@ type CheckpointPolicy struct {
 	// concurrently with itself. Must not be nil.
 	Write func(*analysis.Snapshot) error
 	// Every enables periodic checkpoints: at this interval the coordinator
-	// parks the scanners, waits for in-flight work to drain, flushes the
+	// parks the scanner, waits for in-flight work to drain, flushes the
 	// ledger, and writes a snapshot — so even a SIGKILL loses at most one
 	// interval of work. Zero disables periodic writes (truncation still
 	// checkpoints).
 	Every time.Duration
 	// DrainGrace bounds how long truncation waits for in-flight work to
 	// drain before hard-canceling the pipeline. After a hard cancel no
-	// checkpoint is written — the cursors are no longer exact. Zero means
+	// checkpoint is written — the cursor is no longer exact. Zero means
 	// 30s.
 	DrainGrace time.Duration
 }
@@ -47,30 +44,29 @@ type CheckpointPolicy struct {
 // measurement semantics mid-series.
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match census configuration")
 
-// shardRuntime exposes one running shard's live pieces to the checkpoint
+// pipeRuntime exposes the running pipeline's live pieces to the checkpoint
 // coordinator: the scanner (halt/pause/cursor) and the accounting that
-// defines quiescence. ready closes once the fields are published (scanner
-// nil means setup failed).
-type shardRuntime struct {
-	ready      chan struct{}
+// defines quiescence.
+type pipeRuntime struct {
 	scanner    *zmap.Scanner
 	accepted   atomic.Uint64
 	sinkFailed atomic.Bool
 }
 
-// censusFold is a run's one sink chain and the state it folds into: every
-// shard drains into sink, Synced(Tee(StreamTo, agg, robust)), so the
-// ledger, the aggregator and the robustness ledger each exist once per run
-// however many shards feed them. A resumed run seeds agg, robust and the
-// discovery counters from its checkpoint before any shard starts, so the
-// earlier run's state is folded in exactly once.
+// censusFold is a run's one sink chain and the state it folds into:
+// Tee(StreamTo, agg, robust), fed only by the pipeline's drain goroutine. A
+// resumed run seeds agg, robust, the discovery counters and the scan
+// cursor from its checkpoint before the pipeline starts, so the earlier
+// run's state is folded in exactly once.
 type censusFold struct {
 	sink   dataset.Sink
 	agg    *analysis.Aggregator
 	robust *Robustness
 	// probed and responded carry the resumed checkpoint's discovery
-	// counters; the shards' own counters add on top.
+	// counters; the scanner's own counters add on top. cursor is the
+	// checkpoint's permutation position, where the scanner starts.
 	probed, responded uint64
+	cursor            uint64
 }
 
 // newFold builds the run's sink chain. The aggregator resolves each
@@ -87,212 +83,38 @@ func (c *Census) newFold(resume *analysis.CheckpointState) *censusFold {
 		*f.robust = resume.Robustness
 		f.robust.Failures = maps.Clone(resume.Robustness.Failures)
 		f.probed, f.responded = resume.Probed, resume.Responded
+		f.cursor = resume.Cursors[0]
 	}
 	var sinks []dataset.Sink
 	if c.Config.StreamTo != nil {
 		sinks = append(sinks, c.Config.StreamTo)
 	}
-	f.sink = dataset.Synced(dataset.Tee(append(sinks, f.agg, f.robust)...))
+	f.sink = dataset.Tee(append(sinks, f.agg, f.robust)...)
 	return f
 }
 
-// runN executes n shard pipelines (n==1 is the plain census) over one
-// sink chain. It owns the checkpoint machinery: the detached pipeline
-// context, the halt watcher, the periodic quiescent coordinator, and the
-// truncation checkpoint write.
-func (c *Census) runN(callerCtx context.Context, n int) (*Result, error) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxShards {
-		return nil, fmt.Errorf("core: %d shards exceeds the source-address budget (max %d)", n, maxShards)
-	}
-	start := time.Now()
-
-	resume, err := c.resumeState(n)
-	if err != nil {
-		return nil, err
-	}
-
-	// With a checkpoint policy the pipelines run under a context detached
-	// from the caller's: cancellation must not abort in-flight work, or
-	// the committed cursors would not cover what drained. The halt watcher
-	// below translates caller cancellation into a graceful stop. Without a
-	// policy the legacy behavior stands — caller cancellation cuts the
-	// pipeline directly.
-	policy := c.Config.Checkpoint
-	var pipeCtx context.Context
-	var cancel context.CancelFunc
-	if policy != nil {
-		pipeCtx, cancel = context.WithCancel(context.WithoutCancel(callerCtx))
-	} else {
-		pipeCtx, cancel = context.WithCancel(callerCtx)
-	}
-	defer cancel()
-
-	collector, err := c.newCollector()
-	if err != nil {
-		return nil, err
-	}
-	defer collector.Close()
-	fold := c.newFold(resume)
-
-	runtimes := make([]*shardRuntime, n)
-	for i := range runtimes {
-		runtimes[i] = &shardRuntime{ready: make(chan struct{})}
-	}
-
-	pipesDone := make(chan struct{})
-	var hardCanceled atomic.Bool
-	var watcherDone chan struct{}
-	if policy != nil {
-		watcherDone = make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-pipesDone:
-				return
-			case <-callerCtx.Done():
-			}
-			// Halt every scanner at its next batch boundary; in-flight
-			// work keeps draining under the detached pipeline context,
-			// so when the pipelines finish the cursors are exact.
-			for _, rt := range runtimes {
-				<-rt.ready
-				if rt.scanner != nil {
-					rt.scanner.Halt()
-				}
-			}
-			grace := policy.DrainGrace
-			if grace <= 0 {
-				grace = 30 * time.Second
-			}
-			select {
-			case <-pipesDone:
-			case <-time.After(grace):
-				// The drain is stuck; cut it. The cursors no longer
-				// bound what drained, so the checkpoint is skipped.
-				hardCanceled.Store(true)
-				cancel()
-			}
-		}()
-	}
-
-	var stopTicker func()
-	if policy != nil && policy.Every > 0 {
-		stopTicker = obs.Every(pipeCtx, policy.Every, func() {
-			c.quiescentCheckpoint(pipeCtx, runtimes, fold)
-		})
-	}
-
-	outcomes := make([]*shardOutcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		spec := shardSpec{
-			sourceBase:     simnet.IP(uint64(ScannerBase) + uint64(i)*shardSourceStride),
-			identifySource: simnet.IP(uint64(IdentifyBase) + uint64(i)*shardSourceStride),
-			collector:      collector,
-			sink:           fold.sink,
-		}
-		if n > 1 {
-			spec.index, spec.total = i, n
-			spec.prefix = fmt.Sprintf("shard%d.", i)
-		}
-		if resume != nil {
-			spec.startCursor = resume.Cursors[i]
-		}
-		wg.Add(1)
-		go func(i int, spec shardSpec) {
-			defer wg.Done()
-			outcomes[i] = c.runShard(pipeCtx, cancel, start, spec, runtimes[i])
-		}(i, spec)
-	}
-	wg.Wait()
-	close(pipesDone)
-	if stopTicker != nil {
-		stopTicker()
-	}
-	if watcherDone != nil {
-		<-watcherDone
-	}
-	// Every client has closed its connections; wait for the world's
-	// servers to see those closes, so the hosts they release are evicted
-	// before the run's metrics are read.
-	c.World.WaitIdle()
-
-	closeErr := fold.sink.Close()
-
-	// With the pipelines detached from the caller, truncation shows on
-	// callerCtx, not pipeCtx — assemble reads whichever context carries
-	// the caller's intent.
-	assembleCtx := pipeCtx
-	if policy != nil {
-		assembleCtx = callerCtx
-	}
-	result, runErr := c.assemble(assembleCtx, start, fold, outcomes, closeErr)
-
-	// The truncation checkpoint: written after everything drained, so it
-	// is the exact state an uninterrupted run would have passed through.
-	// Skipped after a hard cancel (cursors not exact) and after a sink
-	// failure (the ledger is suspect).
-	if policy != nil && runErr == nil && result != nil && result.Truncated && !hardCanceled.Load() {
-		snap := result.agg.Snapshot()
-		cursors := make([]uint64, n)
-		for i, rt := range runtimes {
-			if rt.scanner != nil {
-				cursors[i] = rt.scanner.Cursor()
-			}
-		}
-		snap.Checkpoint = c.checkpointState(n, cursors, result.Observed, result.Probed, result.Responded, true, *fold.robust)
-		if werr := policy.Write(snap); werr != nil {
-			runErr = fmt.Errorf("core: writing truncation checkpoint: %w", werr)
-		} else {
-			c.Config.Metrics.Counter("census.checkpoints").Inc()
-		}
-	}
-	return result, runErr
-}
-
-// quiescentCheckpoint pauses every scanner, waits until everything emitted
+// quiescentCheckpoint pauses the scanner, waits until everything emitted
 // has been accounted (dead or accepted by the sink chain), flushes the
 // ledger, writes a checkpoint, and resumes the walk. Runs on the obs.Every
 // goroutine, so invocations never overlap.
-func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardRuntime, fold *censusFold) {
-	for _, rt := range runtimes {
-		select {
-		case <-rt.ready:
-		case <-pipeCtx.Done():
-			return
-		}
-		if rt.scanner == nil {
-			return
-		}
-	}
-	for _, rt := range runtimes {
-		rt.scanner.Pause()
-	}
-	defer func() {
-		for _, rt := range runtimes {
-			rt.scanner.Resume()
-		}
-	}()
+func (c *Census) quiescentCheckpoint(pipeCtx context.Context, rt *pipeRuntime, fold *censusFold) {
+	sc := rt.scanner
+	sc.Pause()
+	defer sc.Resume()
 
-	// Quiescence: with the producers parked, emitted is frozen, so the
+	// Quiescence: with the producer parked, emitted is frozen, so the
 	// in-flight count only decreases. accepted is bumped after each
 	// record's folds complete, so pending == 0 is also the memory barrier
-	// that makes reading the fold below race-free. The drain is
-	// polled on one ticker per checkpoint, not a fresh timer per spin.
+	// that makes reading the fold below race-free: the drain goroutine is
+	// the fold's only other reader and writer. The drain is polled on one
+	// ticker per checkpoint, not a fresh timer per spin.
 	poll := time.NewTicker(time.Millisecond)
 	defer poll.Stop()
 	for {
-		pending := uint64(0)
-		for _, rt := range runtimes {
-			if rt.sinkFailed.Load() {
-				return
-			}
-			pending += rt.scanner.Emitted() - rt.scanner.Dead() - rt.accepted.Load()
+		if rt.sinkFailed.Load() {
+			return
 		}
-		if pending == 0 {
+		if sc.Emitted()-sc.Dead()-rt.accepted.Load() == 0 {
 			break
 		}
 		select {
@@ -302,9 +124,8 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 		}
 	}
 
-	// Flush the raw stream (not the Synced wrapper — at quiescence no
-	// Observe is in flight) so the ledger on disk holds exactly the
-	// records the checkpoint counts.
+	// Flush the stream so the ledger on disk holds exactly the records
+	// the checkpoint counts.
 	if f, ok := c.Config.StreamTo.(interface{ Flush() error }); ok {
 		if err := f.Flush(); err != nil {
 			c.Config.Metrics.Counter("census.checkpoint_errors").Inc()
@@ -312,15 +133,10 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 		}
 	}
 
-	probed, responded := fold.probed, fold.responded
-	cursors := make([]uint64, len(runtimes))
-	for i, rt := range runtimes {
-		probed += rt.scanner.Stats.Probed.Load()
-		responded += rt.scanner.Stats.Responded.Load()
-		cursors[i] = rt.scanner.Cursor()
-	}
+	probed := fold.probed + sc.Stats.Probed.Load()
+	responded := fold.responded + sc.Stats.Responded.Load()
 	snap := fold.agg.Snapshot()
-	snap.Checkpoint = c.checkpointState(len(runtimes), cursors, snap.Observed, probed, responded, false, *fold.robust)
+	snap.Checkpoint = c.checkpointState(sc.Cursor(), snap.Observed, probed, responded, false, *fold.robust)
 	if err := c.Config.Checkpoint.Write(snap); err != nil {
 		c.Config.Metrics.Counter("census.checkpoint_errors").Inc()
 		return
@@ -329,8 +145,10 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, runtimes []*shardR
 }
 
 // checkpointState assembles the census-position half of a checkpoint. The
-// robustness ledger is copied, so the live one can keep folding.
-func (c *Census) checkpointState(n int, cursors []uint64, observed int, probed, responded uint64, truncated bool, robust Robustness) *analysis.CheckpointState {
+// wire form keeps the shard count and a cursor list, so a census writes one
+// shard and one cursor. The robustness ledger is copied, so the live one
+// can keep folding.
+func (c *Census) checkpointState(cursor uint64, observed int, probed, responded uint64, truncated bool, robust Robustness) *analysis.CheckpointState {
 	streamed := 0
 	if c.Config.StreamTo != nil {
 		// The stream sink sits first in the chain, so every observed
@@ -343,10 +161,10 @@ func (c *Census) checkpointState(n int, cursors []uint64, observed int, probed, 
 		Seed:         p.Seed,
 		Epoch:        p.Epoch,
 		Scale:        p.Scale,
-		Shards:       n,
+		Shards:       1,
 		ScanSize:     c.World.ScanSize,
 		ConfigDigest: c.configDigest(),
-		Cursors:      cursors,
+		Cursors:      []uint64{cursor},
 		Streamed:     streamed,
 		Probed:       probed,
 		Responded:    responded,
@@ -355,9 +173,11 @@ func (c *Census) checkpointState(n int, cursors []uint64, observed int, probed, 
 	}
 }
 
-// resumeState validates the configured Resume snapshot against this census
-// and shard count, returning its checkpoint state (nil when not resuming).
-func (c *Census) resumeState(n int) (*analysis.CheckpointState, error) {
+// resumeState validates the configured Resume snapshot against this census,
+// returning its checkpoint state (nil when not resuming). A checkpoint
+// written by a census that split its scan over several shards cannot seed
+// the one permutation walk, so it is refused.
+func (c *Census) resumeState() (*analysis.CheckpointState, error) {
 	if c.Config.Resume == nil {
 		return nil, nil
 	}
@@ -375,18 +195,18 @@ func (c *Census) resumeState(n int) (*analysis.CheckpointState, error) {
 		return nil, fmt.Errorf("%w: scale %d != %d", ErrCheckpointMismatch, cp.Scale, p.Scale)
 	case cp.ScanSize != c.World.ScanSize:
 		return nil, fmt.Errorf("%w: scan size %d != %d", ErrCheckpointMismatch, cp.ScanSize, c.World.ScanSize)
-	case cp.Shards != n:
-		return nil, fmt.Errorf("%w: checkpoint has %d shards, resuming with %d", ErrCheckpointMismatch, cp.Shards, n)
-	case len(cp.Cursors) != n:
-		return nil, fmt.Errorf("%w: %d cursors for %d shards", ErrCheckpointMismatch, len(cp.Cursors), n)
+	case cp.Shards != 1:
+		return nil, fmt.Errorf("%w: checkpoint has %d shards, a census runs one", ErrCheckpointMismatch, cp.Shards)
+	case len(cp.Cursors) != 1:
+		return nil, fmt.Errorf("%w: %d cursors, want 1", ErrCheckpointMismatch, len(cp.Cursors))
 	case cp.ConfigDigest != c.configDigest():
 		return nil, fmt.Errorf("%w: measurement configuration changed (digest %#x != %#x)", ErrCheckpointMismatch, cp.ConfigDigest, c.configDigest())
 	}
 	return cp, nil
 }
 
-// configDigest fingerprints every knob beyond (seed, epoch, scale, shards)
-// that changes what a census observes; resume refuses a checkpoint whose
+// configDigest fingerprints every knob beyond (seed, epoch, scale) that
+// changes what a census observes; resume refuses a checkpoint whose
 // digest differs. Parallelism and metrics wiring are excluded —
 // they change how the run executes, not what it measures.
 func (c *Census) configDigest() uint64 {

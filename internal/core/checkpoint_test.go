@@ -72,18 +72,18 @@ func ledgerRobustness(records []*dataset.HostRecord) analysis.RobustnessState {
 // aggregate that finalizes to the tables of a fresh aggregator folding the
 // ledger's first Streamed lines, and must carry exactly that prefix's
 // robustness ledger: the kill is the run's result, not a record's, so no
-// checkpoint counts it. Swept over seeds × shard counts.
+// checkpoint counts it. Swept over seeds × worker counts.
 func TestLedgerPrefixMatchesCheckpoint(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("seed%d/%dshards", seed, shards), func(t *testing.T) {
-				checkLedgerPrefixCheckpoints(t, seed, shards)
+		for _, mult := range workerScales {
+			t.Run(fmt.Sprintf("seed%d/%dx-workers", seed, mult), func(t *testing.T) {
+				checkLedgerPrefixCheckpoints(t, seed, mult)
 			})
 		}
 	}
 }
 
-func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, shards int) {
+func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, mult int) {
 	type capture struct {
 		raw     []byte
 		resumed bool
@@ -102,7 +102,7 @@ func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, shards int) {
 			},
 		}
 	}
-	cfg := resumeConfig(seed, 65536, false)
+	cfg := withWorkers(resumeConfig(seed, 65536, false), mult)
 	// Pace the ~56k-address walk over about 0.3 s so the 20 ms ticker
 	// fires in both legs.
 	cfg.ScanRate = 200_000
@@ -114,11 +114,11 @@ func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, shards int) {
 	killCfg := cfg
 	killCfg.StreamTo = &cancelAtSink{inner: dataset.NewWriterSink(&ledger), n: 60, cancel: cancel}
 	killCfg.Checkpoint = policy(false)
-	sc, err := NewShardedCensus(killCfg, shards)
+	c, err := NewCensus(killCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run(ctx)
+	res, err := c.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, shards int) {
 	resCfg.StreamTo = dataset.NewWriterSink(&ledger)
 	resCfg.Resume = decodeCheckpoint(t, caps[len(caps)-1].raw)
 	resCfg.Checkpoint = policy(true)
-	sc2, err := NewShardedCensus(resCfg, shards)
+	c2, err := NewCensus(resCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc2.Run(context.Background()); err != nil {
+	if _, err := c2.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +144,7 @@ func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world := sc2.Census.World
+	world := c2.World
 	tables := func(agg *analysis.Aggregator) Tables {
 		return (&Result{agg: agg, scanned: world.ScanSize}).ComputeTables()
 	}

@@ -27,43 +27,44 @@ func retainedHeap() int64 {
 // that evicts clean hosts keeps only the connection-independent state.
 const maxRetainedPerHost = 160
 
-// TestCensusEvictsHosts sweeps the census over world scales — sharded, so
-// several pipelines release hosts on one shared world, and once through the
-// identification stage — holding the world and dropping the result. A
+// TestCensusEvictsHosts sweeps the census over world scales — at four times
+// the default workers too, so more connections pin and release hosts on the
+// world at once, and once through the identification stage — holding the
+// world and dropping the result. A
 // benign census writes nothing, so no host may stay resident; each host is
 // built at most once per control dial; and the heap the world retains per
 // contacted host stays small.
 func TestCensusEvictsHosts(t *testing.T) {
 	type point struct {
-		scale, shards int
-		identify      bool
+		scale, workers int
+		identify       bool
 	}
 	points := []point{{65536, 1, false}, {16384, 4, false}, {16384, 1, true}, {4096, 4, false}}
 	if !testing.Short() {
 		points = append(points, point{2048, 4, false})
 	}
 	for _, p := range points {
-		t.Run(fmt.Sprintf("scale=%d/shards=%d/identify=%v", p.scale, p.shards, p.identify), func(t *testing.T) {
+		t.Run(fmt.Sprintf("scale=%d/workers=%dx/identify=%v", p.scale, p.workers, p.identify), func(t *testing.T) {
 			reg := obs.NewRegistry()
-			cfg := CensusConfig{Seed: 42, Scale: p.scale, Metrics: reg}
+			cfg := withWorkers(CensusConfig{Seed: 42, Scale: p.scale, Metrics: reg}, p.workers)
 			if p.identify {
 				cfg.Identify = true
 				cfg.ServiceMix = worldgen.DefaultServiceMix()
 				cfg.IdentifyWait = 200 * time.Millisecond
 			}
-			sc, err := NewShardedCensus(cfg, p.shards)
+			c, err := NewCensus(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := retainedHeap()
-			res, err := sc.Run(context.Background())
+			res, err := c.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			observed, responded, retries := res.Observed, res.Responded, uint64(res.Robustness.Retries)
 			res = nil
 			perHost := float64(retainedHeap()-before) / float64(observed)
-			world := sc.Census.World
+			world := c.World
 
 			if n := reg.Gauge("world.resident").Load(); n != 0 {
 				t.Errorf("world.resident=%d after the census, want 0", n)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ftpcloud/internal/analysis"
@@ -11,7 +14,8 @@ import (
 // TestCheckpointGoldenFiles: checkpoint and aggregate files written before
 // the accumulators became their own serialized form still decode, and
 // merged into a fresh aggregator they render byte for byte the tables they
-// rendered when they were written. The files are fixed bytes:
+// rendered when they were written. A census runs one permutation walk, so
+// resuming the 2-shard checkpoint is refused. The files are fixed bytes:
 //
 //   - checkpoint-2shards: a frame-version-2 truncation checkpoint of a
 //     2-shard census (seed 11, scale 32768) killed after 400 records;
@@ -59,6 +63,15 @@ func TestCheckpointGoldenFiles(t *testing.T) {
 				t.Errorf("rendered tables diverge from the ones written with the file:\n got:\n%s\nwant:\n%s", got, want)
 			}
 			if tc.checkpoint {
+				cp := snap.Checkpoint
+				c, err := NewCensus(CensusConfig{Seed: cp.Seed, Scale: cp.Scale, Epoch: cp.Epoch, Resume: snap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = c.Run(context.Background())
+				if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "2 shards") {
+					t.Errorf("resuming the 2-shard checkpoint: got %v, want ErrCheckpointMismatch naming 2 shards", err)
+				}
 				return
 			}
 			// The aggregate must exercise the state it is kept for.

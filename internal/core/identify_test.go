@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -172,12 +171,13 @@ func TestIdentifyMixedWorldSheds(t *testing.T) {
 	}
 }
 
-// TestIdentifyShardedUnexpectedMerge: N shard pipelines each run their own
-// identification pool, and the merged unexpected-services table (and full
-// report) is byte-identical to the single-pipeline run — the shed ledger is
+// TestIdentifyWorkersUnexpectedTable: the unexpected-services table (and
+// the full report) does not depend on the worker counts — the shed ledger is
 // an additive fold with deterministic tie-breaking like every other
-// accumulator. Per-shard identify counters must sum to the merged view.
-func TestIdentifyShardedUnexpectedMerge(t *testing.T) {
+// accumulator, so four times the default scanner, identification and
+// enumeration workers fold it byte-identically. Each run's identify.shed
+// counter equals the ledger's total.
+func TestIdentifyWorkersUnexpectedTable(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := NewCensus(CensusConfig{
 		Seed:         7,
@@ -190,36 +190,34 @@ func TestIdentifyShardedUnexpectedMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := single.ComputeTables()
-	if st.Unexpected.Total == 0 {
-		t.Fatal("single-pipeline run shed nothing — merge test is vacuous")
-	}
-	want := st.RenderFull()
-
-	for _, shards := range []int{2, 4} {
+	var want Tables
+	for _, mult := range workerScales {
+		// Both runs share c's world, so they meet the same hosts.
+		c.Config = withWorkers(c.Config, mult)
 		before := reg.Snapshot()
-		res := shardedOver(t, c, shards)
-		delta := reg.Snapshot().Sub(before)
-		rt := res.ComputeTables()
-		if !reflect.DeepEqual(rt.Unexpected, st.Unexpected) {
-			t.Errorf("%d shards: unexpected-services table diverges:\n got %+v\nwant %+v",
-				shards, rt.Unexpected, st.Unexpected)
+		res, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := rt.RenderFull(); got != want {
-			t.Errorf("%d shards: full report diverges from single-pipeline run (%d vs %d bytes)",
-				shards, len(got), len(want))
+		shed := reg.Snapshot().Sub(before).Counters["identify.shed"]
+		got := res.ComputeTables()
+		if got.Unexpected.Total == 0 {
+			t.Fatalf("%dx workers: the run shed nothing — test is vacuous", mult)
 		}
-		var perShard uint64
-		for i := 0; i < shards; i++ {
-			perShard += delta.Counters[fmt.Sprintf("shard%d.identify.shed", i)]
+		if shed != uint64(got.Unexpected.Total) {
+			t.Errorf("%dx workers: identify.shed counted %d, ledger holds %d", mult, shed, got.Unexpected.Total)
 		}
-		if merged := delta.Counters["identify.shed"]; perShard != merged || merged != uint64(st.Unexpected.Total) {
-			t.Errorf("%d shards: per-shard shed sums to %d, merged %d, ledger %d",
-				shards, perShard, merged, st.Unexpected.Total)
+		if mult == 1 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got.Unexpected, want.Unexpected) {
+			t.Errorf("%dx workers: unexpected-services table diverges:\n got %+v\nwant %+v",
+				mult, got.Unexpected, want.Unexpected)
+		}
+		if g, w := got.RenderFull(), want.RenderFull(); g != w {
+			t.Errorf("%dx workers: full report diverges from the default-workers run (%d vs %d bytes)",
+				mult, len(g), len(w))
 		}
 	}
 }

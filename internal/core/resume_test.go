@@ -65,17 +65,33 @@ func resumeConfig(seed uint64, scale int, hostile bool) CensusConfig {
 	return cfg
 }
 
+// workerScales are the concurrency settings the invariance tests sweep:
+// each stage at its default worker count, and at four times it.
+var workerScales = []int{1, 4}
+
+// withWorkers sets the scanner, enumerator and identification worker
+// counts to mult times their defaults (64, 32 and 32); mult 1 keeps the
+// defaults.
+func withWorkers(cfg CensusConfig, mult int) CensusConfig {
+	if mult > 1 {
+		cfg.ScanWorkers = mult * 64
+		cfg.EnumWorkers = mult * 32
+		cfg.IdentifyWorkers = mult * 32
+	}
+	return cfg
+}
+
 // runReference runs the census uninterrupted and returns its rendered
 // tables, sorted ledger, and result.
-func runReference(t *testing.T, cfg CensusConfig, shards int) (string, []string, *Result) {
+func runReference(t *testing.T, cfg CensusConfig) (string, []string, *Result) {
 	t.Helper()
 	var ledger bytes.Buffer
 	cfg.StreamTo = dataset.NewWriterSink(&ledger)
-	sc, err := NewShardedCensus(cfg, shards)
+	c, err := NewCensus(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run(context.Background())
+	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,22 +100,22 @@ func runReference(t *testing.T, cfg CensusConfig, shards int) (string, []string,
 
 // TestKillAndResumeEquivalence: a census killed mid-run and resumed from
 // its truncation checkpoint produces tables and JSONL byte-identical to the
-// same census run uninterrupted — benign and hostile worlds, single and
-// sharded. This is the tentpole acceptance criterion.
+// same census run uninterrupted — benign and hostile worlds, at the default
+// worker counts and at four times them.
 func TestKillAndResumeEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		hostile bool
-		shards  int
+		workers int
 	}{
-		{"benign/1shard", false, 1},
-		{"benign/4shards", false, 4},
-		{"hostile/1shard", true, 1},
-		{"hostile/4shards", true, 4},
+		{"benign/1x-workers", false, 1},
+		{"benign/4x-workers", false, 4},
+		{"hostile/1x-workers", true, 1},
+		{"hostile/4x-workers", true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := resumeConfig(11, 32768, tc.hostile)
-			wantRender, wantLedger, wantRes := runReference(t, cfg, tc.shards)
+			cfg := withWorkers(resumeConfig(11, 32768, tc.hostile), tc.workers)
+			wantRender, wantLedger, wantRes := runReference(t, cfg)
 
 			// First leg: same census, killed after 5 records reach the
 			// ledger. The checkpoint policy turns the cancellation into a
@@ -123,11 +139,11 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 					return nil
 				},
 			}
-			sc, err := NewShardedCensus(killCfg, tc.shards)
+			c, err := NewCensus(killCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res1, err := sc.Run(ctx)
+			res1, err := c.Run(ctx)
 			if err != nil {
 				t.Fatalf("killed run returned error: %v", err)
 			}
@@ -144,8 +160,8 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			if !cp.Truncated {
 				t.Error("checkpoint not marked as written on truncation")
 			}
-			if len(cp.Cursors) != tc.shards {
-				t.Fatalf("checkpoint has %d cursors, want %d", len(cp.Cursors), tc.shards)
+			if cp.Shards != 1 || len(cp.Cursors) != 1 {
+				t.Fatalf("checkpoint has %d shards and %d cursors, want 1 and 1", cp.Shards, len(cp.Cursors))
 			}
 			// The halt drained everything emitted: the ledger holds
 			// exactly the records the checkpoint counts, no truncation
@@ -171,11 +187,11 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			resCfg := cfg
 			resCfg.StreamTo = dataset.NewWriterSink(&ledger)
 			resCfg.Resume = decoded
-			sc2, err := NewShardedCensus(resCfg, tc.shards)
+			c2, err := NewCensus(resCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res2, err := sc2.Run(context.Background())
+			res2, err := c2.Run(context.Background())
 			if err != nil {
 				t.Fatalf("resumed run returned error: %v", err)
 			}
@@ -217,7 +233,7 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 // appends to holds the rest, so notices must come from the ledger.
 func TestKillAndResumeNotices(t *testing.T) {
 	cfg := resumeConfig(11, 32768, false)
-	_, wantLedger, wantRes := runReference(t, cfg, 1)
+	_, wantLedger, wantRes := runReference(t, cfg)
 
 	// Kill a third of the way in, then resume into the same ledger.
 	var checkpoint *analysis.Snapshot
@@ -305,7 +321,7 @@ func (s *stallSink) Flush() error {
 // without warning resumes from its last periodic write.
 func TestPeriodicCheckpointResumesLikeSIGKILL(t *testing.T) {
 	cfg := resumeConfig(23, 32768, false)
-	wantRender, wantLedger, wantRes := runReference(t, cfg, 1)
+	wantRender, wantLedger, wantRes := runReference(t, cfg)
 
 	// The stall holds the pipeline open ~80ms; the 10ms ticker fires
 	// during it, waits out the stall in its quiescence poll, and writes a
@@ -421,36 +437,39 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("no checkpoint written")
 	}
 
-	run := func(mutate func(*CensusConfig, *analysis.Snapshot), shards int) error {
+	run := func(mutate func(*CensusConfig, *analysis.Snapshot)) error {
 		resCfg := cfg
 		snap := *checkpoint
 		cp := *checkpoint.Checkpoint
 		snap.Checkpoint = &cp
 		resCfg.Resume = &snap
 		mutate(&resCfg, &snap)
-		sc, err := NewShardedCensus(resCfg, shards)
+		c, err := NewCensus(resCfg)
 		if err != nil {
 			return err
 		}
-		_, err = sc.Run(context.Background())
+		_, err = c.Run(context.Background())
 		return err
 	}
 
 	cases := map[string]func() error{
 		"different seed": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Seed = 99 }, 1)
+			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Seed = 99 })
 		},
 		"different epoch": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Epoch = 2 }, 1)
+			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Epoch = 2 })
 		},
 		"different shards": func() error {
-			return run(func(*CensusConfig, *analysis.Snapshot) {}, 4)
+			return run(func(_ *CensusConfig, s *analysis.Snapshot) {
+				s.Checkpoint.Shards = 4
+				s.Checkpoint.Cursors = []uint64{0, 0, 0, 0}
+			})
 		},
 		"different measurement knobs": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Retries = 3 }, 1)
+			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Retries = 3 })
 		},
 		"plain aggregate": func() error {
-			return run(func(_ *CensusConfig, s *analysis.Snapshot) { s.Checkpoint = nil }, 1)
+			return run(func(_ *CensusConfig, s *analysis.Snapshot) { s.Checkpoint = nil })
 		},
 	}
 	for name, f := range cases {
@@ -459,8 +478,11 @@ func TestResumeValidation(t *testing.T) {
 		}
 	}
 
-	// The untouched checkpoint must still be accepted.
-	if err := run(func(*CensusConfig, *analysis.Snapshot) {}, 1); err != nil {
-		t.Errorf("valid checkpoint refused: %v", err)
+	// The untouched checkpoint must still be accepted, and at other worker
+	// counts: parallelism is not part of what a census measures.
+	for _, mult := range workerScales {
+		if err := run(func(c *CensusConfig, _ *analysis.Snapshot) { *c = withWorkers(*c, mult) }); err != nil {
+			t.Errorf("valid checkpoint refused at %dx workers: %v", mult, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/obs"
 )
 
 // listingProbe is a StreamTo sink that inspects records as they flow by,
@@ -34,37 +35,39 @@ func (p *listingProbe) Close() error {
 // TestLedgerRefoldMatchesLive is the property the streaming census rests
 // on: a census's JSONL ledger, read back and folded through a fresh
 // aggregator with the same world-truth HTTP join, finalizes exactly the
-// tables the live run folded — and the ledger itself does not depend on the
-// shard count. Swept over seeds × shard counts with a fixed clock, so
-// ledgers compare byte for byte once sorted (completion order varies).
+// tables the live run folded — and neither the ledger, the tables nor the
+// discovery and robustness counters depend on the worker counts. Swept over
+// seeds × worker counts with a fixed clock, so ledgers compare byte for byte
+// once sorted (completion order varies).
 func TestLedgerRefoldMatchesLive(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		var ledgers [][]string
-		for _, shards := range []int{1, 4} {
+		var results []*Result
+		for _, mult := range workerScales {
 			var ledger bytes.Buffer
-			sc, err := NewShardedCensus(CensusConfig{
+			c, err := NewCensus(withWorkers(CensusConfig{
 				Seed:     seed,
 				Scale:    32768,
 				Now:      fixedClock,
 				StreamTo: dataset.NewWriterSink(&ledger),
-			}, shards)
+			}, mult))
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, err := sc.Run(context.Background())
+			live, err := c.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			records, err := dataset.ReadAll(bytes.NewReader(ledger.Bytes()))
 			if err != nil {
-				t.Fatalf("seed %d, %d shards: reading ledger: %v", seed, shards, err)
+				t.Fatalf("seed %d, %dx workers: reading ledger: %v", seed, mult, err)
 			}
 			if len(records) != live.Observed {
-				t.Errorf("seed %d, %d shards: ledger holds %d records, run observed %d",
-					seed, shards, len(records), live.Observed)
+				t.Errorf("seed %d, %dx workers: ledger holds %d records, run observed %d",
+					seed, mult, len(records), live.Observed)
 			}
-			world := sc.Census.World
+			world := c.World
 			agg := analysis.NewAggregator(world.ASDB, truthHTTP(world))
 			for _, rec := range records {
 				if err := agg.Observe(rec); err != nil {
@@ -74,16 +77,65 @@ func TestLedgerRefoldMatchesLive(t *testing.T) {
 			refold := (&Result{agg: agg, scanned: world.ScanSize}).ComputeTables()
 			want := live.ComputeTables()
 			if !reflect.DeepEqual(refold, want) {
-				t.Errorf("seed %d, %d shards: re-folded tables are not deep-equal to the live tables", seed, shards)
+				t.Errorf("seed %d, %dx workers: re-folded tables are not deep-equal to the live tables", seed, mult)
 			}
 			if refold.Render() != want.Render() {
-				t.Errorf("seed %d, %d shards: re-folded render diverges from the live render", seed, shards)
+				t.Errorf("seed %d, %dx workers: re-folded render diverges from the live render", seed, mult)
 			}
 			ledgers = append(ledgers, sortedLines(t, ledger.Bytes()))
+			results = append(results, live)
 		}
 		if !reflect.DeepEqual(ledgers[0], ledgers[1]) {
-			t.Errorf("seed %d: the 4-shard ledger differs from the 1-shard ledger", seed)
+			t.Errorf("seed %d: the 4x-workers ledger differs from the default-workers ledger", seed)
 		}
+		a, b := results[0], results[1]
+		if a.ComputeTables().Render() != b.ComputeTables().Render() {
+			t.Errorf("seed %d: the 4x-workers tables differ from the default-workers tables", seed)
+		}
+		if a.Probed != b.Probed || a.Responded != b.Responded || !reflect.DeepEqual(a.Robustness, b.Robustness) {
+			t.Errorf("seed %d: 4x workers probed %d, responded %d, robustness %+v; default workers %d, %d, %+v",
+				seed, b.Probed, b.Responded, b.Robustness, a.Probed, a.Responded, a.Robustness)
+		}
+	}
+}
+
+// TestCensusStreamCounts: the stream sink sees every record exactly once
+// and is closed exactly once, and the discovery counters in the registry
+// agree with the result, at four times the default workers.
+func TestCensusStreamCounts(t *testing.T) {
+	sink := &cancelAfterSink{}
+	reg := obs.NewRegistry()
+	c, err := NewCensus(withWorkers(CensusConfig{
+		Seed:     7,
+		Scale:    131072,
+		StreamTo: sink,
+		Metrics:  reg,
+	}, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Observed == 0 {
+		t.Fatal("census observed no hosts")
+	}
+	if sink.seen != res.Observed {
+		t.Errorf("stream saw %d records, result observed %d", sink.seen, res.Observed)
+	}
+	if sink.closes != 1 {
+		t.Errorf("stream closed %d times, want exactly once", sink.closes)
+	}
+	if res.Observed != res.Robustness.Records {
+		t.Errorf("observed %d != robustness records %d", res.Observed, res.Robustness.Records)
+	}
+	snap := reg.Snapshot()
+	if observed := snap.Counters["census.observed"]; observed != uint64(res.Observed) {
+		t.Errorf("census.observed %d, result observed %d", observed, res.Observed)
+	}
+	if probed := snap.Counters["zmap.probed"]; probed != res.Probed {
+		t.Errorf("zmap.probed %d, result probed %d", probed, res.Probed)
 	}
 }
 

@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"io"
-	"sync"
-)
+import "io"
 
 // Sink consumes host records as a census emits them, one at a time. This is
 // the streaming counterpart of a record slice: the pipeline pushes each
@@ -72,32 +69,6 @@ func (c *Collector) Observe(rec *HostRecord) error {
 
 // Close is a no-op.
 func (c *Collector) Close() error { return nil }
-
-// Synced adapts a sink for concurrent producers by serializing Observe and
-// Close under a mutex. The Sink contract promises one goroutine at a time;
-// when several pipelines drain into one sink chain (the sharded census's
-// shards sharing its ledger, aggregator and robustness ledger), Synced
-// restores that promise at the point where they meet.
-func Synced(s Sink) Sink {
-	return &syncedSink{s: s}
-}
-
-type syncedSink struct {
-	mu sync.Mutex
-	s  Sink
-}
-
-func (s *syncedSink) Observe(rec *HostRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Observe(rec)
-}
-
-func (s *syncedSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.s.Close()
-}
 
 // Tee fans every record out to each sink in order. Observe stops at the
 // first failing sink; Close closes every sink and reports the first error.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -100,30 +99,5 @@ func TestTeeFanOutAndError(t *testing.T) {
 	// Single-sink Tee collapses to the sink itself.
 	if got := Tee(&a); got != Sink(&a) {
 		t.Error("Tee of one sink should return it unchanged")
-	}
-}
-
-func TestSyncedSerializesConcurrentProducers(t *testing.T) {
-	var coll Collector
-	s := Synced(&coll)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				if err := s.Observe(sampleRecord()); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if len(coll.Records) != 400 {
-		t.Errorf("collector saw %d records, want 400", len(coll.Records))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -59,9 +59,6 @@ type Config struct {
 	// identify.passed, identify.shed, identify.triggered,
 	// identify.errors, and the identify.latency histogram.
 	Metrics *obs.Registry
-	// MetricsPrefix namespaces per-shard counters ("shard3."); prefixed
-	// counters also feed the unprefixed merged view.
-	MetricsPrefix string
 }
 
 // Result is one endpoint's identification outcome.
@@ -167,9 +164,8 @@ type Stage struct {
 	SourceBase simnet.IP
 	// Workers is the concurrency; 0 means 32.
 	Workers int
-	// Metrics and MetricsPrefix override Cfg's when non-nil/non-empty.
-	Metrics       *obs.Registry
-	MetricsPrefix string
+	// Metrics overrides Cfg's when non-nil.
+	Metrics *obs.Registry
 }
 
 // stageMetrics resolves the stage's instruments once.
@@ -182,13 +178,13 @@ type stageMetrics struct {
 	latency   *obs.Histogram
 }
 
-func newStageMetrics(reg *obs.Registry, prefix string) stageMetrics {
+func newStageMetrics(reg *obs.Registry) stageMetrics {
 	return stageMetrics{
-		dials:     reg.ChildCounter(prefix, "identify.dials"),
-		passed:    reg.ChildCounter(prefix, "identify.passed"),
-		shed:      reg.ChildCounter(prefix, "identify.shed"),
-		triggered: reg.ChildCounter(prefix, "identify.triggered"),
-		errors:    reg.ChildCounter(prefix, "identify.errors"),
+		dials:     reg.Counter("identify.dials"),
+		passed:    reg.Counter("identify.passed"),
+		shed:      reg.Counter("identify.shed"),
+		triggered: reg.Counter("identify.triggered"),
+		errors:    reg.Counter("identify.errors"),
 		latency:   reg.Histogram("identify.latency", obs.DefaultLatencyBuckets...),
 	}
 }
@@ -208,11 +204,7 @@ func (s *Stage) Run(ctx context.Context, in <-chan simnet.IP, ftp chan<- simnet.
 	if reg == nil {
 		reg = s.Cfg.Metrics
 	}
-	prefix := s.MetricsPrefix
-	if prefix == "" {
-		prefix = s.Cfg.MetricsPrefix
-	}
-	m := newStageMetrics(reg, prefix)
+	m := newStageMetrics(reg)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)

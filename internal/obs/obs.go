@@ -22,24 +22,14 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing atomic counter. A counter may be
-// linked to a parent (Registry.ChildCounter): every increment then flows to
-// the parent as well, so a per-shard counter and the merged global view
-// stay consistent from one atomic add each.
-type Counter struct {
-	v      atomic.Uint64
-	parent *Counter
-}
+// Counter is a monotonically increasing atomic counter.
+type Counter struct{ v atomic.Uint64 }
 
 // NewCounter returns a standalone (unregistered) counter.
 func NewCounter() *Counter { return &Counter{} }
 
-// Add increments the counter by n, and its parent chain with it.
-func (c *Counter) Add(n uint64) {
-	for ; c != nil; c = c.parent {
-		c.v.Add(n)
-	}
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -171,26 +161,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = NewCounter()
 		r.counters[name] = c
-	}
-	return c
-}
-
-// ChildCounter returns the counter named prefix+name whose increments also
-// flow into the plain counter named name — the per-shard/merged pattern:
-// shard pipelines write "shard0.zmap.probed" and readers of "zmap.probed"
-// see the fleet-wide total. An empty prefix is just Counter(name); a nil
-// registry hands out a standalone counter.
-func (r *Registry) ChildCounter(prefix, name string) *Counter {
-	if prefix == "" || r == nil {
-		return r.Counter(name)
-	}
-	parent := r.Counter(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[prefix+name]
-	if !ok {
-		c = &Counter{parent: parent}
-		r.counters[prefix+name] = c
 	}
 	return c
 }

@@ -216,55 +216,6 @@ func TestServeDebugEndpoints(t *testing.T) {
 	}
 }
 
-func TestChildCounterFlowsToParent(t *testing.T) {
-	reg := NewRegistry()
-	shard0 := reg.ChildCounter("shard0.", "zmap.probed")
-	shard1 := reg.ChildCounter("shard1.", "zmap.probed")
-	shard0.Add(3)
-	shard1.Add(4)
-	shard1.Inc()
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["shard0.zmap.probed"]; got != 3 {
-		t.Errorf("shard0 counter = %d, want 3", got)
-	}
-	if got := snap.Counters["shard1.zmap.probed"]; got != 5 {
-		t.Errorf("shard1 counter = %d, want 5", got)
-	}
-	if got := snap.Counters["zmap.probed"]; got != 8 {
-		t.Errorf("parent counter = %d, want per-shard sum 8", got)
-	}
-
-	// Writes to the parent stay on the parent.
-	reg.Counter("zmap.probed").Inc()
-	if got := reg.Counter("zmap.probed").Load(); got != 9 {
-		t.Errorf("parent after direct Inc = %d, want 9", got)
-	}
-	if got := shard0.Load(); got != 3 {
-		t.Errorf("child changed by parent write: %d, want 3", got)
-	}
-
-	// Same prefix+name resolves to the same child.
-	if again := reg.ChildCounter("shard0.", "zmap.probed"); again != shard0 {
-		t.Error("ChildCounter did not reuse the registered child")
-	}
-}
-
-func TestChildCounterDegenerateForms(t *testing.T) {
-	reg := NewRegistry()
-	// Empty prefix is the plain counter.
-	if reg.ChildCounter("", "plain") != reg.Counter("plain") {
-		t.Error("empty prefix should resolve to the plain counter")
-	}
-	// Nil registry hands out a functional standalone counter.
-	var nilReg *Registry
-	c := nilReg.ChildCounter("shard0.", "x")
-	c.Add(2)
-	if c.Load() != 2 {
-		t.Error("nil-registry child counter not functional")
-	}
-}
-
 func TestGaugeSetMax(t *testing.T) {
 	g := NewGauge()
 	g.SetMax(5)

@@ -112,7 +112,10 @@ type Network struct {
 	// servers, lossy paths). Set before traffic flows, like Latency.
 	Faults FaultInjector
 
-	ephemeral sync.Map // IP -> *uint32 ephemeral port counter
+	// ephemeral numbers the ephemeral ports of every address from one
+	// network-wide counter: a port only has to differ from its address's
+	// other listeners, and nothing a census records carries one.
+	ephemeral atomic.Uint32
 
 	Stats Stats
 }
@@ -203,7 +206,7 @@ func (nw *Network) Listen(ip IP, port uint16) (*Listener, error) {
 	cur := *nw.listeners.Load()
 	if port == 0 {
 		for {
-			port = nw.nextEphemeral(ip)
+			port = nw.nextEphemeral()
 			if _, taken := cur[Addr{IP: ip, Port: port}]; !taken {
 				break
 			}
@@ -228,13 +231,10 @@ func (nw *Network) Listen(ip IP, port uint16) (*Listener, error) {
 	return l, nil
 }
 
-// nextEphemeral assigns a source port for an outbound connection.
-func (nw *Network) nextEphemeral(ip IP) uint16 {
-	v, _ := nw.ephemeral.LoadOrStore(ip, new(uint32))
-	ctr := v.(*uint32)
-	// Ephemeral range 32768-60999, Linux-style.
-	n := atomic.AddUint32(ctr, 1)
-	return uint16(32768 + n%28232)
+// nextEphemeral assigns a port from the ephemeral range 32768-60999,
+// Linux-style, for an outbound connection or a port-0 listener.
+func (nw *Network) nextEphemeral() uint16 {
+	return uint16(32768 + nw.ephemeral.Add(1)%28232)
 }
 
 // Probe is the SYN-scan fast path: it reports whether dst:port would accept
@@ -323,7 +323,7 @@ func (nw *Network) DialFrom(src IP, dst IP, port uint16) (net.Conn, error) {
 			}
 		}
 	}
-	local := Addr{IP: src, Port: nw.nextEphemeral(src)}
+	local := Addr{IP: src, Port: nw.nextEphemeral()}
 	remote := Addr{IP: dst, Port: port}
 
 	if l, explicit := (*nw.listeners.Load())[remote]; explicit {

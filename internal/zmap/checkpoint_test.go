@@ -22,7 +22,7 @@ func collectRemaining(pm *Permutation) []uint64 {
 
 // TestPermutationSeekContinuesWalk: Seek(Cursor()) on a fresh permutation
 // reproduces the remainder of the original walk exactly — the cyclic-group
-// property that lets a census checkpoint be one integer per shard.
+// property that lets a census checkpoint be one integer.
 func TestPermutationSeekContinuesWalk(t *testing.T) {
 	const n, seed = 5000, 42
 	for _, stop := range []int{0, 1, 7, 100, 2499} {
@@ -55,42 +55,6 @@ func TestPermutationSeekContinuesWalk(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("stop=%d: resumed walk diverges at %d: %d != %d", stop, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestShardedPermutationSeek: the same resume property holds on every shard
-// of a strided walk.
-func TestShardedPermutationSeek(t *testing.T) {
-	const n, seed, shards = 3000, 9, 4
-	for shard := 0; shard < shards; shard++ {
-		pm, err := NewShardedPermutation(n, seed, shard, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 123; i++ {
-			if _, ok := pm.Next(); !ok {
-				break
-			}
-		}
-		cursor := pm.Cursor()
-		want := collectRemaining(pm)
-
-		fresh, err := NewShardedPermutation(n, seed, shard, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Seek(cursor); err != nil {
-			t.Fatal(err)
-		}
-		got := collectRemaining(fresh)
-		if len(got) != len(want) {
-			t.Fatalf("shard %d: resumed walk emits %d values, want %d", shard, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shard %d: resumed walk diverges at %d", shard, i)
 			}
 		}
 	}
@@ -297,7 +261,7 @@ func TestScannerPauseAfterFinish(t *testing.T) {
 	}
 }
 
-// mustSpan returns the group-step span of the unsharded walk over size.
+// mustSpan returns the group-step span of the walk over size.
 func mustSpan(t *testing.T, size, seed uint64) uint64 {
 	t.Helper()
 	pm, err := NewPermutation(size, seed)

@@ -2,8 +2,8 @@
 // ZMap-style single-probe scanner over the simulated network. Like the real
 // tool (Durumeric et al., USENIX Security 2013) it iterates the target space
 // in a pseudorandom order derived from a cyclic group, so probes to adjacent
-// addresses are spread over time and the scan can be sharded and resumed
-// from nothing more than a position in the cycle.
+// addresses are spread over time and the scan can be resumed from nothing
+// more than a position in the cycle.
 package zmap
 
 import (
@@ -14,21 +14,13 @@ import (
 // Permutation enumerates [0, n) in pseudorandom order by iterating the
 // multiplicative group of integers modulo a prime p > n, skipping values
 // outside the range. Each element appears exactly once per cycle.
-//
-// A sharded permutation (NewShardedPermutation) walks a stride of the same
-// cycle: shard i of N visits group positions i, i+N, i+2N, ... by stepping
-// with gen^N from a start of first*gen^i. The union of all N shards is
-// exactly the unsharded sequence and the shards are pairwise disjoint, so
-// cooperating scanners each pay O(n/N) work with no filtering.
 type Permutation struct {
 	n     uint64
 	prime uint64
 	gen   uint64
 	first uint64
 	cur   uint64
-	// span is how many group elements this walk emits (p-1 unsharded, a
-	// near-equal share of that per shard); remaining counts down to zero.
-	span      uint64
+	// remaining counts the group elements left in the cycle's p-1.
 	remaining uint64
 }
 
@@ -54,42 +46,12 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 		gen:       gen,
 		first:     first,
 		cur:       first,
-		span:      p - 1,
 		remaining: p - 1,
 	}, nil
 }
 
-// NewShardedPermutation builds shard (0-based) of totalShards strided walks
-// over the same cycle NewPermutation(n, seed) produces: identical union,
-// pairwise disjoint, each ~1/totalShards of the group.
-func NewShardedPermutation(n, seed uint64, shard, totalShards int) (*Permutation, error) {
-	pm, err := NewPermutation(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	if totalShards <= 1 {
-		return pm, nil
-	}
-	if shard < 0 || shard >= totalShards {
-		return nil, fmt.Errorf("zmap: shard %d out of range [0,%d)", shard, totalShards)
-	}
-	seq := pm.prime - 1 // full-cycle length
-	// Shard i owns positions k ≡ i (mod N) of the full walk: start at
-	// first*gen^i, step by gen^N, and emit ceil((seq-i)/N) elements.
-	var span uint64
-	if uint64(shard) < seq {
-		span = (seq-1-uint64(shard))/uint64(totalShards) + 1
-	}
-	pm.first = mulmod(pm.first, powmod(pm.gen, uint64(shard), pm.prime), pm.prime)
-	pm.gen = powmod(pm.gen, uint64(totalShards), pm.prime)
-	pm.cur = pm.first
-	pm.span = span
-	pm.remaining = span
-	return pm, nil
-}
-
-// Next returns the next element of the permutation; ok is false once this
-// walk's share of the cycle has been emitted.
+// Next returns the next element of the permutation; ok is false once the
+// cycle has been emitted.
 func (pm *Permutation) Next() (uint64, bool) {
 	for pm.remaining > 0 {
 		// Group elements are 1..p-1; map to 0..p-2 and filter to < n.
@@ -106,33 +68,33 @@ func (pm *Permutation) Next() (uint64, bool) {
 // Reset rewinds the permutation to its first element.
 func (pm *Permutation) Reset() {
 	pm.cur = pm.first
-	pm.remaining = pm.span
+	pm.remaining = pm.Span()
 }
 
 // Len returns the number of elements the permutation emits.
 func (pm *Permutation) Len() uint64 { return pm.n }
 
-// Span returns the number of group steps this walk consumes in total —
+// Span returns the number of group steps the walk consumes in total —
 // the cursor value of a finished walk.
-func (pm *Permutation) Span() uint64 { return pm.span }
+func (pm *Permutation) Span() uint64 { return pm.prime - 1 }
 
 // Cursor returns the number of group steps consumed so far. Because the
 // walk is a cyclic-group iteration, this single index is the complete scan
 // position: Seek(Cursor()) on a fresh permutation built from the same
-// (n, seed, shard) reproduces the walk's continuation exactly. This is what
-// makes a census checkpoint carry one integer per shard instead of a probe
-// bitmap.
-func (pm *Permutation) Cursor() uint64 { return pm.span - pm.remaining }
+// (n, seed) reproduces the walk's continuation exactly. This is what makes
+// a census checkpoint carry one integer instead of a probe bitmap.
+func (pm *Permutation) Cursor() uint64 { return pm.Span() - pm.remaining }
 
 // Seek positions the walk exactly steps group steps from its start, as if
 // Next had been called until Cursor() == steps. The jump is O(log steps):
 // cur = first·gen^steps mod p.
 func (pm *Permutation) Seek(steps uint64) error {
-	if steps > pm.span {
-		return fmt.Errorf("zmap: seek %d beyond walk span %d", steps, pm.span)
+	span := pm.Span()
+	if steps > span {
+		return fmt.Errorf("zmap: seek %d beyond walk span %d", steps, span)
 	}
 	pm.cur = mulmod(pm.first, powmod(pm.gen, steps, pm.prime), pm.prime)
-	pm.remaining = pm.span - steps
+	pm.remaining = span - steps
 	return nil
 }
 

@@ -29,23 +29,15 @@ type Config struct {
 	Seed uint64
 	// Workers is the probe parallelism; 0 means 64.
 	Workers int
-	// RatePerSec caps total probes per second across the whole scan; 0
-	// disables limiting (the simulation has no intermediary networks to
-	// protect, but the limiter is exercised in tests and real deployments
-	// would use it). Sharded scanners divide the cap: N cooperating
-	// shards each take ~RatePerSec/N so together they stay at the global
-	// cap (see EffectiveRate).
+	// RatePerSec caps the scanner's probes per second; 0 disables
+	// limiting (the simulation has no intermediary networks to protect,
+	// but the limiter is exercised in tests and real deployments would
+	// use it).
 	RatePerSec int
 	// Retries sends up to this many additional probes to non-responsive
 	// addresses, recovering deterministic "packet loss" in the
 	// simulation as retransmission does for real scans.
 	Retries int
-	// Shard/TotalShards split the scan across cooperating scanners;
-	// TotalShards 0 means unsharded. Each shard walks its own stride of
-	// the shared permutation — O(n/N) work per shard, not a filtered
-	// full walk.
-	Shard       int
-	TotalShards int
 	// StartCursor resumes the permutation walk at this many group steps
 	// from its start — the value a previous scan's Cursor() reported when
 	// it was halted. Zero starts from the beginning.
@@ -56,11 +48,6 @@ type Config struct {
 	// Metrics, when non-nil, registers the scanner's counters under
 	// zmap.* so live progress and snapshots can read probe rates.
 	Metrics *obs.Registry
-	// MetricsPrefix namespaces this scanner's counters (e.g. "shard3."
-	// yields shard3.zmap.probed) while still feeding the unprefixed
-	// global counters, so per-shard and merged views coexist in one
-	// registry. Empty means unprefixed.
-	MetricsPrefix string
 }
 
 // Stats counts scanner activity. The fields are obs counters: with
@@ -117,13 +104,10 @@ func NewScanner(cfg Config) (*Scanner, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 64
 	}
-	if cfg.TotalShards > 0 && (cfg.Shard < 0 || cfg.Shard >= cfg.TotalShards) {
-		return nil, fmt.Errorf("zmap: shard %d out of range [0,%d)", cfg.Shard, cfg.TotalShards)
-	}
 	return &Scanner{cfg: cfg, Stats: Stats{
-		Probed:    cfg.Metrics.ChildCounter(cfg.MetricsPrefix, "zmap.probed"),
-		Responded: cfg.Metrics.ChildCounter(cfg.MetricsPrefix, "zmap.responded"),
-		Excluded:  cfg.Metrics.ChildCounter(cfg.MetricsPrefix, "zmap.excluded"),
+		Probed:    cfg.Metrics.Counter("zmap.probed"),
+		Responded: cfg.Metrics.Counter("zmap.responded"),
+		Excluded:  cfg.Metrics.Counter("zmap.excluded"),
 	}, haltCh: make(chan struct{}), prodDone: make(chan struct{})}, nil
 }
 
@@ -213,28 +197,6 @@ func (s *Scanner) park(ctx context.Context) bool {
 	}
 }
 
-// EffectiveRate returns this scanner's share of the global RatePerSec cap:
-// an unsharded scanner takes it all; shard i of N takes RatePerSec/N, with
-// the remainder spread one-each over the lowest-numbered shards, so the
-// per-shard shares always sum exactly to the configured cap. Zero means
-// unlimited. A shard's share never falls below 1 probe/s (a zero share
-// would stall it), so with more shards than the cap the aggregate can
-// exceed the cap by up to N-1 probes/s.
-func (s *Scanner) EffectiveRate() int {
-	rate := s.cfg.RatePerSec
-	if rate <= 0 || s.cfg.TotalShards <= 1 {
-		return rate
-	}
-	share := rate / s.cfg.TotalShards
-	if s.cfg.Shard < rate%s.cfg.TotalShards {
-		share++
-	}
-	if share < 1 {
-		share = 1
-	}
-	return share
-}
-
 // BatchSize is the number of permutation offsets handed to a worker per
 // channel operation; handoff cost amortizes across the batch, so the
 // per-probe fan-out overhead is a fraction of a channel send.
@@ -246,7 +208,7 @@ const BatchSize = 256
 // receiver.
 func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 	defer close(out)
-	perm, err := NewShardedPermutation(s.cfg.Size, s.cfg.Seed, s.cfg.Shard, s.cfg.TotalShards)
+	perm, err := NewPermutation(s.cfg.Size, s.cfg.Seed)
 	if err != nil {
 		close(s.prodDone)
 		return err
@@ -264,7 +226,7 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 	work := make(chan []uint64, 64)
 	var limiter *time.Ticker
 	var perTick int
-	if rate := s.EffectiveRate(); rate > 0 {
+	if rate := s.cfg.RatePerSec; rate > 0 {
 		// Batch the limiter into 10ms ticks to avoid a timer per probe;
 		// the budget is still accounted per offset, so the cap holds
 		// regardless of batch boundaries.

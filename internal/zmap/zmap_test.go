@@ -217,40 +217,6 @@ func TestScannerRetriesRecoverLoss(t *testing.T) {
 	}
 }
 
-func TestScannerSharding(t *testing.T) {
-	base := simnet.MustParseIP("10.0.0.0")
-	hosts := &sparseHosts{base: base, every: 3, size: 3000}
-	nw := simnet.NewNetwork(hosts)
-
-	seen := make(map[simnet.IP]int)
-	total := 0
-	for shard := 0; shard < 3; shard++ {
-		s, err := NewScanner(Config{
-			Network: nw, Base: base, Size: 3000, Port: 21, Seed: 11,
-			Shard: shard, TotalShards: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := s.Collect(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(results)
-		for _, r := range results {
-			seen[r.IP]++
-		}
-	}
-	if total != 1000 {
-		t.Errorf("shards found %d total, want 1000", total)
-	}
-	for ip, n := range seen {
-		if n != 1 {
-			t.Errorf("%s found by %d shards", ip, n)
-		}
-	}
-}
-
 func TestScannerRateLimit(t *testing.T) {
 	base := simnet.MustParseIP("10.0.0.0")
 	hosts := &sparseHosts{base: base, every: 2, size: 600}
@@ -302,8 +268,5 @@ func TestScannerConfigValidation(t *testing.T) {
 	}
 	if _, err := NewScanner(Config{Network: nw, Size: 0}); err == nil {
 		t.Error("empty range accepted")
-	}
-	if _, err := NewScanner(Config{Network: nw, Size: 10, Shard: 5, TotalShards: 3}); err == nil {
-		t.Error("bad shard accepted")
 	}
 }
