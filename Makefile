@@ -66,9 +66,10 @@ race-full: race
 # TestLedgerPrefix); mid-scan halts, resume validation and the
 # aggregate-snapshot codec cut across the same structures, and
 # TestCensusEvictsHosts has hundreds of connections pin and release hosts
-# on one world.
+# on one world; TestWorkerCounts runs the pipeline at up to eight times the
+# default workers, through a mid-run deadline too.
 race-census:
-	$(GO) test -race -run 'TestSnapshot|TestAggregatorMerge|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts' \
+	$(GO) test -race -run 'TestSnapshot|TestAggregatorMerge|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts|TestWorkerCounts' \
 		./internal/core ./internal/analysis
 
 # Server core under the race detector: pooled sessions, the connection
