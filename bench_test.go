@@ -57,7 +57,7 @@ var (
 )
 
 // fixture runs the shared streaming census once per process. It returns
-// the result, an aggregator restored from the run's snapshot — so each
+// the result, a read-only aggregator over the run's snapshot — so each
 // table benchmark can time its own finalize — and the sweep size.
 func fixture(b *testing.B) (*core.Result, *analysis.Aggregator, uint64) {
 	b.Helper()
@@ -73,8 +73,7 @@ func fixture(b *testing.B) (*core.Result, *analysis.Aggregator, uint64) {
 		if fixtureResult, fixtureErr = census.Run(context.Background()); fixtureErr != nil {
 			return
 		}
-		fixtureAgg = analysis.NewAggregator(nil, nil)
-		fixtureAgg.MergeSnapshot(fixtureResult.Snapshot())
+		fixtureAgg = analysis.ReadOnly(fixtureResult.Snapshot())
 		fixtureScanned = census.World.ScanSize
 	})
 	if fixtureErr != nil {

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -52,14 +51,12 @@ func run(args []string) error {
 		quiet    = fs.Bool("quiet", false, "suppress the table report")
 		timeout  = fs.Duration("timeout", 30*time.Minute, "overall run deadline")
 
-		snapshotOut = fs.String("snapshot-out", "",
-			"write the run's aggregate snapshot (binary) to this file")
 		checkpointTo = fs.String("checkpoint", "",
-			"write a resumable checkpoint to this file on truncation (and periodically); removed after a clean finish")
+			"write a resumable checkpoint, a position in the -out ledger, to this file on truncation (and periodically); removed after a clean finish")
 		checkpointEvery = fs.Duration("checkpoint-every", 30*time.Second,
 			"periodic checkpoint interval when -checkpoint is set (0 = truncation-only)")
 		resumeFrom = fs.String("resume", "",
-			"resume a truncated census from this checkpoint file; -out is trimmed to the checkpointed ledger and appended to")
+			"resume a truncated census from this checkpoint file; the -out ledger is trimmed to the checkpoint, re-folded and appended to")
 
 		serviceMix = fs.String("service-mix", "",
 			"put non-FTP services on port 21: \"default\" or weights like http=4,tls=2,ssh=2,telnet=1,garbage=2,silent=1 (empty = off)")
@@ -102,6 +99,10 @@ func run(args []string) error {
 	if *notifyTo != "" && *out == "" {
 		return fmt.Errorf("-notify needs -out: notices are built from the JSONL ledger")
 	}
+	// A checkpoint counts records of the ledger, and a resume re-folds them.
+	if (*checkpointTo != "" || *resumeFrom != "") && *out == "" {
+		return fmt.Errorf("-checkpoint and -resume need -out: a checkpoint is a position in the JSONL ledger")
+	}
 
 	mix, err := worldgen.ParseFaultMix(*faultMix)
 	if err != nil {
@@ -124,21 +125,23 @@ func run(args []string) error {
 
 	reg := obs.NewRegistry()
 
-	// A resumed run picks up the checkpoint's aggregate and cursors, and
-	// continues the interrupted ledger in place. It keeps checkpointing to
-	// the same file unless told otherwise, so a second kill resumes from
-	// the later position and a clean finish removes the consumed file.
-	var resumeSnap *analysis.Snapshot
+	// A resumed run re-folds the interrupted ledger up to the checkpoint,
+	// takes the checkpoint's cursor, and continues the ledger in place. It
+	// keeps checkpointing to the same file unless told otherwise, so a
+	// second kill resumes from the later position and a clean finish
+	// removes the consumed file.
+	var resume *core.Resume
 	if *resumeFrom != "" {
-		var err error
-		if resumeSnap, err = readCheckpoint(*resumeFrom); err != nil {
+		cp, err := readCheckpoint(*resumeFrom)
+		if err != nil {
 			return err
 		}
 		if *checkpointTo == "" {
 			*checkpointTo = *resumeFrom
 		}
 		fmt.Fprintf(os.Stderr, "ftpcensus: resuming from %s (%d records already streamed)\n",
-			*resumeFrom, resumeSnap.Checkpoint.Streamed)
+			*resumeFrom, cp.Streamed)
+		resume = &core.Resume{Checkpoint: cp}
 	}
 
 	// The dataset is persisted by streaming each record into the JSONL
@@ -149,11 +152,13 @@ func run(args []string) error {
 	var streamSink *dataset.WriterSink
 	var streamTo dataset.Sink
 	ran := false
-	if *out != "" && resumeSnap != nil {
-		f, err := openLedgerForResume(*out, resumeSnap.Checkpoint.Streamed)
+	if resume != nil {
+		prefix, f, err := openLedgerForResume(*out, resume.Checkpoint.Streamed)
 		if err != nil {
 			return err
 		}
+		defer prefix.Close()
+		resume.Ledger = prefix
 		streamSink = dataset.NewWriterSink(f)
 		streamTo = streamSink
 		defer func() {
@@ -202,24 +207,6 @@ func run(args []string) error {
 		}()
 	}
 
-	var result *core.Result
-	if *snapshotOut != "" {
-		// Mirror the -metrics-out defer: a truncated run's aggregate is a
-		// valid mergeable dataset (and a longitudinal diff input), so it
-		// is persisted on every exit path that produced one — not only
-		// the happy path.
-		defer func() {
-			if result == nil {
-				return
-			}
-			if err := writeAggregateSnapshot(result, *snapshotOut); err != nil {
-				fmt.Fprintf(os.Stderr, "ftpcensus: aggregate snapshot: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "ftpcensus: wrote aggregate snapshot to %s\n", *snapshotOut)
-			}
-		}()
-	}
-
 	var policy *core.CheckpointPolicy
 	if *checkpointTo != "" {
 		policy = &core.CheckpointPolicy{
@@ -239,7 +226,7 @@ func run(args []string) error {
 		ScanRate:        *rate,
 		LossRate:        *loss,
 		Checkpoint:      policy,
-		Resume:          resumeSnap,
+		Resume:          resume,
 		StreamTo:        streamTo,
 		ServiceMix:      svcMix,
 		Identify:        *identifyOn,
@@ -266,7 +253,7 @@ func run(args []string) error {
 	}
 
 	ran = true // Run owns the sink chain from here: it flushes and closes it.
-	result, err = census.Run(ctx)
+	result, err := census.Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -424,9 +411,10 @@ func writeNotices(ledger, path string, db *asdb.DB) (int, error) {
 }
 
 // readCheckpoint loads and sanity-checks a resume file. Deep validation
-// (seed, epoch, shard count, config digest) happens in core when the census
-// starts; this only rejects files that are not checkpoints at all.
-func readCheckpoint(path string) (*analysis.Snapshot, error) {
+// (seed, epoch, shard count, config digest, the ledger prefix) happens in
+// core when the census starts; this only rejects files that are not
+// checkpoints at all.
+func readCheckpoint(path string) (*analysis.CheckpointState, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -439,7 +427,7 @@ func readCheckpoint(path string) (*analysis.Snapshot, error) {
 	if snap.Checkpoint == nil {
 		return nil, fmt.Errorf("%s is an aggregate snapshot, not a resumable checkpoint", path)
 	}
-	return snap, nil
+	return snap.Checkpoint, nil
 }
 
 // writeCheckpointAtomic persists a checkpoint via tmp+rename so a crash
@@ -464,47 +452,52 @@ func writeCheckpointAtomic(snap *analysis.Snapshot, path string) error {
 }
 
 // openLedgerForResume trims the interrupted JSONL ledger to exactly the
-// first streamed lines the checkpoint accounts for, then reopens it for
-// appending. Trimming matters in the crash case: records streamed after
-// the last checkpoint was written would otherwise duplicate when the
-// resumed run re-observes their hosts.
-func openLedgerForResume(path string, streamed int) (*os.File, error) {
-	raw, err := os.ReadFile(path)
+// first streamed records the checkpoint accounts for, counted as the
+// decoder counts them, and returns a reader over that prefix for the
+// census to re-fold and the ledger opened for appending. The ledger is
+// read as a stream, never whole. Trimming matters in the crash case:
+// records streamed after the last checkpoint was written would otherwise
+// duplicate when the resumed run re-observes their hosts.
+func openLedgerForResume(path string, streamed int) (prefix, appendTo *os.File, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("resume ledger: %w", err)
+		return nil, nil, fmt.Errorf("resume ledger: %w", err)
 	}
-	offset := 0
-	for i := 0; i < streamed; i++ {
-		n := bytes.IndexByte(raw[offset:], '\n')
-		if n < 0 {
-			return nil, fmt.Errorf("resume ledger %s holds %d records but the checkpoint accounts for %d — wrong file?",
-				path, i, streamed)
+	defer func() {
+		if err != nil {
+			f.Close()
+			err = fmt.Errorf("resume ledger %s: %w", path, err)
 		}
-		offset += n + 1
-	}
-	if err := os.Truncate(path, int64(offset)); err != nil {
-		return nil, fmt.Errorf("resume ledger: %w", err)
-	}
-	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// writeAggregateSnapshot persists the run's mergeable accumulator state —
-// the checkpoint form a later run (or a longitudinal diff) can decode with
-// analysis.DecodeSnapshot and merge into its own aggregate.
-func writeAggregateSnapshot(result *core.Result, path string) error {
-	snap := result.Snapshot()
-	if snap == nil {
-		return fmt.Errorf("no aggregate state to snapshot")
-	}
-	f, err := os.Create(path)
+	}()
+	size, err := dataset.PrefixSize(f, streamed)
 	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("%w (wrong file?)", err)
 	}
-	if err := snap.Encode(f); err != nil {
-		f.Close()
-		return err
+	if err := os.Truncate(path, size); err != nil {
+		return nil, nil, err
 	}
-	return f.Close()
+	// A hand-edited last record may lack its line end; the records
+	// appended after it need one.
+	last := []byte{'\n'}
+	if size > 0 {
+		if _, err := f.ReadAt(last, size-1); err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, err
+	}
+	app, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	if last[0] != '\n' {
+		if _, err := app.Write([]byte{'\n'}); err != nil {
+			app.Close()
+			return nil, nil, err
+		}
+	}
+	return f, app, nil
 }
 
 func writeSnapshot(reg *obs.Registry, path string) error {

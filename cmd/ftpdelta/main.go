@@ -1,46 +1,29 @@
 // Command ftpdelta diffs two census runs — the longitudinal view the
-// paper's single sweep could not take. Point it at the aggregate snapshots
-// two censuses wrote (-snapshot-out, or checkpoint files) and it trends
-// the headline counters; add the streamed JSONL ledgers and it resolves
-// host-level churn and version-migration flows.
+// paper's single sweep could not take. Point it at the JSONL ledgers two
+// censuses streamed (-out): it folds each into the paper's tables to trend
+// the headline counters, and diffs them host by host to resolve churn and
+// version-migration flows.
 //
 // Usage:
 //
-//	ftpdelta -from epoch0.snap -to epoch1.snap \
-//	         [-from-ledger epoch0.jsonl -to-ledger epoch1.jsonl]
-//
-// Snapshots from any census run are accepted: plain aggregates (version-1
-// frames) and resumable checkpoints (version-2) diff the same way.
+//	ftpdelta -from epoch0.jsonl -to epoch1.jsonl
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/delta"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ftpdelta: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-func loadSnapshot(path string) (*analysis.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := analysis.DecodeSnapshot(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 func loadLedger(path string) ([]*dataset.HostRecord, error) {
@@ -56,44 +39,23 @@ func loadLedger(path string) ([]*dataset.HostRecord, error) {
 	return recs, nil
 }
 
-func run() error {
-	fromPath := flag.String("from", "", "earlier census snapshot (required)")
-	toPath := flag.String("to", "", "later census snapshot (required)")
-	fromLedger := flag.String("from-ledger", "",
-		"earlier run's JSONL ledger (enables host-level churn and migration flows)")
-	toLedger := flag.String("to-ledger", "",
-		"later run's JSONL ledger (required with -from-ledger)")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ftpdelta", flag.ExitOnError)
+	fromPath := fs.String("from", "", "earlier census's JSONL ledger (required)")
+	toPath := fs.String("to", "", "later census's JSONL ledger (required)")
+	fs.Parse(args)
 
 	if *fromPath == "" || *toPath == "" {
-		return fmt.Errorf("usage: ftpdelta -from <snapshot> -to <snapshot> [-from-ledger <jsonl> -to-ledger <jsonl>]")
+		return fmt.Errorf("usage: ftpdelta -from <jsonl> -to <jsonl>")
 	}
-	if (*fromLedger == "") != (*toLedger == "") {
-		return fmt.Errorf("-from-ledger and -to-ledger must be given together")
-	}
-
-	from, err := loadSnapshot(*fromPath)
+	before, err := loadLedger(*fromPath)
 	if err != nil {
 		return err
 	}
-	to, err := loadSnapshot(*toPath)
+	after, err := loadLedger(*toPath)
 	if err != nil {
 		return err
 	}
-	report := delta.Compute(from, to)
-
-	if *fromLedger != "" {
-		before, err := loadLedger(*fromLedger)
-		if err != nil {
-			return err
-		}
-		after, err := loadLedger(*toLedger)
-		if err != nil {
-			return err
-		}
-		report.Hosts = delta.DiffLedgers(before, after)
-	}
-
-	fmt.Print(report.Render())
-	return nil
+	_, err = io.WriteString(stdout, delta.CompareLedgers(before, after).Render())
+	return err
 }

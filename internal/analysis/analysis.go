@@ -2,8 +2,9 @@
 // from the census dataset. Each experiment has a typed result and a
 // streaming accumulator (the *Acc types), folded record by record as the
 // enumerator fleet emits hosts — see Aggregator. A JSONL ledger read back
-// with dataset.ReadAll folds through the same Aggregator, so a live census
-// and a re-fold of its ledger finalize identical tables. Nothing here
+// with dataset.Read folds through the same Aggregator, so a live census
+// and a re-fold of its ledger finalize identical tables; a resumed census
+// and ftpdelta rebuild their state exactly that way. Nothing here
 // consults the world generator — only wire-level observations, the AS
 // database, and the external HTTP (Censys-equivalent) join.
 package analysis

@@ -28,8 +28,8 @@ type ASConcentration struct {
 }
 
 // ASConcentrationAcc accumulates Table III / Figure 1. Counts key on the AS
-// number — plain data rather than *asdb.AS identity — so two accumulators
-// built against the same database merge exactly. The zero value is ready.
+// number — plain data rather than *asdb.AS identity — so the state
+// serializes without the database. The zero value is ready.
 type ASConcentrationAcc struct {
 	All, Anon map[uint32]int
 	// Writable's key set is every AS holding a world-writable anonymous
@@ -67,22 +67,6 @@ func (a *ASConcentrationAcc) Observe(r *Record) {
 		if Writable(r.Host) {
 			a.Writable[n]++
 		}
-	}
-}
-
-// Merge folds another accumulator into this one.
-func (a *ASConcentrationAcc) Merge(o *ASConcentrationAcc) {
-	if len(o.All) == 0 && len(o.Types) == 0 {
-		return
-	}
-	if a.All == nil {
-		a.init()
-	}
-	addCounts(a.All, o.All)
-	addCounts(a.Anon, o.Anon)
-	addCounts(a.Writable, o.Writable)
-	for n, t := range o.Types {
-		a.Types[n] = t
 	}
 }
 
@@ -174,20 +158,6 @@ type TopASAgg struct {
 	Advertised uint64
 }
 
-// add counts ftp and anon servers in AS n, creating its row on first use.
-func (a *TopASesAcc) add(n uint32, name string, advertised uint64, ftp, anon int) {
-	if a.Counts == nil {
-		a.Counts = map[uint32]*TopASAgg{}
-	}
-	agg, ok := a.Counts[n]
-	if !ok {
-		agg = &TopASAgg{Name: name, Advertised: advertised}
-		a.Counts[n] = agg
-	}
-	agg.FTP += ftp
-	agg.Anon += anon
-}
-
 // Observe folds one record.
 func (a *TopASesAcc) Observe(r *Record) {
 	if !r.Host.FTP {
@@ -197,17 +167,17 @@ func (a *TopASesAcc) Observe(r *Record) {
 	if as == nil {
 		return
 	}
-	anon := 0
-	if r.Host.AnonymousOK {
-		anon = 1
+	if a.Counts == nil {
+		a.Counts = map[uint32]*TopASAgg{}
 	}
-	a.add(as.Number, as.Name, as.Advertised(), 1, anon)
-}
-
-// Merge folds another accumulator into this one.
-func (a *TopASesAcc) Merge(o *TopASesAcc) {
-	for n, c := range o.Counts {
-		a.add(n, c.Name, c.Advertised, c.FTP, c.Anon)
+	agg, ok := a.Counts[as.Number]
+	if !ok {
+		agg = &TopASAgg{Name: as.Name, Advertised: as.Advertised()}
+		a.Counts[as.Number] = agg
+	}
+	agg.FTP++
+	if r.Host.AnonymousOK {
+		agg.Anon++
 	}
 }
 
@@ -234,11 +204,4 @@ func (a *TopASesAcc) Finalize(n int) []TopAS {
 		out = out[:n]
 	}
 	return out
-}
-
-// addCounts adds src's counts into dst.
-func addCounts[K comparable](dst, src map[K]int) {
-	for k, v := range src {
-		dst[k] += v
-	}
 }

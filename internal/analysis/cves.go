@@ -29,19 +29,6 @@ type CVEsAcc struct {
 	Vulnerable, Total int
 }
 
-// add counts ips servers matching cve, creating its row on first use.
-func (a *CVEsAcc) add(cve CVECount, ips int) {
-	if a.Counts == nil {
-		a.Counts = map[string]*CVECount{}
-	}
-	row, ok := a.Counts[cve.ID]
-	if !ok {
-		row = &CVECount{Implementation: cve.Implementation, ID: cve.ID, CVSS: cve.CVSS}
-		a.Counts[cve.ID] = row
-	}
-	row.IPs += ips
-}
-
 // Observe folds one record.
 func (a *CVEsAcc) Observe(r *Record) {
 	if !r.Host.FTP {
@@ -56,17 +43,16 @@ func (a *CVEsAcc) Observe(r *Record) {
 	if len(matches) > 0 {
 		a.Vulnerable++
 	}
-	for _, m := range matches {
-		a.add(CVECount{Implementation: m.Software, ID: m.ID, CVSS: m.CVSS}, 1)
+	if len(matches) > 0 && a.Counts == nil {
+		a.Counts = map[string]*CVECount{}
 	}
-}
-
-// Merge folds another accumulator into this one.
-func (a *CVEsAcc) Merge(o *CVEsAcc) {
-	a.Vulnerable += o.Vulnerable
-	a.Total += o.Total
-	for _, row := range o.Counts {
-		a.add(*row, row.IPs)
+	for _, m := range matches {
+		row, ok := a.Counts[m.ID]
+		if !ok {
+			row = &CVECount{Implementation: m.Software, ID: m.ID, CVSS: m.CVSS}
+			a.Counts[m.ID] = row
+		}
+		row.IPs++
 	}
 }
 

@@ -359,68 +359,22 @@ func (a *ExposureAcc) Observe(r *Record) {
 			continue
 		}
 		any = true
-		a.bumpType(typ, cls, 1)
+		a.bumpType(typ, cls)
 	}
 	if any {
-		a.bumpType("All", cls, 1)
+		a.bumpType("All", cls)
 	}
 }
 
-// bumpType counts n servers of device class cls showing exposure typ.
-func (a *ExposureAcc) bumpType(typ, cls string, n int) {
+// bumpType counts one server of device class cls showing exposure typ.
+func (a *ExposureAcc) bumpType(typ, cls string) {
 	m, ok := a.TypeClasses[typ]
 	if !ok {
 		m = map[string]int{}
 		a.TypeClasses[typ] = m
 	}
-	m[cls] += n
-	a.TypeTotals[typ] += n
-}
-
-// Merge folds another accumulator into this one.
-func (a *ExposureAcc) Merge(o *ExposureAcc) {
-	e, x := &a.Exp, &o.Exp
-	e.AnonServers += x.AnonServers
-	e.ExposingServers += x.ExposingServers
-	e.IndexHTMLFiles += x.IndexHTMLFiles
-	e.IndexHTMLServers += x.IndexHTMLServers
-	e.PhotoFiles += x.PhotoFiles
-	e.PhotoReadable += x.PhotoReadable
-	e.PhotoServers += x.PhotoServers
-	e.OSRootLinux += x.OSRootLinux
-	e.OSRootWindows += x.OSRootWindows
-	e.HtaccessFiles += x.HtaccessFiles
-	e.HtaccessServers += x.HtaccessServers
-	e.ScriptFiles += x.ScriptFiles
-	e.ScriptServers += x.ScriptServers
-	e.RobotsSeen += x.RobotsSeen
-	e.RobotsExcludeAll += x.RobotsExcludeAll
-	e.Truncated += x.Truncated
-	if len(o.ExtFiles)+len(o.ExtServers)+len(o.Sens)+len(o.TypeClasses)+len(o.TypeTotals) == 0 {
-		return
-	}
-	if a.Sens == nil {
-		a.init()
-	}
-	addCounts(a.ExtFiles, o.ExtFiles)
-	addCounts(a.ExtServers, o.ExtServers)
-	for name, src := range o.Sens {
-		sc, ok := a.Sens[name]
-		if !ok {
-			sc = &SensitiveClass{Type: src.Type, Name: src.Name}
-			a.Sens[name] = sc
-		}
-		sc.Servers += src.Servers
-		sc.Files += src.Files
-		sc.Readable += src.Readable
-		sc.NonReadable += src.NonReadable
-		sc.UnkReadable += src.UnkReadable
-	}
-	for typ, src := range o.TypeClasses {
-		for cls, n := range src {
-			a.bumpType(typ, cls, n)
-		}
-	}
+	m[cls]++
+	a.TypeTotals[typ]++
 }
 
 // Finalize produces Tables VIII/IX and §V's prose statistics.

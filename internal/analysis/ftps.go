@@ -55,20 +55,6 @@ type FTPSAcc struct {
 	ByFP map[string]*CertAgg
 }
 
-// cert returns fingerprint fp's aggregate, creating it from cn and
-// selfSigned on first use.
-func (a *FTPSAcc) cert(fp, cn string, selfSigned bool) *CertAgg {
-	if a.ByFP == nil {
-		a.ByFP = map[string]*CertAgg{}
-	}
-	agg, ok := a.ByFP[fp]
-	if !ok {
-		agg = &CertAgg{CN: cn, SelfSigned: selfSigned}
-		a.ByFP[fp] = agg
-	}
-	return agg
-}
-
 // Observe folds one record.
 func (a *FTPSAcc) Observe(r *Record) {
 	host := r.Host
@@ -90,29 +76,20 @@ func (a *FTPSAcc) Observe(r *Record) {
 	if cert.SelfSigned {
 		a.SelfSigned++
 	}
-	agg := a.cert(cert.FingerprintSHA256, cert.CommonName, cert.SelfSigned)
+	if a.ByFP == nil {
+		a.ByFP = map[string]*CertAgg{}
+	}
+	agg, ok := a.ByFP[cert.FingerprintSHA256]
+	if !ok {
+		agg = &CertAgg{CN: cert.CommonName, SelfSigned: cert.SelfSigned}
+		a.ByFP[cert.FingerprintSHA256] = agg
+	}
 	agg.Servers++
 	if c := r.Class(); c.DeviceModel != "" {
 		if agg.Devices == nil {
 			agg.Devices = map[string]int{}
 		}
 		agg.Devices[c.DeviceModel]++
-	}
-}
-
-// Merge folds another accumulator into this one.
-func (a *FTPSAcc) Merge(o *FTPSAcc) {
-	a.TotalFTP += o.TotalFTP
-	a.Supported += o.Supported
-	a.RequirePre += o.RequirePre
-	a.SelfSigned += o.SelfSigned
-	for fp, src := range o.ByFP {
-		agg := a.cert(fp, src.CN, src.SelfSigned)
-		agg.Servers += src.Servers
-		if len(src.Devices) > 0 && agg.Devices == nil {
-			agg.Devices = make(map[string]int, len(src.Devices))
-		}
-		addCounts(agg.Devices, src.Devices)
 	}
 }
 

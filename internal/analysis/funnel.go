@@ -31,13 +31,6 @@ func (a *FunnelAcc) Observe(r *Record) {
 	}
 }
 
-// Merge folds another accumulator into this one.
-func (a *FunnelAcc) Merge(o *FunnelAcc) {
-	a.Open += o.Open
-	a.FTP += o.FTP
-	a.Anon += o.Anon
-}
-
 // Finalize produces Table I for the given sweep size.
 func (a *FunnelAcc) Finalize(ipsScanned uint64) Funnel {
 	f := Funnel{

@@ -137,31 +137,6 @@ func (a *MaliciousAcc) Observe(r *Record) {
 	}
 }
 
-// Merge folds another accumulator into this one.
-func (a *MaliciousAcc) Merge(o *MaliciousAcc) {
-	a.WritableServers += o.WritableServers
-	a.AnonUploadConfirmed += o.AnonUploadConfirmed
-	a.RATFiles += o.RATFiles
-	a.RATServers += o.RATServers
-	a.DDoSServers += o.DDoSServers
-	a.HolyBibleServers += o.HolyBibleServers
-	a.HolyBibleWritable += o.HolyBibleWritable
-	a.WarezServers += o.WarezServers
-	a.RamnitServers += o.RamnitServers
-	a.HTTPOverlap += o.HTTPOverlap
-	a.ScriptingOverlap += o.ScriptingOverlap
-	a.TotalFTP += o.TotalFTP
-	if len(o.CampServers)+len(o.CampFiles) == 0 {
-		return
-	}
-	if a.CampServers == nil {
-		a.CampServers = map[string]int{}
-		a.CampFiles = map[string]int{}
-	}
-	addCounts(a.CampServers, o.CampServers)
-	addCounts(a.CampFiles, o.CampFiles)
-}
-
 // Finalize produces §VI. writableASes is the number of ASes holding a
 // world-writable anonymous server (len(ASConcentrationAcc.Writable)).
 func (a *MaliciousAcc) Finalize(writableASes int) Malicious {

@@ -14,16 +14,15 @@ import (
 // Snapshot is an aggregator's state as plain data: the observed-record
 // count plus every accumulator, with no pointers into the AS database or
 // the world. The accumulators are their own serialized form: gob matches
-// fields by name, so an accumulator's exported field names are the
-// checkpoint format, and renaming one breaks every file written before.
-// Two snapshots of disjoint record sets merge into the state a single
-// aggregator would have reached over the union — every accumulator is an
-// additive fold, and every Finalize tie-breaks deterministically, so merge
-// order cannot change any finalized table.
+// fields by name, so an accumulator's exported field names are the file
+// format, and renaming one breaks every file written before.
 //
-// It is the aggregate half of a census checkpoint: a resumed census seeds
-// its one aggregator with MergeSnapshot before any record flows, so a
-// partial aggregate written to disk is a resumable position in the census.
+// A census's stored state is its JSONL ledger, and every table is a fold
+// of it. A checkpoint is a position in that ledger: its Checkpoint says how
+// many records the ledger held, and its accumulators are empty, because a
+// resumed census rebuilds them by folding those records again. A
+// populated Snapshot is an aggregator's state finalized in place (see
+// ReadOnly), or a file written before checkpoints became positions.
 type Snapshot struct {
 	Observed        int
 	Funnel          FunnelAcc
@@ -41,17 +40,16 @@ type Snapshot struct {
 	// empty ledger.
 	Unexpected UnexpectedAcc
 
-	// Checkpoint, when non-nil, upgrades the snapshot from a mergeable
-	// aggregate into a resumable census position: the scan cursors, the
-	// ledger length, and the robustness counters a resumed run needs to
-	// continue exactly where this one stopped. Snapshots carrying it are
-	// written as frame version 2; plain aggregates stay version 1 so
-	// older readers keep decoding them.
+	// Checkpoint, when non-nil, makes the snapshot a resumable census
+	// position: the scan cursor, the ledger length, and the robustness
+	// counters a resumed run checks its re-folded ledger against.
+	// Snapshots carrying it are written as frame version 2; plain
+	// aggregates stay version 1 so older readers keep decoding them.
 	Checkpoint *CheckpointState
 }
 
-// CheckpointState is the census-position half of a checkpoint: everything a
-// resumed run needs beyond the aggregate itself. The zmap cyclic-group walk
+// CheckpointState is a census position: everything a resumed run needs
+// beyond the ledger it re-folds. The zmap cyclic-group walk
 // makes the scan position one integer (see zmap.Permutation.Seek), so the
 // whole scan state is one cursor.
 type CheckpointState struct {
@@ -73,8 +71,8 @@ type CheckpointState struct {
 	// entry per shard: a census writes exactly one.
 	Cursors []uint64
 	// Streamed counts the records in the JSONL ledger at checkpoint time;
-	// a resume appends after exactly this many lines so the concatenated
-	// ledger carries no duplicates.
+	// a resume re-folds exactly this many records and appends after them,
+	// so the concatenated ledger carries no duplicates.
 	Streamed int
 	// Probed/Responded carry the discovery counters folded so far.
 	Probed    uint64
@@ -82,7 +80,8 @@ type CheckpointState struct {
 	// Truncated records whether the checkpoint was written on a truncated
 	// exit (versus a periodic quiescent write).
 	Truncated bool
-	// Robustness carries the degradation ledger accumulated so far.
+	// Robustness carries the degradation ledger accumulated so far: a
+	// resume refuses a ledger prefix that re-folds to other counters.
 	Robustness RobustnessState
 }
 
@@ -154,37 +153,21 @@ const (
 // detect it with errors.Is.
 var ErrCorruptSnapshot = errors.New("analysis: corrupt snapshot")
 
-// Snapshot returns a deep copy of the aggregator's state: a fresh Snapshot
-// with the live one merged in, since every Merge builds its own map
-// entries. Like the finalize methods it is safe once observation has
-// stopped.
+// Snapshot returns a shallow view of the aggregator's state: the returned
+// struct is its own, but its maps are the aggregator's. It is valid while
+// nothing observes; the next Observe changes what it holds.
 func (a *Aggregator) Snapshot() *Snapshot {
-	s := new(Snapshot)
-	s.merge(&a.s)
-	return s
+	s := a.s
+	return &s
 }
 
-// MergeSnapshot folds a snapshot into the aggregator, as if the records it
-// summarizes had been observed here; its Checkpoint is not merged. Like
-// Observe it must not race with other mutations.
-func (a *Aggregator) MergeSnapshot(s *Snapshot) { a.s.merge(s) }
-
-// merge folds o's observed count and accumulators into s. Merge is the
-// only code that takes in decoded state, and it copies rather than shares
-// o's maps.
-func (s *Snapshot) merge(o *Snapshot) {
-	s.Observed += o.Observed
-	s.Funnel.Merge(&o.Funnel)
-	s.Classification.Merge(&o.Classification)
-	s.ASConcentration.Merge(&o.ASConcentration)
-	s.Devices.Merge(&o.Devices)
-	s.TopASes.Merge(&o.TopASes)
-	s.Exposure.Merge(&o.Exposure)
-	s.CVEs.Merge(&o.CVEs)
-	s.Malicious.Merge(&o.Malicious)
-	s.PortBounce.Merge(&o.PortBounce)
-	s.FTPS.Merge(&o.FTPS)
-	s.Unexpected.Merge(&o.Unexpected)
+// ReadOnly wraps a snapshot in an aggregator for its finalize methods only
+// (Funnel, Classification, ...), so a decoded file renders its tables. The
+// aggregator shares s's maps and resolves nothing, so it must not Observe.
+func ReadOnly(s *Snapshot) *Aggregator {
+	a := &Aggregator{s: *s}
+	a.s.Checkpoint = nil
+	return a
 }
 
 // Encode writes the snapshot's compact binary form: a fixed header (magic

@@ -21,7 +21,7 @@ type Aggregator struct {
 	// not allocate; it is cleared after each fold so it pins no host.
 	rec Record
 	// s is the aggregator's whole state, the observed count and every
-	// accumulator, in the form a checkpoint stores it. Its Checkpoint
+	// accumulator, in the form an FCAS file stores it. Its Checkpoint
 	// stays nil.
 	s Snapshot
 }

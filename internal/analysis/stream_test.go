@@ -1,8 +1,12 @@
 package analysis
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"ftpcloud/internal/dataset"
 )
 
 // tableSet bundles every finalized analysis for equality comparison.
@@ -59,6 +63,18 @@ func TestAggregatorOrderIndependent(t *testing.T) {
 		t.Errorf("reverse-order tables diverge from in-order tables:\n got %+v\nwant %+v", got, want)
 	}
 
+	// Seeded sweeps of record mixes and orders: every permutation of a
+	// record set folds to the same tables.
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		recs := mixedRecords(rng, in.Records, 40+rng.Intn(80))
+		want := finalizeAll(foldRecords(t, in, recs), in.IPsScanned)
+		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		if got := finalizeAll(foldRecords(t, in, recs), in.IPsScanned); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: shuffled tables diverge:\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+
 	// Finalize is pure: a second pass must be identical.
 	again := finalizeAll(agg, in.IPsScanned)
 	if !reflect.DeepEqual(got, again) {
@@ -74,9 +90,46 @@ func TestAggregatorOrderIndependent(t *testing.T) {
 	}
 }
 
+// foldRecords folds recs through a fresh aggregator with the test
+// HTTP-join hook.
+func foldRecords(t *testing.T, in *testInput, recs []*dataset.HostRecord) *Aggregator {
+	t.Helper()
+	agg := NewAggregator(in.ASDB, in.hook)
+	for _, rec := range recs {
+		if err := agg.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return agg
+}
+
+// mixedRecords draws n records from the hand-built templates, flipping
+// anonymous access on some and mixing in endpoints the identification
+// stage shed, so seeds differ in record mix as well as order.
+func mixedRecords(rng *rand.Rand, templates []*dataset.HostRecord, n int) []*dataset.HostRecord {
+	protos := []string{"http", "ssh", "tls", "telnet"}
+	recs := make([]*dataset.HostRecord, n)
+	for i := range recs {
+		if rng.Intn(5) == 0 {
+			recs[i] = &dataset.HostRecord{
+				IP:       fmt.Sprintf("20.0.1.%d", i),
+				PortOpen: true,
+				Service:  protos[rng.Intn(len(protos))],
+				Banner:   fmt.Sprintf("banner-%d", rng.Intn(4)),
+			}
+			continue
+		}
+		rec := *templates[rng.Intn(len(templates))]
+		if rng.Intn(4) == 0 {
+			rec.AnonymousOK = !rec.AnonymousOK
+		}
+		recs[i] = &rec
+	}
+	return recs
+}
+
 // TestAggregatorEmpty: an aggregator that observed nothing finalizes the
-// same tables as one restored from its encoded snapshot — a checkpoint
-// taken before the first record resumes to an empty census.
+// same tables as its encoded snapshot decoded.
 func TestAggregatorEmpty(t *testing.T) {
 	agg := NewAggregator(nil, nil)
 	raw, err := agg.Snapshot().EncodeBytes()
@@ -87,8 +140,7 @@ func TestAggregatorEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewAggregator(nil, nil)
-	restored.MergeSnapshot(snap)
+	restored := ReadOnly(snap)
 	if restored.Observed() != 0 {
 		t.Errorf("restored empty aggregate observed %d records", restored.Observed())
 	}

@@ -42,34 +42,21 @@ func (a *UnexpectedAcc) Observe(r *Record) {
 		return
 	}
 	a.Total++
-	a.add(r.Host.Service, 1, r.Host.Banner)
-}
-
-// add counts n endpoints of proto and keeps banner as its sample if it is
-// the smallest non-empty one seen, so any fold or merge order keeps the
-// same sample.
-func (a *UnexpectedAcc) add(proto string, n int, banner string) {
 	if a.ByProto == nil {
 		a.ByProto = make(map[string]int)
 		a.Sample = make(map[string]string)
 	}
-	a.ByProto[proto] += n
+	// The sample is the smallest non-empty banner seen, so any fold order
+	// keeps the same one.
+	proto, banner := r.Host.Service, r.Host.Banner
+	a.ByProto[proto]++
 	if cur, ok := a.Sample[proto]; banner != "" && (!ok || banner < cur) {
 		a.Sample[proto] = banner
 	}
 }
 
-// Merge folds another accumulator into this one.
-func (a *UnexpectedAcc) Merge(o *UnexpectedAcc) {
-	a.Total += o.Total
-	for p, n := range o.ByProto {
-		a.add(p, n, o.Sample[p])
-	}
-}
-
 // Finalize produces the ledger table: rows sorted by count descending,
-// protocol name ascending on ties — deterministic regardless of fold or
-// merge order.
+// protocol name ascending on ties — deterministic regardless of fold order.
 func (a *UnexpectedAcc) Finalize() UnexpectedServices {
 	u := UnexpectedServices{Total: a.Total}
 	for proto, n := range a.ByProto {

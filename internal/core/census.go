@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"sync"
 	"sync/atomic"
@@ -157,19 +158,29 @@ type CensusConfig struct {
 	// Checkpoint, when non-nil, makes the census resumable: caller
 	// cancellation halts the scanners at a batch boundary and drains
 	// everything in flight before the run returns, and the policy's Write
-	// receives a checkpoint snapshot on truncation (and periodically at
-	// quiescent points when Every is set). See CheckpointPolicy.
+	// receives a checkpoint on truncation (and periodically at quiescent
+	// points when Every is set). A checkpoint is a position in the
+	// StreamTo ledger, so a policy needs StreamTo. See CheckpointPolicy.
 	Checkpoint *CheckpointPolicy
 	// Resume, when non-nil, continues a census from the checkpoint a
-	// previous run wrote: the scanner seeks to the saved cursor, the
-	// saved aggregate and robustness ledger seed the run's sink chain
-	// before any record flows, and —
-	// when the caller appends to the same JSONL ledger — the finished
-	// series is byte-identical to an uninterrupted run. The snapshot must
-	// carry checkpoint state matching this configuration (same seed,
-	// epoch, scale, and measurement knobs) or Run fails with
-	// ErrCheckpointMismatch.
-	Resume *analysis.Snapshot
+	// previous run wrote. See Resume.
+	Resume *Resume
+}
+
+// Resume is where a resumed census starts: a checkpoint and the ledger
+// prefix it counts. Before any record flows, the run folds the prefix into
+// its aggregator and robustness ledger and the scanner seeks to the saved
+// cursor; when the caller appends to the same JSONL ledger, the finished
+// series is byte-identical to an uninterrupted run. The checkpoint must
+// match this configuration (same seed, epoch, scale, and measurement
+// knobs), and the prefix must hold its Streamed records and re-fold to its
+// Robustness, or Run fails with ErrCheckpointMismatch.
+type Resume struct {
+	Checkpoint *analysis.CheckpointState
+	// Ledger reads the interrupted run's JSONL ledger trimmed to the
+	// checkpoint: exactly its first Checkpoint.Streamed records. It is
+	// read to its end before the pipeline starts.
+	Ledger io.Reader
 }
 
 // Retention is the type of the ignored CensusConfig.RetainRecords.
@@ -208,6 +219,9 @@ type Census struct {
 func NewCensus(cfg CensusConfig) (*Census, error) {
 	if cfg.EnumWorkers > maxEnumWorkers {
 		return nil, fmt.Errorf("core: %d enum workers exceeds the source-address block (max %d)", cfg.EnumWorkers, maxEnumWorkers)
+	}
+	if cfg.Checkpoint != nil && cfg.StreamTo == nil {
+		return nil, errors.New("core: a checkpoint policy needs a StreamTo ledger: a checkpoint is a position in it")
 	}
 	if cfg.Scale < 1 {
 		cfg.Scale = 2048
@@ -319,7 +333,10 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 		return nil, err
 	}
 	defer collector.Close()
-	fold := c.newFold(resume)
+	fold, err := c.newFold(resume)
+	if err != nil {
+		return nil, err
+	}
 	scanner, err := zmap.NewScanner(zmap.Config{
 		Network:     c.Network,
 		Base:        c.World.ScanBase,
@@ -404,9 +421,7 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	// Skipped after a hard cancel (cursor not exact) and after a sink
 	// failure (the ledger is suspect).
 	if policy != nil && runErr == nil && result != nil && result.Truncated && !hardCanceled.Load() {
-		snap := result.agg.Snapshot()
-		snap.Checkpoint = c.checkpointState(scanner.Cursor(), result.Observed, result.Probed, result.Responded, true, *fold.robust)
-		if werr := policy.Write(snap); werr != nil {
+		if werr := policy.Write(c.checkpoint(scanner.Cursor(), result.Observed, result.Probed, result.Responded, true, *fold.robust)); werr != nil {
 			runErr = fmt.Errorf("core: writing truncation checkpoint: %w", werr)
 		} else {
 			c.Config.Metrics.Counter("census.checkpoints").Inc()
@@ -734,9 +749,9 @@ type Tables struct {
 	Unexpected analysis.UnexpectedServices
 }
 
-// Snapshot returns the serializable aggregate state this run folded — the
-// checkpoint form of the census (see analysis.Snapshot). Nil for a zero
-// Result that never ran a pipeline.
+// Snapshot returns a view of the aggregate state this run folded (see
+// analysis.Aggregator.Snapshot). Nil for a zero Result that never ran a
+// pipeline.
 func (r *Result) Snapshot() *analysis.Snapshot {
 	if r.agg == nil {
 		return nil

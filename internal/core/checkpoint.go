@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -17,14 +18,17 @@ import (
 // CheckpointPolicy makes a census resumable. With a policy configured,
 // caller cancellation no longer tears the pipeline down: the scanner halts
 // at a batch boundary, everything already emitted drains through the sink
-// chain, and Write receives a snapshot whose cursor exactly covers the
-// records the run folded (and streamed). A later run configured
-// with Resume continues from that snapshot as if the interruption never
-// happened.
+// chain, and Write receives a checkpoint whose cursor exactly covers the
+// records the run streamed. A checkpoint is a position in the StreamTo
+// ledger, which a policy therefore needs. A later run configured with
+// Resume re-folds that ledger prefix and continues as if the interruption
+// never happened.
 type CheckpointPolicy struct {
-	// Write persists one checkpoint snapshot — on truncation always, and
-	// at each quiescent point when Every is set. It is never called
-	// concurrently with itself. Must not be nil.
+	// Write persists one checkpoint — on truncation always, and at each
+	// quiescent point when Every is set. The snapshot carries the observed
+	// count and its Checkpoint; its accumulators are empty, since the
+	// ledger holds that state. Write is never called concurrently with
+	// itself. Must not be nil.
 	Write func(*analysis.Snapshot) error
 	// Every enables periodic checkpoints: at this interval the coordinator
 	// parks the scanner, waits for in-flight work to drain, flushes the
@@ -39,9 +43,11 @@ type CheckpointPolicy struct {
 	DrainGrace time.Duration
 }
 
-// ErrCheckpointMismatch rejects a Resume snapshot written under a different
-// world or pipeline configuration; continuing it would silently change the
-// measurement semantics mid-series.
+// ErrCheckpointMismatch rejects a Resume checkpoint written under a
+// different world or pipeline configuration, or one whose ledger prefix
+// does not re-fold to the checkpoint's record count and robustness
+// counters; continuing it would silently change the measurement semantics
+// mid-series.
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match census configuration")
 
 // pipeRuntime exposes the running pipeline's live pieces to the checkpoint
@@ -55,9 +61,10 @@ type pipeRuntime struct {
 
 // censusFold is a run's one sink chain and the state it folds into:
 // Tee(StreamTo, agg, robust), fed only by the pipeline's drain goroutine. A
-// resumed run seeds agg, robust, the discovery counters and the scan
-// cursor from its checkpoint before the pipeline starts, so the earlier
-// run's state is folded in exactly once.
+// resumed run folds its ledger prefix into agg and robust, and takes the
+// discovery counters and the scan cursor from its checkpoint, before the
+// pipeline starts, so the earlier run's records are folded in exactly
+// once.
 type censusFold struct {
 	sink   dataset.Sink
 	agg    *analysis.Aggregator
@@ -72,16 +79,27 @@ type censusFold struct {
 // newFold builds the run's sink chain. The aggregator resolves each
 // record's HTTP join through a per-record truth lookup, so the join covers
 // exactly the records that flowed — even when the run is cancelled
-// mid-flight.
-func (c *Census) newFold(resume *analysis.CheckpointState) *censusFold {
+// mid-flight. A resume re-folds the ledger prefix one record at a time and
+// refuses it unless it holds the checkpoint's record count and re-folds to
+// its robustness counters: a ledger from another run, or cut elsewhere,
+// would seed tables the checkpoint never saw.
+func (c *Census) newFold(resume *analysis.CheckpointState) (*censusFold, error) {
 	f := &censusFold{
 		agg:    analysis.NewAggregator(c.World.ASDB, truthHTTP(c.World)),
 		robust: &Robustness{},
 	}
 	if resume != nil {
-		f.agg.MergeSnapshot(c.Config.Resume)
-		*f.robust = resume.Robustness
-		f.robust.Failures = maps.Clone(resume.Robustness.Failures)
+		if ledger := c.Config.Resume.Ledger; ledger != nil {
+			if err := dataset.Read(ledger, dataset.Tee(f.agg, f.robust)); err != nil {
+				return nil, fmt.Errorf("core: resume ledger: %w", err)
+			}
+		}
+		if n := f.agg.Observed(); n != resume.Streamed {
+			return nil, fmt.Errorf("%w: the ledger holds %d records, the checkpoint %d", ErrCheckpointMismatch, n, resume.Streamed)
+		}
+		if !sameRobustness(*f.robust, resume.Robustness) {
+			return nil, fmt.Errorf("%w: the ledger's robustness counters differ from the checkpoint's", ErrCheckpointMismatch)
+		}
 		f.probed, f.responded = resume.Probed, resume.Responded
 		f.cursor = resume.Cursors[0]
 	}
@@ -90,7 +108,15 @@ func (c *Census) newFold(resume *analysis.CheckpointState) *censusFold {
 		sinks = append(sinks, c.Config.StreamTo)
 	}
 	f.sink = dataset.Tee(append(sinks, f.agg, f.robust)...)
-	return f
+	return f, nil
+}
+
+// sameRobustness compares two robustness ledgers; a failure map that is
+// nil equals an empty one, as gob decodes an empty map as nil.
+func sameRobustness(a, b Robustness) bool {
+	fa, fb := a.Failures, b.Failures
+	a.Failures, b.Failures = nil, nil
+	return reflect.DeepEqual(a, b) && maps.Equal(fa, fb)
 }
 
 // quiescentCheckpoint pauses the scanner, waits until everything emitted
@@ -135,29 +161,22 @@ func (c *Census) quiescentCheckpoint(pipeCtx context.Context, rt *pipeRuntime, f
 
 	probed := fold.probed + sc.Stats.Probed.Load()
 	responded := fold.responded + sc.Stats.Responded.Load()
-	snap := fold.agg.Snapshot()
-	snap.Checkpoint = c.checkpointState(sc.Cursor(), snap.Observed, probed, responded, false, *fold.robust)
-	if err := c.Config.Checkpoint.Write(snap); err != nil {
+	if err := c.Config.Checkpoint.Write(c.checkpoint(sc.Cursor(), fold.agg.Observed(), probed, responded, false, *fold.robust)); err != nil {
 		c.Config.Metrics.Counter("census.checkpoint_errors").Inc()
 		return
 	}
 	c.Config.Metrics.Counter("census.checkpoints").Inc()
 }
 
-// checkpointState assembles the census-position half of a checkpoint. The
-// wire form keeps the shard count and a cursor list, so a census writes one
-// shard and one cursor. The robustness ledger is copied, so the live one
-// can keep folding.
-func (c *Census) checkpointState(cursor uint64, observed int, probed, responded uint64, truncated bool, robust Robustness) *analysis.CheckpointState {
-	streamed := 0
-	if c.Config.StreamTo != nil {
-		// The stream sink sits first in the chain, so every observed
-		// record is on the ledger: line count == Observed.
-		streamed = observed
-	}
+// checkpoint assembles a checkpoint: the census position, with empty
+// accumulators. The stream sink sits first in the chain, so every observed
+// record is on the ledger. The wire form keeps the shard count and a
+// cursor list, so a census writes one shard and one cursor. The robustness
+// ledger is copied, so the live one can keep folding.
+func (c *Census) checkpoint(cursor uint64, observed int, probed, responded uint64, truncated bool, robust Robustness) *analysis.Snapshot {
 	robust.Failures = maps.Clone(robust.Failures)
 	p := c.World.Params
-	return &analysis.CheckpointState{
+	return &analysis.Snapshot{Observed: observed, Checkpoint: &analysis.CheckpointState{
 		Seed:         p.Seed,
 		Epoch:        p.Epoch,
 		Scale:        p.Scale,
@@ -165,25 +184,25 @@ func (c *Census) checkpointState(cursor uint64, observed int, probed, responded 
 		ScanSize:     c.World.ScanSize,
 		ConfigDigest: c.configDigest(),
 		Cursors:      []uint64{cursor},
-		Streamed:     streamed,
+		Streamed:     observed,
 		Probed:       probed,
 		Responded:    responded,
 		Truncated:    truncated,
 		Robustness:   robust,
-	}
+	}}
 }
 
-// resumeState validates the configured Resume snapshot against this census,
-// returning its checkpoint state (nil when not resuming). A checkpoint
-// written by a census that split its scan over several shards cannot seed
-// the one permutation walk, so it is refused.
+// resumeState validates the configured Resume checkpoint against this
+// census, returning it (nil when not resuming). A checkpoint written by a
+// census that split its scan over several shards cannot seed the one
+// permutation walk, so it is refused. newFold checks the ledger.
 func (c *Census) resumeState() (*analysis.CheckpointState, error) {
 	if c.Config.Resume == nil {
 		return nil, nil
 	}
 	cp := c.Config.Resume.Checkpoint
 	if cp == nil {
-		return nil, fmt.Errorf("%w: snapshot carries no checkpoint state (a plain aggregate cannot seed the scan position)", ErrCheckpointMismatch)
+		return nil, fmt.Errorf("%w: no checkpoint state (a plain aggregate cannot seed the scan position)", ErrCheckpointMismatch)
 	}
 	p := c.World.Params
 	switch {

@@ -65,14 +65,15 @@ func ledgerRobustness(records []*dataset.HostRecord) analysis.RobustnessState {
 	return r
 }
 
-// TestLedgerPrefixMatchesCheckpoint: a checkpoint's aggregate is its
-// ledger prefix re-folded. Every checkpoint a census writes — periodic
-// ones while it runs, the truncation write when it is killed, and periodic
-// ones while the resumed run appends to the same ledger — must decode to an
-// aggregate that finalizes to the tables of a fresh aggregator folding the
-// ledger's first Streamed lines, and must carry exactly that prefix's
-// robustness ledger: the kill is the run's result, not a record's, so no
-// checkpoint counts it. Swept over seeds × worker counts.
+// TestLedgerPrefixMatchesCheckpoint: a checkpoint is a position in its
+// ledger. Every checkpoint a census writes — periodic ones while it runs,
+// the truncation write when it is killed, and periodic ones while the
+// resumed run appends to the same ledger — must count exactly the
+// records of the ledger's first Streamed lines and carry exactly that
+// prefix's robustness ledger: the kill is the run's result, not a record's,
+// so no checkpoint counts it. Resuming from the truncation checkpoint, and
+// from the last periodic checkpoint of each leg, must finish with the
+// uninterrupted run's tables. Swept over seeds × worker counts.
 func TestLedgerPrefixMatchesCheckpoint(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		for _, mult := range workerScales {
@@ -129,56 +130,72 @@ func checkLedgerPrefixCheckpoints(t *testing.T, seed uint64, mult int) {
 	// Second leg: resume from the truncation checkpoint, appending to the
 	// same ledger and checkpointing again.
 	resCfg := cfg
+	resCfg.Resume = &Resume{Checkpoint: decodeCheckpoint(t, caps[len(caps)-1].raw).Checkpoint, Ledger: bytes.NewReader(ledger.Bytes())}
 	resCfg.StreamTo = dataset.NewWriterSink(&ledger)
-	resCfg.Resume = decodeCheckpoint(t, caps[len(caps)-1].raw)
 	resCfg.Checkpoint = policy(true)
 	c2, err := NewCensus(resCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	records, err := dataset.ReadAll(bytes.NewReader(ledger.Bytes()))
+	res2, err := c2.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	world := c2.World
-	tables := func(agg *analysis.Aggregator) Tables {
-		return (&Result{agg: agg, scanned: world.ScanSize}).ComputeTables()
+	_, _, ref := runReference(t, cfg)
+	want := ref.ComputeTables()
+	sameTables := func(what string, got Tables) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) || got.RenderFull() != want.RenderFull() {
+			t.Errorf("%s: resumed tables diverge from the uninterrupted run's", what)
+		}
+	}
+	sameTables("resumed from the truncation checkpoint", res2.ComputeTables())
+
+	raw := ledger.Bytes()
+	records, err := dataset.ReadAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
 	periodic := map[bool]int{}
+	last := map[bool]*analysis.CheckpointState{}
 	for i, c := range caps {
 		snap := decodeCheckpoint(t, c.raw)
 		cp := snap.Checkpoint
 		if !cp.Truncated {
 			periodic[c.resumed]++
+			last[c.resumed] = cp
 		}
 		if cp.Streamed > len(records) || snap.Observed != cp.Streamed {
 			t.Fatalf("checkpoint %d: %d observed, %d streamed, ledger holds %d", i, snap.Observed, cp.Streamed, len(records))
 		}
-		prefix := records[:cp.Streamed]
-
-		refold := analysis.NewAggregator(world.ASDB, truthHTTP(world))
-		for _, rec := range prefix {
-			if err := refold.Observe(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stored := analysis.NewAggregator(nil, nil)
-		stored.MergeSnapshot(snap)
-		got, want := tables(stored), tables(refold)
-		if !reflect.DeepEqual(got, want) || got.RenderFull() != want.RenderFull() {
-			t.Errorf("checkpoint %d (resumed=%v, %d records): stored aggregate does not finalize to its ledger prefix's tables", i, c.resumed, cp.Streamed)
-		}
-
-		if wantRobust := ledgerRobustness(prefix); !reflect.DeepEqual(cp.Robustness, wantRobust) {
+		if wantRobust := ledgerRobustness(records[:cp.Streamed]); !reflect.DeepEqual(cp.Robustness, wantRobust) {
 			t.Errorf("checkpoint %d (resumed=%v): robustness %+v, ledger prefix gives %+v", i, c.resumed, cp.Robustness, wantRobust)
 		}
 	}
 	if periodic[false] == 0 || periodic[true] == 0 {
-		t.Errorf("periodic checkpoints: %d in the killed run, %d in the resumed run; want some in each", periodic[false], periodic[true])
+		t.Fatalf("periodic checkpoints: %d in the killed run, %d in the resumed run; want some in each", periodic[false], periodic[true])
+	}
+
+	// A crash after a periodic write: the ledger as that checkpoint
+	// counted it, resumed and appended to.
+	for _, resumed := range []bool{false, true} {
+		cp := last[resumed]
+		size, err := dataset.PrefixSize(bytes.NewReader(raw), cp.Streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashCfg := cfg
+		crashCfg.Resume = &Resume{Checkpoint: cp, Ledger: bytes.NewReader(raw[:size])}
+		crashCfg.StreamTo = dataset.NewWriterSink(bytes.NewBuffer(append([]byte(nil), raw[:size]...)))
+		c, err := NewCensus(crashCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTables(fmt.Sprintf("resumed from the last periodic checkpoint (resumed leg=%v, %d records)", resumed, cp.Streamed), res.ComputeTables())
 	}
 }
 
@@ -193,4 +210,34 @@ func decodeCheckpoint(t *testing.T, raw []byte) *analysis.Snapshot {
 		t.Fatal("checkpoint carries no checkpoint state")
 	}
 	return snap
+}
+
+// BenchmarkResumeRefold times what a resume pays before its pipeline
+// starts: reading the ledger prefix, folding it into the aggregator (with
+// the HTTP join resolved against the world) and the robustness ledger, and
+// checking both against the checkpoint. The ledger is a whole census at
+// seed 42, scale 2048 (about 10.9k records).
+func BenchmarkResumeRefold(b *testing.B) {
+	var ledger bytes.Buffer
+	c, err := NewCensus(CensusConfig{Seed: 42, Scale: 2048, StreamTo: dataset.NewWriterSink(&ledger)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp := &analysis.CheckpointState{Streamed: res.Observed, Robustness: res.Robustness, Cursors: []uint64{0}}
+	raw := ledger.Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Config.Resume = &Resume{Checkpoint: cp, Ledger: bytes.NewReader(raw)}
+		if _, err := c.newFold(cp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Observed), "ns/record")
+	b.ReportMetric(float64(res.Observed), "records")
 }

@@ -13,8 +13,8 @@ import (
 
 // TestCheckpointGoldenFiles: checkpoint and aggregate files written before
 // the accumulators became their own serialized form still decode, and
-// merged into a fresh aggregator they render byte for byte the tables they
-// rendered when they were written. A census runs one permutation walk, so
+// finalized read-only they render byte for byte the tables they rendered
+// when they were written. A census runs one permutation walk, so
 // resuming the 2-shard checkpoint is refused. The files are fixed bytes:
 //
 //   - checkpoint-2shards: a frame-version-2 truncation checkpoint of a
@@ -57,14 +57,12 @@ func TestCheckpointGoldenFiles(t *testing.T) {
 			if snap.Checkpoint != nil {
 				scanned = snap.Checkpoint.ScanSize
 			}
-			agg := analysis.NewAggregator(nil, nil)
-			agg.MergeSnapshot(snap)
-			if got := (&Result{agg: agg, scanned: scanned}).ComputeTables().RenderFull(); got != string(want) {
+			if got := (&Result{agg: analysis.ReadOnly(snap), scanned: scanned}).ComputeTables().RenderFull(); got != string(want) {
 				t.Errorf("rendered tables diverge from the ones written with the file:\n got:\n%s\nwant:\n%s", got, want)
 			}
 			if tc.checkpoint {
 				cp := snap.Checkpoint
-				c, err := NewCensus(CensusConfig{Seed: cp.Seed, Scale: cp.Scale, Epoch: cp.Epoch, Resume: snap})
+				c, err := NewCensus(CensusConfig{Seed: cp.Seed, Scale: cp.Scale, Epoch: cp.Epoch, Resume: &Resume{Checkpoint: cp}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -183,10 +183,11 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Second leg: resume, appending to the same ledger.
+			// Second leg: resume, re-folding and appending to the same
+			// ledger.
 			resCfg := cfg
+			resCfg.Resume = &Resume{Checkpoint: decoded.Checkpoint, Ledger: bytes.NewReader(ledger.Bytes())}
 			resCfg.StreamTo = dataset.NewWriterSink(&ledger)
-			resCfg.Resume = decoded
 			c2, err := NewCensus(resCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -255,8 +256,8 @@ func TestKillAndResumeNotices(t *testing.T) {
 		t.Fatalf("kill leg: err=%v, checkpoint written=%v", err, checkpoint != nil)
 	}
 	resCfg := cfg
+	resCfg.Resume = &Resume{Checkpoint: checkpoint.Checkpoint, Ledger: bytes.NewReader(ledger.Bytes())}
 	resCfg.StreamTo = dataset.NewWriterSink(&ledger)
-	resCfg.Resume = checkpoint
 	resumed, err := NewCensus(resCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +385,8 @@ func TestPeriodicCheckpointResumesLikeSIGKILL(t *testing.T) {
 
 	recovered := bytes.NewBuffer(append([]byte(nil), lastLedger...))
 	resCfg := cfg
+	resCfg.Resume = &Resume{Checkpoint: cp, Ledger: bytes.NewReader(lastLedger)}
 	resCfg.StreamTo = dataset.NewWriterSink(recovered)
-	resCfg.Resume = decoded
 	c2, err := NewCensus(resCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -418,10 +419,11 @@ func TestResumeValidation(t *testing.T) {
 
 	// Produce a real checkpoint by killing a run immediately.
 	var checkpoint *analysis.Snapshot
+	var ledger bytes.Buffer
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killCfg := cfg
-	killCfg.StreamTo = &cancelAtSink{inner: &dataset.Collector{}, n: 1, cancel: cancel}
+	killCfg.StreamTo = &cancelAtSink{inner: dataset.NewWriterSink(&ledger), n: 1, cancel: cancel}
 	killCfg.Checkpoint = &CheckpointPolicy{Write: func(s *analysis.Snapshot) error {
 		checkpoint = s
 		return nil
@@ -437,13 +439,11 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("no checkpoint written")
 	}
 
-	run := func(mutate func(*CensusConfig, *analysis.Snapshot)) error {
+	run := func(mutate func(*CensusConfig, *Resume)) error {
 		resCfg := cfg
-		snap := *checkpoint
 		cp := *checkpoint.Checkpoint
-		snap.Checkpoint = &cp
-		resCfg.Resume = &snap
-		mutate(&resCfg, &snap)
+		resCfg.Resume = &Resume{Checkpoint: &cp, Ledger: bytes.NewReader(ledger.Bytes())}
+		mutate(&resCfg, resCfg.Resume)
 		c, err := NewCensus(resCfg)
 		if err != nil {
 			return err
@@ -454,22 +454,22 @@ func TestResumeValidation(t *testing.T) {
 
 	cases := map[string]func() error{
 		"different seed": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Seed = 99 })
+			return run(func(c *CensusConfig, _ *Resume) { c.Seed = 99 })
 		},
 		"different epoch": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Epoch = 2 })
+			return run(func(c *CensusConfig, _ *Resume) { c.Epoch = 2 })
 		},
 		"different shards": func() error {
-			return run(func(_ *CensusConfig, s *analysis.Snapshot) {
-				s.Checkpoint.Shards = 4
-				s.Checkpoint.Cursors = []uint64{0, 0, 0, 0}
+			return run(func(_ *CensusConfig, r *Resume) {
+				r.Checkpoint.Shards = 4
+				r.Checkpoint.Cursors = []uint64{0, 0, 0, 0}
 			})
 		},
 		"different measurement knobs": func() error {
-			return run(func(c *CensusConfig, _ *analysis.Snapshot) { c.Retries = 3 })
+			return run(func(c *CensusConfig, _ *Resume) { c.Retries = 3 })
 		},
-		"plain aggregate": func() error {
-			return run(func(_ *CensusConfig, s *analysis.Snapshot) { s.Checkpoint = nil })
+		"no checkpoint state": func() error {
+			return run(func(_ *CensusConfig, r *Resume) { r.Checkpoint = nil })
 		},
 	}
 	for name, f := range cases {
@@ -481,8 +481,84 @@ func TestResumeValidation(t *testing.T) {
 	// The untouched checkpoint must still be accepted, and at other worker
 	// counts: parallelism is not part of what a census measures.
 	for _, mult := range workerScales {
-		if err := run(func(c *CensusConfig, _ *analysis.Snapshot) { *c = withWorkers(*c, mult) }); err != nil {
+		if err := run(func(c *CensusConfig, _ *Resume) { *c = withWorkers(*c, mult) }); err != nil {
 			t.Errorf("valid checkpoint refused at %dx workers: %v", mult, err)
 		}
+	}
+}
+
+// TestResumeRefusesWrongLedger: a resume re-folds the ledger it is handed,
+// so a ledger that is not the checkpoint's prefix is refused with
+// ErrCheckpointMismatch before any record flows: one cut short, one
+// running past the checkpoint, and one holding the right number of
+// another seed's records, which re-fold to other robustness counters.
+func TestResumeRefusesWrongLedger(t *testing.T) {
+	cfg := resumeConfig(11, 32768, false)
+	var checkpoint *analysis.Snapshot
+	var ledger bytes.Buffer
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killCfg := cfg
+	killCfg.ScanRate = 100_000 // keep the kill mid-scan (see TestKillAndResumeEquivalence)
+	killCfg.StreamTo = &cancelAtSink{inner: dataset.NewWriterSink(&ledger), n: 30, cancel: cancel}
+	killCfg.Checkpoint = &CheckpointPolicy{Write: func(s *analysis.Snapshot) error {
+		checkpoint = s
+		return nil
+	}}
+	c, err := NewCensus(killCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.Run(ctx); err != nil || !res.Truncated || checkpoint == nil {
+		t.Fatalf("kill leg: err=%v, checkpoint written=%v", err, checkpoint != nil)
+	}
+	cp := checkpoint.Checkpoint
+	own := sortedLines(t, ledger.Bytes())
+	if len(own) != cp.Streamed {
+		t.Fatalf("ledger holds %d records, checkpoint %d", len(own), cp.Streamed)
+	}
+	_, fullLedger, _ := runReference(t, cfg)
+	_, otherLedger, _ := runReference(t, resumeConfig(12, 32768, false))
+	other := otherLedger[:cp.Streamed]
+	otherRecords, err := dataset.ReadAll(strings.NewReader(strings.Join(other, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(ledgerRobustness(otherRecords), cp.Robustness) {
+		t.Fatal("the other seed's records re-fold to the checkpoint's robustness; test is vacuous")
+	}
+
+	resume := func(lines []string) error {
+		resCfg := cfg
+		resCfg.Resume = &Resume{Checkpoint: cp, Ledger: strings.NewReader(strings.Join(lines, "\n"))}
+		c, err := NewCensus(resCfg)
+		if err != nil {
+			return err
+		}
+		_, err = c.Run(context.Background())
+		return err
+	}
+	for name, lines := range map[string][]string{
+		"short":      own[:len(own)-1],
+		"long":       fullLedger,
+		"other seed": other,
+	} {
+		if err := resume(lines); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s ledger: got %v, want ErrCheckpointMismatch", name, err)
+		}
+	}
+	if err := resume(own); err != nil {
+		t.Errorf("the checkpoint's own ledger refused: %v", err)
+	}
+}
+
+// TestCheckpointNeedsLedger: a checkpoint is a position in the StreamTo
+// ledger, so a checkpoint policy without one is refused up front.
+func TestCheckpointNeedsLedger(t *testing.T) {
+	_, err := NewCensus(CensusConfig{Seed: 1, Scale: 262144, Checkpoint: &CheckpointPolicy{
+		Write: func(*analysis.Snapshot) error { return nil },
+	}})
+	if err == nil || !strings.Contains(err.Error(), "StreamTo") {
+		t.Errorf("NewCensus with a checkpoint policy and no StreamTo: got %v, want an error naming StreamTo", err)
 	}
 }

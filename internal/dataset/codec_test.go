@@ -395,6 +395,9 @@ func FuzzDecodeRecord(f *testing.F) {
 // FuzzReadAll feeds whole ledgers: truncated last lines, blank lines, CRLF
 // and garbage. ReadAll must not panic; an error names the first line the
 // decoder refuses, and success returns one record per non-blank line.
+// PrefixSize counts records as ReadAll does: for every n, the first
+// PrefixSize(n) bytes read back as exactly the first n records, and there
+// is no prefix of n+1 records.
 func FuzzReadAll(f *testing.F) {
 	good := `{"ip":"1.2.3.4","port_open":true,"ftp":true,"anonymous_ok":false}`
 	f.Add([]byte(good + "\n" + good + "\n"))
@@ -429,6 +432,19 @@ func FuzzReadAll(f *testing.F) {
 			if !reflect.DeepEqual(*recs[i], want[i]) {
 				t.Fatalf("record %d: ReadAll %+v, line decode %+v", i, *recs[i], want[i])
 			}
+		}
+		for n := 0; n <= len(recs); n++ {
+			size, err := PrefixSize(bytes.NewReader(data), n)
+			if err != nil {
+				t.Fatalf("PrefixSize(%d) of %d records: %v", n, len(recs), err)
+			}
+			prefix, err := ReadAll(bytes.NewReader(data[:size]))
+			if err != nil || len(prefix) != n {
+				t.Fatalf("the %d-record prefix (%d bytes) reads back as %d records (%v)", n, size, len(prefix), err)
+			}
+		}
+		if _, err := PrefixSize(bytes.NewReader(data), len(recs)+1); err == nil {
+			t.Fatalf("PrefixSize(%d) of %d records succeeded", len(recs)+1, len(recs))
 		}
 	})
 }

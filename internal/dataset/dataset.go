@@ -210,39 +210,84 @@ func (w *Writer) Count() int { return w.n }
 // Flush drains buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// ReadAll parses a JSONL stream back into records. Lines may be of any
-// length; a trailing "\r" is dropped and empty lines are skipped. An error
-// names the 1-based line it failed on.
+// ReadAll parses a JSONL stream back into records: Read into a slice.
 func ReadAll(r io.Reader) ([]*HostRecord, error) {
-	var (
-		out  []*HostRecord
-		d    decoder
-		long []byte // a line longer than the read buffer, reassembled
-	)
-	br := bufio.NewReaderSize(r, 1<<16)
+	var c Collector
+	if err := Read(r, &c); err != nil {
+		return nil, err
+	}
+	return c.Records, nil
+}
+
+// Read parses a JSONL stream and hands each record to sink as it is
+// decoded, so a ledger of any size is folded in constant memory. Lines may
+// be of any length; a trailing "\r" is dropped and empty lines are skipped.
+// Read does not close sink. An error names the 1-based line it failed on.
+func Read(r io.Reader, sink Sink) error {
+	var d decoder
+	l := lineReader{br: bufio.NewReaderSize(r, 1<<16)}
 	for n := 1; ; n++ {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = br.ReadSlice('\n')
-				long = append(long, line...)
-			}
-			line = long
-		}
+		line, _, err := l.next()
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("dataset: reading line %d: %w", n, err)
+			return fmt.Errorf("dataset: reading line %d: %w", n, err)
 		}
-		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
 		if len(line) > 0 {
 			rec := &HostRecord{}
 			if derr := d.decodeRecord(line, rec); derr != nil {
-				return nil, fmt.Errorf("dataset: line %d: %w", n, derr)
+				return fmt.Errorf("dataset: line %d: %w", n, derr)
 			}
-			out = append(out, rec)
+			if serr := sink.Observe(rec); serr != nil {
+				return fmt.Errorf("dataset: line %d: %w", n, serr)
+			}
 		}
 		if err == io.EOF {
-			return out, nil
+			return nil
 		}
 	}
+}
+
+// PrefixSize returns how many bytes at the head of a JSONL stream hold its
+// first n records, counting records as Read does: blank lines are skipped,
+// and those after the n-th record stay outside the prefix. It fails when
+// the stream holds fewer than n records.
+func PrefixSize(r io.Reader, n int) (int64, error) {
+	l := lineReader{br: bufio.NewReaderSize(r, 1<<16)}
+	var size int64
+	for seen := 0; seen < n; {
+		line, raw, err := l.next()
+		if err != nil && err != io.EOF {
+			return 0, fmt.Errorf("dataset: reading record %d: %w", seen+1, err)
+		}
+		size += int64(raw)
+		if len(line) > 0 {
+			seen++
+		}
+		if err == io.EOF && seen < n {
+			return 0, fmt.Errorf("dataset: stream holds %d records, fewer than %d", seen, n)
+		}
+	}
+	return size, nil
+}
+
+// lineReader splits a JSONL stream into lines of any length.
+type lineReader struct {
+	br   *bufio.Reader
+	long []byte // a line longer than the read buffer, reassembled
+}
+
+// next returns the next line without its "\n" or "\r\n", and the number of
+// stream bytes it took, terminator included. The line is valid until the
+// next call. err is io.EOF for the stream's last line, which may be empty.
+func (l *lineReader) next() (line []byte, raw int, err error) {
+	line, err = l.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		l.long = append(l.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = l.br.ReadSlice('\n')
+			l.long = append(l.long, line...)
+		}
+		line = l.long
+	}
+	raw = len(line)
+	return bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r")), raw, err
 }

@@ -89,17 +89,6 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkResumeMerge measures folding a checkpointed aggregate into a
-// fresh aggregator — the fixed cost a resumed census pays at assembly.
-func BenchmarkResumeMerge(b *testing.B) {
-	snap := checkpointSnapshot()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		agg := analysis.NewAggregator(nil, nil)
-		agg.MergeSnapshot(snap)
-	}
-}
-
 func BenchmarkDiffLedgers100k(b *testing.B) {
 	before := syntheticLedger(100_000, 0)
 	after := syntheticLedger(100_000, 1)

@@ -6,9 +6,9 @@
 // populations migrating across versions as operators upgrade, and exposure
 // trending as the anonymous population shifts.
 //
-// Two granularities are supported. Aggregate diffs (Compute) need only the
-// two snapshot files every census writes and trend the headline counters.
-// Host-level diffs (DiffLedgers) need the streamed JSONL ledgers and
+// Both granularities come from the two censuses' streamed JSONL ledgers
+// (CompareLedgers). Aggregate diffs (Compute) trend the headline counters
+// of the tables each ledger folds to. Host-level diffs (DiffLedgers)
 // resolve the actual host sets: which addresses are new, which vanished,
 // and — for hosts present in both — how their classified software moved.
 package delta
@@ -58,6 +58,25 @@ type Report struct {
 
 	// Hosts is nil unless DiffLedgers ran.
 	Hosts *HostDelta
+}
+
+// CompareLedgers diffs two streamed ledgers, before → after: Compute over
+// the aggregate each folds to, with DiffLedgers attached. No counter
+// Compute reads depends on the AS database or the HTTP join, so the folds
+// resolve neither.
+func CompareLedgers(before, after []*dataset.HostRecord) *Report {
+	r := Compute(fold(before), fold(after))
+	r.Hosts = DiffLedgers(before, after)
+	return r
+}
+
+// fold folds records through an aggregator that resolves nothing.
+func fold(recs []*dataset.HostRecord) *analysis.Snapshot {
+	agg := analysis.NewAggregator(nil, nil)
+	for _, rec := range recs {
+		_ = agg.Observe(rec) // an Aggregator never fails a record
+	}
+	return agg.Snapshot()
 }
 
 // Compute diffs two aggregate snapshots, from → to.

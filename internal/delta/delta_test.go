@@ -3,6 +3,7 @@ package delta
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -207,5 +208,27 @@ func TestDeltaMatchesBruteForce(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestCompareLedgersMatchesLive: folding two epochs' ledgers through an
+// aggregator that resolves neither ASes nor the HTTP join gives the same
+// report as the two censuses' live aggregates, which resolved both — the
+// ledgers are all ftpdelta needs.
+func TestCompareLedgersMatchesLive(t *testing.T) {
+	snap0, recs0, _ := censusAt(t, 0)
+	snap2, recs2, _ := censusAt(t, 2)
+
+	want := Compute(snap0, snap2)
+	want.Hosts = DiffLedgers(recs0, recs2)
+	got := CompareLedgers(recs0, recs2)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ledger report diverges from the live snapshots':\n got %+v\nwant %+v", got, want)
+	}
+	if got.Render() != want.Render() {
+		t.Error("ledger report renders differently from the live snapshots'")
+	}
+	if want.Vulnerable.Before == 0 || want.FTPSSupported.Before == 0 || want.ExposingServers.Before == 0 {
+		t.Errorf("live report lacks CVE, FTPS or exposure counts (%+v); test is vacuous", want)
 	}
 }
