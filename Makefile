@@ -61,15 +61,19 @@ race-full: race
 # the identification pool and the enumerator fleet share one world,
 # collector and metrics registry while a single drain goroutine folds into
 # the run's sink chain (ledger, aggregator, robustness ledger). A periodic
-# quiescent checkpoint reads that fold's counts from another goroutine,
-# behind the accepted-record watermark (checked against the ledger prefix
-# by TestLedgerPrefix); mid-scan halts, resume validation and the resume's
-# re-fold of the ledger prefix cut across the same structures, and
-# TestCensusEvictsHosts has hundreds of connections pin and release hosts
-# on one world; TestWorkerCounts runs the pipeline at up to eight times the
-# default workers, through a mid-run deadline too.
+# checkpoint is a cut: the coordinator parks the scanner until its emitted
+# batches are probed, probe workers add responsive hosts to the pending
+# set the drain removes them from, and the drain takes its half of the cut
+# (ledger flush, counts, pending hosts) between two records while the
+# scanner runs again (TestPeriodicCheckpointDoesNotDrain,
+# TestKillAndResumeFromEveryPeriodicCheckpoint, TestLedgerPrefix); mid-scan
+# halts, resume validation and the resume's re-fold of the ledger prefix
+# cut across the same structures, and TestCensusEvictsHosts has hundreds
+# of connections pin and release hosts on one world; TestWorkerCounts runs
+# the pipeline at up to eight times the default workers, through a mid-run
+# deadline too.
 race-census:
-	$(GO) test -race -run 'TestSnapshot|TestKillAndResume|TestPeriodicCheckpoint|TestResumeValidation|TestResumeRefuses|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts|TestWorkerCounts' \
+	$(GO) test -race -run 'TestSnapshot|TestKillAndResume|TestPeriodicCheckpointDoesNotDrain|TestResumeValidation|TestResumeRefuses|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts|TestWorkerCounts' \
 		./internal/core ./internal/analysis
 
 # Server core under the race detector: pooled sessions, the connection

@@ -139,8 +139,8 @@ func run(args []string) error {
 		if *checkpointTo == "" {
 			*checkpointTo = *resumeFrom
 		}
-		fmt.Fprintf(os.Stderr, "ftpcensus: resuming from %s (%d records already streamed)\n",
-			*resumeFrom, cp.Streamed)
+		fmt.Fprintf(os.Stderr, "ftpcensus: resuming from %s (%d records already streamed, %d hosts in flight)\n",
+			*resumeFrom, cp.Streamed, len(cp.Pending))
 		resume = &core.Resume{Checkpoint: cp}
 	}
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"ftpcloud/internal/simnet"
 )
 
 // checkpointFixture returns a populated snapshot carrying checkpoint state,
@@ -67,7 +69,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointFrameVersions: plain aggregates stay on version 1 (readable
 // by older decoders); only checkpoint-carrying snapshots move to version 2,
-// and a version-1 frame smuggling checkpoint state is corrupt.
+// and only those listing pending hosts to version 3, which a version-2
+// reader refuses instead of losing the hosts. A frame smuggling state its
+// version cannot carry is corrupt.
 func TestCheckpointFrameVersions(t *testing.T) {
 	in := buildInput(t)
 	plain := observeAll(t, in).Snapshot()
@@ -91,6 +95,33 @@ func TestCheckpointFrameVersions(t *testing.T) {
 	forged[4] = snapshotVersion
 	if _, err := DecodeSnapshotBytes(forged); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Errorf("version-1 frame with checkpoint state: got %v, want ErrCorruptSnapshot", err)
+	}
+
+	// Pending hosts move the frame to version 3, and it round-trips them.
+	cp.Checkpoint.Pending = []simnet.IP{simnet.MustParseIP("1.0.0.7"), simnet.MustParseIP("1.2.3.4")}
+	raw, err = cp.EncodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := raw[4]; got != snapshotVersionPending {
+		t.Errorf("checkpoint with pending hosts framed as version %d, want %d", got, snapshotVersionPending)
+	}
+	decoded, err := DecodeSnapshotBytes(raw)
+	if err != nil {
+		t.Fatalf("version-3 frame failed to decode: %v", err)
+	}
+	if !reflect.DeepEqual(decoded.Checkpoint, cp.Checkpoint) {
+		t.Errorf("version-3 checkpoint diverges:\n got %+v\nwant %+v", decoded.Checkpoint, cp.Checkpoint)
+	}
+	for _, v := range []byte{snapshotVersion, snapshotVersionCheckpoint} {
+		forged := bytes.Clone(raw)
+		forged[4] = v
+		if _, err := DecodeSnapshotBytes(forged); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("version-%d frame with pending hosts: got %v, want ErrCorruptSnapshot", v, err)
+		}
+	}
+	if _, err := DecodeSnapshotBytes(append([]byte{'F', 'C', 'A', 'S', snapshotVersionPending + 1}, raw[5:]...)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Errorf("version-%d frame: got %v, want ErrCorruptSnapshot", snapshotVersionPending+1, err)
 	}
 }
 
@@ -121,8 +152,9 @@ func TestSnapshotDecodeTrailingGarbage(t *testing.T) {
 
 // FuzzCheckpointDecode: checkpoint-bearing frames under arbitrary mutation
 // must never panic and never yield an untyped error; frames that do decode
-// must round-trip stably and finalize without a panic. The corpus in testdata/fuzz/FuzzCheckpointDecode adds populated
-// checkpoints.
+// must round-trip stably and finalize without a panic. The corpus in
+// testdata/fuzz/FuzzCheckpointDecode adds populated checkpoints, one of them
+// listing pending hosts.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Seed corpus: a valid v1 aggregate, a valid v2 checkpoint, a truncated
 	// checkpoint, and a checkpoint with trailing garbage.
@@ -139,8 +171,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Add(raw[:len(raw)/2])
 		f.Add(append(append([]byte{}, raw...), 0xff, 0x00))
 	}
+	cp.Checkpoint.Pending = []simnet.IP{3, 1 << 24, 1<<24 + 9}
+	if raw, err := cp.EncodeBytes(); err == nil {
+		f.Add(raw)
+	}
 	f.Add([]byte{'F', 'C', 'A', 'S', 2})
 	f.Add([]byte{'F', 'C', 'A', 'S', 3, 0x01})
+	f.Add([]byte{'F', 'C', 'A', 'S', 4, 0x01})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := DecodeSnapshotBytes(raw)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/simnet"
 )
 
 // Snapshot is an aggregator's state as plain data: the observed-record
@@ -41,17 +42,18 @@ type Snapshot struct {
 	Unexpected UnexpectedAcc
 
 	// Checkpoint, when non-nil, makes the snapshot a resumable census
-	// position: the scan cursor, the ledger length, and the robustness
-	// counters a resumed run checks its re-folded ledger against.
-	// Snapshots carrying it are written as frame version 2; plain
-	// aggregates stay version 1 so older readers keep decoding them.
+	// position: the scan cursor, the ledger length, the hosts in flight,
+	// and the robustness counters a resumed run checks its re-folded
+	// ledger against. Snapshots carrying it are written as frame version
+	// 2, or 3 when hosts are pending; plain aggregates stay version 1 so
+	// older readers keep decoding them.
 	Checkpoint *CheckpointState
 }
 
 // CheckpointState is a census position: everything a resumed run needs
-// beyond the ledger it re-folds. The zmap cyclic-group walk
-// makes the scan position one integer (see zmap.Permutation.Seek), so the
-// whole scan state is one cursor.
+// beyond the ledger it re-folds. The zmap cyclic-group walk makes the scan
+// position one integer (see zmap.Permutation.Seek), so the whole scan
+// state is one cursor plus the bounded list of hosts in flight at it.
 type CheckpointState struct {
 	// Seed, Epoch, Scale, Shards, and ScanSize identify the world and
 	// pipeline shape this checkpoint belongs to; a resume against any
@@ -78,11 +80,18 @@ type CheckpointState struct {
 	Probed    uint64
 	Responded uint64
 	// Truncated records whether the checkpoint was written on a truncated
-	// exit (versus a periodic quiescent write).
+	// exit (versus a periodic cut).
 	Truncated bool
 	// Robustness carries the degradation ledger accumulated so far: a
 	// resume refuses a ledger prefix that re-folds to other counters.
 	Robustness RobustnessState
+	// Pending lists, in ascending order, the responsive hosts found
+	// behind the cursor whose records were not yet in the ledger: a
+	// periodic checkpoint cuts the pipeline instead of draining it, and a
+	// resume enumerates these hosts first. Every responsive host is in
+	// the ledger or here, so len(Pending) == Responded − Streamed. A
+	// truncation checkpoint drains first and lists none.
+	Pending []simnet.IP
 }
 
 // RobustnessState is the census robustness ledger: the per-record fault
@@ -138,15 +147,29 @@ func (r *RobustnessState) Close() error { return nil }
 
 // snapshotMagic and the version byte frame the serialized form so corrupt
 // or foreign bytes are rejected before gob sees them. Version 1 is a plain
-// aggregate; version 2 adds the checkpoint fields. Encode picks the lowest
-// version that represents the snapshot, so aggregates remain readable by
-// version-1 decoders.
+// aggregate; version 2 adds the checkpoint fields; version 3 is a
+// checkpoint with pending hosts. Encode picks the lowest version that
+// represents the snapshot, so aggregates remain readable by version-1
+// decoders and a checkpoint without pending hosts by version-2 ones,
+// while a version-2 reader refuses a pending list instead of losing it.
 var snapshotMagic = [4]byte{'F', 'C', 'A', 'S'}
 
 const (
 	snapshotVersion           = 1
 	snapshotVersionCheckpoint = 2
+	snapshotVersionPending    = 3
 )
+
+// version is the lowest frame version that represents s.
+func (s *Snapshot) version() byte {
+	switch {
+	case s.Checkpoint == nil:
+		return snapshotVersion
+	case len(s.Checkpoint.Pending) == 0:
+		return snapshotVersionCheckpoint
+	}
+	return snapshotVersionPending
+}
 
 // ErrCorruptSnapshot marks bytes that do not decode as a snapshot — wrong
 // magic, unknown version, or a gob stream damaged in transit. Callers
@@ -173,17 +196,13 @@ func ReadOnly(s *Snapshot) *Aggregator {
 // Encode writes the snapshot's compact binary form: a fixed header (magic
 // plus version) followed by a gob stream. Snapshots without checkpoint
 // state are framed as version 1, byte-compatible with earlier readers;
-// checkpoints are framed as version 2.
+// checkpoints are framed as version 2, or 3 when they list pending hosts.
 func (s *Snapshot) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(snapshotMagic[:]); err != nil {
 		return err
 	}
-	version := byte(snapshotVersion)
-	if s.Checkpoint != nil {
-		version = snapshotVersionCheckpoint
-	}
-	if err := bw.WriteByte(version); err != nil {
+	if err := bw.WriteByte(s.version()); err != nil {
 		return err
 	}
 	if err := gob.NewEncoder(bw).Encode(s); err != nil {
@@ -224,19 +243,19 @@ func DecodeSnapshot(r io.Reader) (s *Snapshot, err error) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptSnapshot, header[:4])
 	}
 	version := header[4]
-	if version != snapshotVersion && version != snapshotVersionCheckpoint {
+	if version < snapshotVersion || version > snapshotVersionPending {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptSnapshot, version)
 	}
 	s = new(Snapshot)
 	if err := gob.NewDecoder(br).Decode(s); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	// A version-1 frame must not smuggle checkpoint fields past readers
-	// that validate them, and no frame may carry trailing bytes: a
-	// concatenated or damaged checkpoint file is corrupt, not silently
-	// half-read.
-	if version == snapshotVersion && s.Checkpoint != nil {
-		return nil, fmt.Errorf("%w: version-1 frame carries checkpoint state", ErrCorruptSnapshot)
+	// A frame must not smuggle fields past the readers of its version —
+	// checkpoint state in version 1, pending hosts in version 2 — and no
+	// frame may carry trailing bytes: a concatenated or damaged checkpoint
+	// file is corrupt, not silently half-read.
+	if need := s.version(); need > version {
+		return nil, fmt.Errorf("%w: version-%d frame carries version-%d state", ErrCorruptSnapshot, version, need)
 	}
 	var trailing [1]byte
 	if _, err := io.ReadFull(br, trailing[:]); err != io.EOF {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,11 +157,12 @@ type CensusConfig struct {
 	Now func() time.Time
 
 	// Checkpoint, when non-nil, makes the census resumable: caller
-	// cancellation halts the scanners at a batch boundary and drains
+	// cancellation halts the scanner at a batch boundary and drains
 	// everything in flight before the run returns, and the policy's Write
-	// receives a checkpoint on truncation (and periodically at quiescent
-	// points when Every is set). A checkpoint is a position in the
-	// StreamTo ledger, so a policy needs StreamTo. See CheckpointPolicy.
+	// receives a checkpoint on truncation (and at periodic cuts when Every
+	// is set). A checkpoint is a position in the StreamTo ledger plus the
+	// hosts in flight at it, so a policy needs StreamTo. See
+	// CheckpointPolicy.
 	Checkpoint *CheckpointPolicy
 	// Resume, when non-nil, continues a census from the checkpoint a
 	// previous run wrote. See Resume.
@@ -170,11 +172,14 @@ type CensusConfig struct {
 // Resume is where a resumed census starts: a checkpoint and the ledger
 // prefix it counts. Before any record flows, the run folds the prefix into
 // its aggregator and robustness ledger and the scanner seeks to the saved
-// cursor; when the caller appends to the same JSONL ledger, the finished
-// series is byte-identical to an uninterrupted run. The checkpoint must
-// match this configuration (same seed, epoch, scale, and measurement
-// knobs), and the prefix must hold its Streamed records and re-fold to its
-// Robustness, or Run fails with ErrCheckpointMismatch.
+// cursor; the checkpoint's pending hosts enter the pipeline ahead of the
+// scanner's first batch. When the caller appends to the same JSONL ledger,
+// the finished series is byte-identical to an uninterrupted run. The
+// checkpoint must match this configuration (same seed, epoch, scale, and
+// measurement knobs), its pending hosts must lie in the scan range, once
+// each, one per responsive host the ledger lacks, and the prefix must hold
+// its Streamed records and re-fold to its Robustness, or Run fails with
+// ErrCheckpointMismatch.
 type Resume struct {
 	Checkpoint *analysis.CheckpointState
 	// Ledger reads the interrupted run's JSONL ledger trimmed to the
@@ -303,8 +308,8 @@ type Result struct {
 // actually flowed, even when the run is cancelled mid-flight.
 //
 // Run also owns the checkpoint machinery (see checkpoint.go): the detached
-// pipeline context, the halt watcher, the periodic quiescent coordinator,
-// and the truncation checkpoint write.
+// pipeline context, the halt watcher, the periodic cut coordinator, and
+// the truncation checkpoint write.
 func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	start := time.Now()
 
@@ -337,7 +342,12 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scanner, err := zmap.NewScanner(zmap.Config{
+	rt := &pipeRuntime{
+		pending:   newPendingSet(fold.pending),
+		cuts:      make(chan cutRequest, 1),
+		drainDone: make(chan struct{}),
+	}
+	rt.scanner, err = zmap.NewScanner(zmap.Config{
 		Network:     c.Network,
 		Base:        c.World.ScanBase,
 		Size:        c.World.ScanSize,
@@ -347,12 +357,13 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 		RatePerSec:  c.Config.ScanRate,
 		Retries:     c.Config.Retries,
 		StartCursor: fold.cursor,
+		OnFound:     rt.pending.found,
 		Metrics:     c.Config.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: scanner: %w", err)
 	}
-	rt := &pipeRuntime{scanner: scanner}
+	scanner := rt.scanner
 
 	pipeDone := make(chan struct{})
 	var hardCanceled atomic.Bool
@@ -388,7 +399,7 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	var stopTicker func()
 	if policy != nil && policy.Every > 0 {
 		stopTicker = obs.Every(pipeCtx, policy.Every, func() {
-			c.quiescentCheckpoint(pipeCtx, rt, fold)
+			c.periodicCheckpoint(pipeCtx, rt, fold)
 		})
 	}
 
@@ -416,15 +427,17 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	}
 	result, runErr := c.assemble(assembleCtx, start, fold, o, closeErr)
 
-	// The truncation checkpoint: written after everything drained, so it
-	// is the exact state an uninterrupted run would have passed through.
+	// The truncation checkpoint: the same cut as a periodic one, taken
+	// after everything drained, so its pending list is empty and it is
+	// the exact state an uninterrupted run would have passed through.
 	// Skipped after a hard cancel (cursor not exact) and after a sink
 	// failure (the ledger is suspect).
 	if policy != nil && runErr == nil && result != nil && result.Truncated && !hardCanceled.Load() {
-		if werr := policy.Write(c.checkpoint(scanner.Cursor(), result.Observed, result.Probed, result.Responded, true, *fold.robust)); werr != nil {
+		cut := fold.cut(rt.pending.behind(math.MaxUint64))
+		if werr := policy.Write(c.checkpoint(scanner.Cursor(), result.Probed, result.Responded, true, cut)); werr != nil {
 			runErr = fmt.Errorf("core: writing truncation checkpoint: %w", werr)
 		} else {
-			c.Config.Metrics.Counter("census.checkpoints").Inc()
+			c.wrote(cut)
 		}
 	}
 	return result, runErr
@@ -453,7 +466,8 @@ type pipeOutcome struct {
 // scan, and every record drains into the fold's sink chain. A sink failure
 // cancels the run; every other error is recorded in the outcome for
 // assemble to order by the established precedence. The drain keeps rt's
-// quiescence accounting for the checkpoint coordinator (see checkpoint.go).
+// pending set and takes its half of each checkpoint cut (see
+// checkpoint.go).
 func (c *Census) runPipeline(ctx context.Context, cancel context.CancelFunc, start time.Time, collector enumerator.Collector, fold *censusFold, rt *pipeRuntime) *pipeOutcome {
 	o := &pipeOutcome{}
 	scanner := rt.scanner
@@ -502,48 +516,82 @@ func (c *Census) runPipeline(ctx context.Context, cancel context.CancelFunc, sta
 		o.scanDur = time.Since(start)
 		scanErr <- err
 	}()
+	// A resumed run's pending hosts enter the intake first, ahead of the
+	// scanner's first batch.
 	go func() {
 		defer close(intake)
+		send := func(ip simnet.IP) bool {
+			select {
+			case intake <- ip:
+				return true
+			case <-ctx.Done():
+				// Drain so the scanner can finish closing.
+				for range found {
+				}
+				return false
+			}
+		}
+		for _, ip := range fold.pending {
+			if !send(ip) {
+				return
+			}
+		}
 		for batch := range found {
 			for _, r := range batch {
-				select {
-				case intake <- r.IP:
-				case <-ctx.Done():
-					// Drain so the scanner can finish closing.
-					for range found {
-					}
+				if !send(r.IP) {
 					return
 				}
 			}
 		}
 	}()
 	// The single drain goroutine is the sink chain's only caller until the
-	// run closes it. A sink failure cancels the pipeline but keeps
-	// draining so the fleet can shut down.
+	// run closes it. Between two records it takes its half of a checkpoint
+	// cut: when the coordinator hands one over, or before it folds the
+	// first host found after the cut began, whichever comes first. It
+	// never waits on the scanner. A sink failure cancels the pipeline but
+	// keeps draining so the fleet can shut down.
 	mets := newCensusMetrics(c.Config.Metrics)
 	drained := make(chan error, 1)
 	go func() {
+		defer close(rt.drainDone)
 		var sinkErr error
-		for rec := range out {
+		var taken uint64 // cuts whose half the drain has taken
+		half := func(req cutRequest) {
+			req.reply <- c.drainHalf(fold, rt, req.n, sinkErr)
+			taken = req.n
+		}
+		for {
+			var rec *dataset.HostRecord
+			select {
+			case r, ok := <-out:
+				if !ok {
+					drained <- sinkErr
+					return
+				}
+				rec = r
+			case req := <-rt.cuts:
+				half(req)
+				continue
+			}
 			mets.drained.Inc()
 			if sinkErr != nil {
 				continue
 			}
+			// The host leaves the pending set as its record folds (a
+			// failed fold ends checkpointing, so removing it first is
+			// the same). A host found after a cut began is one the
+			// coordinator handed over before resuming the scanner.
+			if rt.pending.fold(rec.IP) > taken {
+				half(<-rt.cuts)
+			}
 			if err := fold.sink.Observe(rec); err != nil {
 				sinkErr = err
 				mets.sinkErrors.Inc()
-				rt.sinkFailed.Store(true)
 				cancel()
 				continue
 			}
-			// The accepted count is the quiescence watermark: it is
-			// bumped only after the whole chain (the robustness ledger
-			// last) has the record, so a coordinator that sees
-			// emitted − dead − accepted == 0 also sees every fold.
-			rt.accepted.Add(1)
 			mets.record(rec)
 		}
-		drained <- sinkErr
 	}()
 	if !c.Config.Identify {
 		fleet.Run(ctx, in, out)

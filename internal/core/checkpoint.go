@@ -7,11 +7,13 @@ import (
 	"hash/fnv"
 	"maps"
 	"reflect"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"time"
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/dataset"
+	"ftpcloud/internal/simnet"
 	"ftpcloud/internal/zmap"
 )
 
@@ -25,16 +27,21 @@ import (
 // never happened.
 type CheckpointPolicy struct {
 	// Write persists one checkpoint — on truncation always, and at each
-	// quiescent point when Every is set. The snapshot carries the observed
+	// periodic cut when Every is set. The snapshot carries the observed
 	// count and its Checkpoint; its accumulators are empty, since the
-	// ledger holds that state. Write is never called concurrently with
-	// itself. Must not be nil.
+	// ledger holds that state. Write runs while the pipeline keeps going,
+	// on a snapshot nothing else references. It is never called
+	// concurrently with itself. Must not be nil.
 	Write func(*analysis.Snapshot) error
-	// Every enables periodic checkpoints: at this interval the coordinator
-	// parks the scanner, waits for in-flight work to drain, flushes the
-	// ledger, and writes a snapshot — so even a SIGKILL loses at most one
-	// interval of work. Zero disables periodic writes (truncation still
-	// checkpoints).
+	// Every enables periodic checkpoints. At this interval the
+	// coordinator cuts the pipeline instead of draining it: it parks the
+	// scanner until the offsets already emitted have been probed, the
+	// drain flushes the ledger between two records, and the checkpoint
+	// carries the cursor plus the responsive hosts still in flight
+	// (Checkpoint.Pending), which a resume enumerates first. The scanner
+	// is parked only for the cut, not while those hosts finish, and a
+	// SIGKILL loses at most one interval of work. Zero disables periodic
+	// writes (truncation still checkpoints).
 	Every time.Duration
 	// DrainGrace bounds how long truncation waits for in-flight work to
 	// drain before hard-canceling the pipeline. After a hard cancel no
@@ -44,36 +51,120 @@ type CheckpointPolicy struct {
 }
 
 // ErrCheckpointMismatch rejects a Resume checkpoint written under a
-// different world or pipeline configuration, or one whose ledger prefix
-// does not re-fold to the checkpoint's record count and robustness
-// counters; continuing it would silently change the measurement semantics
+// different world or pipeline configuration, one whose ledger prefix does
+// not re-fold to the checkpoint's record count and robustness counters,
+// or one whose pending hosts are not the responsive hosts its ledger
+// lacks; continuing it would silently change the measurement semantics
 // mid-series.
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match census configuration")
 
 // pipeRuntime exposes the running pipeline's live pieces to the checkpoint
-// coordinator: the scanner (halt/pause/cursor) and the accounting that
-// defines quiescence.
+// coordinator: the scanner (halt/pause/cursor), the set of responsive
+// hosts in flight, and the drain's side of a cut.
 type pipeRuntime struct {
-	scanner    *zmap.Scanner
-	accepted   atomic.Uint64
-	sinkFailed atomic.Bool
+	scanner *zmap.Scanner
+	pending *pendingSet
+	// cuts carries a begun cut to the drain, which takes its half; it
+	// holds one, as one cut is under way at a time. drainDone closes when
+	// the drain goroutine exits, after which no cut completes.
+	cuts      chan cutRequest
+	drainDone chan struct{}
+}
+
+// cutRequest asks the drain for its half of cut number n.
+type cutRequest struct {
+	n     uint64
+	reply chan drainCut
+}
+
+// pendingSet holds the responsive hosts discovered but not yet folded. A
+// probe worker adds each batch's responsive addresses before sending the
+// batch on (zmap.Config.OnFound), a resume starts the set with the
+// checkpoint's pending hosts, and the drain removes a host as it folds the
+// host's record or shed result. Every responsive host is therefore either
+// in the ledger or in this set. Each host is stamped with the number of
+// cuts begun when it was found, so a cut's pending list leaves out the
+// hosts found after it.
+type pendingSet struct {
+	mu   sync.Mutex
+	ips  map[simnet.IP]uint64
+	cuts uint64
+}
+
+func newPendingSet(resumed []simnet.IP) *pendingSet {
+	p := &pendingSet{ips: make(map[simnet.IP]uint64, len(resumed))}
+	for _, ip := range resumed {
+		p.ips[ip] = 0
+	}
+	return p
+}
+
+// found adds one probe batch's responsive hosts.
+func (p *pendingSet) found(batch []zmap.Result) {
+	p.mu.Lock()
+	for _, r := range batch {
+		p.ips[r.IP] = p.cuts
+	}
+	p.mu.Unlock()
+}
+
+// begin starts the next cut and returns its number: the hosts behind it
+// are those found so far.
+func (p *pendingSet) begin() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cuts++
+	return p.cuts
+}
+
+// fold removes the host a record names and returns the number of cuts
+// begun when it was found.
+func (p *pendingSet) fold(ip string) uint64 {
+	n, err := simnet.ParseIP(ip)
+	if err != nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	stamp := p.ips[n]
+	delete(p.ips, n)
+	return stamp
+}
+
+// behind returns, in ascending order, the hosts in flight that were found
+// before cut number n began.
+func (p *pendingSet) behind(n uint64) []simnet.IP {
+	p.mu.Lock()
+	ips := make([]simnet.IP, 0, len(p.ips))
+	for ip, stamp := range p.ips {
+		if stamp < n {
+			ips = append(ips, ip)
+		}
+	}
+	p.mu.Unlock()
+	slices.Sort(ips)
+	return ips
 }
 
 // censusFold is a run's one sink chain and the state it folds into:
 // Tee(StreamTo, agg, robust), fed only by the pipeline's drain goroutine. A
 // resumed run folds its ledger prefix into agg and robust, and takes the
-// discovery counters and the scan cursor from its checkpoint, before the
-// pipeline starts, so the earlier run's records are folded in exactly
-// once.
+// discovery counters, the scan cursor and the pending hosts from its
+// checkpoint, before the pipeline starts, so the earlier run's records are
+// folded in exactly once.
 type censusFold struct {
 	sink   dataset.Sink
 	agg    *analysis.Aggregator
 	robust *Robustness
 	// probed and responded carry the resumed checkpoint's discovery
 	// counters; the scanner's own counters add on top. cursor is the
-	// checkpoint's permutation position, where the scanner starts.
+	// checkpoint's permutation position, where the scanner starts, and
+	// pending its hosts in flight, which enter the pipeline ahead of the
+	// scanner's first batch. They were counted in responded when they
+	// were found, so Responded − Streamed == len(Pending) carries over.
 	probed, responded uint64
 	cursor            uint64
+	pending           []simnet.IP
 }
 
 // newFold builds the run's sink chain. The aggregator resolves each
@@ -102,6 +193,7 @@ func (c *Census) newFold(resume *analysis.CheckpointState) (*censusFold, error) 
 		}
 		f.probed, f.responded = resume.Probed, resume.Responded
 		f.cursor = resume.Cursors[0]
+		f.pending = resume.Pending
 	}
 	var sinks []dataset.Sink
 	if c.Config.StreamTo != nil {
@@ -119,64 +211,106 @@ func sameRobustness(a, b Robustness) bool {
 	return reflect.DeepEqual(a, b) && maps.Equal(fa, fb)
 }
 
-// quiescentCheckpoint pauses the scanner, waits until everything emitted
-// has been accounted (dead or accepted by the sink chain), flushes the
-// ledger, writes a checkpoint, and resumes the walk. Runs on the obs.Every
-// goroutine, so invocations never overlap.
-func (c *Census) quiescentCheckpoint(pipeCtx context.Context, rt *pipeRuntime, fold *censusFold) {
-	sc := rt.scanner
-	sc.Pause()
-	defer sc.Resume()
-
-	// Quiescence: with the producer parked, emitted is frozen, so the
-	// in-flight count only decreases. accepted is bumped after each
-	// record's folds complete, so pending == 0 is also the memory barrier
-	// that makes reading the fold below race-free: the drain goroutine is
-	// the fold's only other reader and writer. The drain is polled on one
-	// ticker per checkpoint, not a fresh timer per spin.
-	poll := time.NewTicker(time.Millisecond)
-	defer poll.Stop()
-	for {
-		if rt.sinkFailed.Load() {
-			return
-		}
-		if sc.Emitted()-sc.Dead()-rt.accepted.Load() == 0 {
-			break
-		}
-		select {
-		case <-pipeCtx.Done():
-			return
-		case <-poll.C:
-		}
-	}
-
-	// Flush the stream so the ledger on disk holds exactly the records
-	// the checkpoint counts.
-	if f, ok := c.Config.StreamTo.(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			c.Config.Metrics.Counter("census.checkpoint_errors").Inc()
-			return
-		}
-	}
-
-	probed := fold.probed + sc.Stats.Probed.Load()
-	responded := fold.responded + sc.Stats.Responded.Load()
-	if err := c.Config.Checkpoint.Write(c.checkpoint(sc.Cursor(), fold.agg.Observed(), probed, responded, false, *fold.robust)); err != nil {
-		c.Config.Metrics.Counter("census.checkpoint_errors").Inc()
-		return
-	}
-	c.Config.Metrics.Counter("census.checkpoints").Inc()
+// drainCut is the drain's half of a cut, taken between two records: the
+// ledger is flushed, and the observed count, the robustness ledger and
+// the hosts in flight are copied at that point.
+type drainCut struct {
+	observed int
+	robust   Robustness
+	pending  []simnet.IP
+	err      error
 }
 
-// checkpoint assembles a checkpoint: the census position, with empty
-// accumulators. The stream sink sits first in the chain, so every observed
-// record is on the ledger. The wire form keeps the shard count and a
-// cursor list, so a census writes one shard and one cursor. The robustness
-// ledger is copied, so the live one can keep folding.
-func (c *Census) checkpoint(cursor uint64, observed int, probed, responded uint64, truncated bool, robust Robustness) *analysis.Snapshot {
+// drainHalf takes the drain's half of cut number n. It runs on the drain
+// goroutine, the ledger's and the fold's only writer, so it reads them
+// without synchronization, and before the drain folds any host found after
+// the cut began. A failed sink chain yields no cut: the ledger is suspect.
+func (c *Census) drainHalf(fold *censusFold, rt *pipeRuntime, n uint64, sinkErr error) drainCut {
+	if sinkErr != nil {
+		return drainCut{err: sinkErr}
+	}
+	// Flush the stream so the ledger on disk holds every record the
+	// checkpoint counts; the records after them are a resume's to trim.
+	if f, ok := c.Config.StreamTo.(interface{ Flush() error }); ok {
+		if err := f.Flush(); err != nil {
+			return drainCut{err: err}
+		}
+	}
+	return fold.cut(rt.pending.behind(n))
+}
+
+// cut copies the fold's position with the given pending hosts; the
+// robustness ledger is cloned, so the live one can keep folding. Only the
+// drain, or the run once the drain is done, may call it.
+func (f *censusFold) cut(pending []simnet.IP) drainCut {
+	robust := *f.robust
 	robust.Failures = maps.Clone(robust.Failures)
+	return drainCut{observed: f.agg.Observed(), robust: robust, pending: pending}
+}
+
+// periodicCheckpoint cuts the running pipeline and writes the cut as a
+// checkpoint. It parks the producer and waits only until the offsets
+// already emitted have been probed: every responsive host behind the
+// cursor is then in the pending set or the ledger. It reads the cursor and
+// the discovery counters, begins the cut, and resumes the producer. The
+// drain takes its half between two records, before it folds any host found
+// after the cut began, and Write runs after that. Hosts in flight keep
+// going throughout: the checkpoint lists them instead of waiting for them.
+// Runs on the obs.Every goroutine, so invocations never overlap.
+func (c *Census) periodicCheckpoint(pipeCtx context.Context, rt *pipeRuntime, fold *censusFold) {
+	sc := rt.scanner
+	start := time.Now()
+	sc.Pause()
+	if !sc.Settle(pipeCtx) {
+		sc.Resume()
+		return
+	}
+	cursor := sc.Cursor()
+	probed := fold.probed + sc.Stats.Probed.Load()
+	responded := fold.responded + sc.Stats.Responded.Load()
+	req := cutRequest{n: rt.pending.begin(), reply: make(chan drainCut, 1)}
+	select {
+	case rt.cuts <- req:
+	case <-rt.drainDone:
+		sc.Resume()
+		return
+	}
+	sc.Resume()
+	pause := time.Since(start)
+
+	var cut drainCut
+	select {
+	case cut = <-req.reply:
+	case <-rt.drainDone:
+		return
+	}
+	mets := c.Config.Metrics
+	if cut.err != nil {
+		mets.Counter("census.checkpoint_errors").Inc()
+		return
+	}
+	if err := c.Config.Checkpoint.Write(c.checkpoint(cursor, probed, responded, false, cut)); err != nil {
+		mets.Counter("census.checkpoint_errors").Inc()
+		return
+	}
+	mets.Histogram("census.checkpoint.pause").Observe(pause)
+	c.wrote(cut)
+}
+
+// wrote counts a written checkpoint, periodic or truncation.
+func (c *Census) wrote(cut drainCut) {
+	c.Config.Metrics.Counter("census.checkpoints").Inc()
+	c.Config.Metrics.Gauge("census.checkpoint.pending").Set(int64(len(cut.pending)))
+}
+
+// checkpoint assembles a checkpoint from a cut: the census position, with
+// empty accumulators. The stream sink sits first in the chain, so every
+// observed record is on the ledger, and every other responsive host is in
+// the cut's pending list. The wire form keeps the shard count and a cursor
+// list, so a census writes one shard and one cursor.
+func (c *Census) checkpoint(cursor, probed, responded uint64, truncated bool, cut drainCut) *analysis.Snapshot {
 	p := c.World.Params
-	return &analysis.Snapshot{Observed: observed, Checkpoint: &analysis.CheckpointState{
+	return &analysis.Snapshot{Observed: cut.observed, Checkpoint: &analysis.CheckpointState{
 		Seed:         p.Seed,
 		Epoch:        p.Epoch,
 		Scale:        p.Scale,
@@ -184,18 +318,21 @@ func (c *Census) checkpoint(cursor uint64, observed int, probed, responded uint6
 		ScanSize:     c.World.ScanSize,
 		ConfigDigest: c.configDigest(),
 		Cursors:      []uint64{cursor},
-		Streamed:     observed,
+		Streamed:     cut.observed,
 		Probed:       probed,
 		Responded:    responded,
 		Truncated:    truncated,
-		Robustness:   robust,
+		Robustness:   cut.robust,
+		Pending:      cut.pending,
 	}}
 }
 
 // resumeState validates the configured Resume checkpoint against this
 // census, returning it (nil when not resuming). A checkpoint written by a
 // census that split its scan over several shards cannot seed the one
-// permutation walk, so it is refused. newFold checks the ledger.
+// permutation walk, so it is refused, and so is a pending list that is not
+// one entry per responsive host missing from the ledger, within the scan
+// range. newFold checks the ledger.
 func (c *Census) resumeState() (*analysis.CheckpointState, error) {
 	if c.Config.Resume == nil {
 		return nil, nil
@@ -220,6 +357,18 @@ func (c *Census) resumeState() (*analysis.CheckpointState, error) {
 		return nil, fmt.Errorf("%w: %d cursors, want 1", ErrCheckpointMismatch, len(cp.Cursors))
 	case cp.ConfigDigest != c.configDigest():
 		return nil, fmt.Errorf("%w: measurement configuration changed (digest %#x != %#x)", ErrCheckpointMismatch, cp.ConfigDigest, c.configDigest())
+	case cp.Streamed < 0 || cp.Responded < uint64(cp.Streamed) || cp.Responded-uint64(cp.Streamed) != uint64(len(cp.Pending)):
+		return nil, fmt.Errorf("%w: %d pending hosts, but %d responded and %d streamed", ErrCheckpointMismatch, len(cp.Pending), cp.Responded, cp.Streamed)
+	}
+	pending := slices.Clone(cp.Pending)
+	slices.Sort(pending)
+	for i, ip := range pending {
+		switch {
+		case uint64(ip) < uint64(c.World.ScanBase) || uint64(ip)-uint64(c.World.ScanBase) >= c.World.ScanSize:
+			return nil, fmt.Errorf("%w: pending host %s is outside the scan range", ErrCheckpointMismatch, ip)
+		case i > 0 && ip == pending[i-1]:
+			return nil, fmt.Errorf("%w: pending host %s is listed twice", ErrCheckpointMismatch, ip)
+		}
 	}
 	return cp, nil
 }

@@ -8,12 +8,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/notify"
+	"ftpcloud/internal/simnet"
 )
 
 // cancelAtSink forwards records to an inner sink and cancels the run's
@@ -287,133 +287,10 @@ func ledgerNotices(t *testing.T, raw []byte, db *asdb.DB) []notify.Notice {
 	return notify.Build(records, db)
 }
 
-// stallSink forwards records to an inner sink, stalling once at the n-th
-// record until block closes — holding the run open long enough for the
-// periodic checkpoint ticker to fire deterministically.
-type stallSink struct {
-	inner dataset.Sink
-	n     int
-	seen  int
-	block chan struct{}
-}
-
-func (s *stallSink) Observe(rec *dataset.HostRecord) error {
-	s.seen++
-	if s.seen == s.n {
-		<-s.block
-	}
-	return s.inner.Observe(rec)
-}
-
-func (s *stallSink) Close() error { return s.inner.Close() }
-
-// Flush forwards to the inner writer so the checkpoint coordinator's
-// pre-write flush reaches the buffered ledger.
-func (s *stallSink) Flush() error {
-	if f, ok := s.inner.(interface{ Flush() error }); ok {
-		return f.Flush()
-	}
-	return nil
-}
-
-// TestPeriodicCheckpointResumesLikeSIGKILL: a periodic checkpoint taken at
-// a quiescent point mid-run, plus the ledger bytes flushed at that moment,
-// reconstruct the full census exactly — the SIGKILL story: a run killed
-// without warning resumes from its last periodic write.
-func TestPeriodicCheckpointResumesLikeSIGKILL(t *testing.T) {
-	cfg := resumeConfig(23, 32768, false)
-	wantRender, wantLedger, wantRes := runReference(t, cfg)
-
-	// The stall holds the pipeline open ~80ms; the 10ms ticker fires
-	// during it, waits out the stall in its quiescence poll, and writes a
-	// checkpoint with the ledger flushed. Write captures both.
-	var lastSnap []byte
-	var lastLedger []byte
-	var ledger bytes.Buffer
-	stall := &stallSink{inner: dataset.NewWriterSink(&ledger), n: 3, block: make(chan struct{})}
-	time.AfterFunc(80*time.Millisecond, func() { close(stall.block) })
-
-	runCfg := cfg
-	runCfg.StreamTo = stall
-	runCfg.Checkpoint = &CheckpointPolicy{
-		Every: 10 * time.Millisecond,
-		Write: func(s *analysis.Snapshot) error {
-			raw, err := s.EncodeBytes()
-			if err != nil {
-				return err
-			}
-			lastSnap = raw
-			lastLedger = append([]byte(nil), ledger.Bytes()...)
-			return nil
-		},
-	}
-	c, err := NewCensus(runCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatalf("census with periodic checkpoints failed: %v", err)
-	}
-	if res.Truncated {
-		t.Fatal("uncancelled run flagged truncated")
-	}
-	// Periodic checkpointing must not perturb the run itself.
-	if got := res.ComputeTables().Render(); got != wantRender {
-		t.Error("periodic checkpointing changed the census tables")
-	}
-	if lastSnap == nil {
-		t.Fatal("no periodic checkpoint fired during an ~80ms run with a 10ms ticker")
-	}
-
-	// Crash recovery: resume from the last periodic write, appending to
-	// the ledger bytes as they were at that instant.
-	decoded, err := analysis.DecodeSnapshotBytes(lastSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := decoded.Checkpoint
-	if cp == nil {
-		t.Fatal("periodic snapshot carries no checkpoint state")
-	}
-	if cp.Truncated {
-		t.Error("periodic checkpoint marked as truncation write")
-	}
-	if got := len(sortedLines(t, lastLedger)); cp.Streamed != got {
-		t.Fatalf("periodic checkpoint says %d streamed, captured ledger holds %d", cp.Streamed, got)
-	}
-
-	recovered := bytes.NewBuffer(append([]byte(nil), lastLedger...))
-	resCfg := cfg
-	resCfg.Resume = &Resume{Checkpoint: cp, Ledger: bytes.NewReader(lastLedger)}
-	resCfg.StreamTo = dataset.NewWriterSink(recovered)
-	c2, err := NewCensus(resCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := c2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res2.ComputeTables().Render(); got != wantRender {
-		t.Error("recovered tables diverge from uninterrupted run")
-	}
-	gotLedger := sortedLines(t, recovered.Bytes())
-	if len(gotLedger) != len(wantLedger) {
-		t.Fatalf("recovered ledger holds %d records, want %d", len(gotLedger), len(wantLedger))
-	}
-	for i := range wantLedger {
-		if gotLedger[i] != wantLedger[i] {
-			t.Fatalf("recovered ledger line %d diverges", i)
-		}
-	}
-	if res2.Observed != wantRes.Observed {
-		t.Errorf("recovered Observed %d, want %d", res2.Observed, wantRes.Observed)
-	}
-}
-
 // TestResumeValidation: a checkpoint from a different world or pipeline
-// shape is refused with ErrCheckpointMismatch, never silently continued.
+// shape, or with a pending list that does not account for the responsive
+// hosts its ledger lacks, is refused with ErrCheckpointMismatch, never
+// silently continued.
 func TestResumeValidation(t *testing.T) {
 	cfg := resumeConfig(31, 262144, false)
 
@@ -438,6 +315,13 @@ func TestResumeValidation(t *testing.T) {
 	if checkpoint == nil {
 		t.Fatal("no checkpoint written")
 	}
+
+	// A host of the scan range: the one the ledger's record names.
+	recs, err := dataset.ReadAll(bytes.NewReader(ledger.Bytes()))
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("kill leg ledger: %d records, %v", len(recs), err)
+	}
+	inRange := simnet.MustParseIP(recs[0].IP)
 
 	run := func(mutate func(*CensusConfig, *Resume)) error {
 		resCfg := cfg
@@ -470,6 +354,26 @@ func TestResumeValidation(t *testing.T) {
 		},
 		"no checkpoint state": func() error {
 			return run(func(_ *CensusConfig, r *Resume) { r.Checkpoint = nil })
+		},
+		// A pending list must name each responsive host missing from the
+		// ledger once, inside the scan range.
+		"pending host outside the scan range": func() error {
+			return run(func(_ *CensusConfig, r *Resume) {
+				r.Checkpoint.Pending = []simnet.IP{ScannerBase}
+				r.Checkpoint.Responded++
+			})
+		},
+		"pending host listed twice": func() error {
+			return run(func(_ *CensusConfig, r *Resume) {
+				r.Checkpoint.Pending = []simnet.IP{inRange, inRange}
+				r.Checkpoint.Responded += 2
+			})
+		},
+		"more pending hosts than responded minus streamed": func() error {
+			return run(func(_ *CensusConfig, r *Resume) { r.Checkpoint.Pending = []simnet.IP{inRange} })
+		},
+		"fewer pending hosts than responded minus streamed": func() error {
+			return run(func(_ *CensusConfig, r *Resume) { r.Checkpoint.Responded++ })
 		},
 	}
 	for name, f := range cases {

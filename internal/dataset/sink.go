@@ -38,9 +38,9 @@ func (s *WriterSink) Observe(rec *HostRecord) error { return s.w.Write(rec) }
 func (s *WriterSink) Count() int { return s.w.Count() }
 
 // Flush pushes buffered records through to the underlying writer without
-// closing it. A checkpoint coordinator calls this at quiescence so the
-// on-disk ledger contains exactly the records the checkpoint counts. Only
-// safe when no Observe is in flight.
+// closing it. A census's drain calls this between two records when it takes
+// its half of a checkpoint cut, so the on-disk ledger holds every record
+// the checkpoint counts. Only safe when no Observe is in flight.
 func (s *WriterSink) Flush() error { return s.w.Flush() }
 
 // Close flushes the buffer and closes the underlying writer when it is

@@ -149,35 +149,30 @@ func patternMatches(pattern, path string) bool {
 }
 
 // wildcardMatch matches pattern (with `*` wildcards) against a prefix of
-// path, or the whole path when anchored.
+// path, or the whole path when anchored. The segments between stars match
+// leftmost, each after the one before: the earliest match leaves the most
+// path for the rest, so one pass decides the match in polynomial time.
+// Anchored, the last segment must end the path instead.
 func wildcardMatch(pattern, path string, anchored bool) bool {
-	// Dynamic-programming walk over pattern segments split on '*'.
 	segs := strings.Split(pattern, "*")
-	pos := 0
-	for i, seg := range segs {
-		if seg == "" {
-			continue
-		}
-		if i == 0 {
-			// First segment must match at the very start.
-			if !strings.HasPrefix(path, seg) {
-				return false
-			}
-			pos = len(seg)
-			continue
-		}
+	// The first segment must match at the very start.
+	if !strings.HasPrefix(path, segs[0]) {
+		return false
+	}
+	if len(segs) == 1 {
+		return !anchored || len(path) == len(segs[0])
+	}
+	pos := len(segs[0])
+	for _, seg := range segs[1 : len(segs)-1] {
 		idx := strings.Index(path[pos:], seg)
 		if idx < 0 {
 			return false
 		}
 		pos += idx + len(seg)
 	}
+	last := segs[len(segs)-1]
 	if anchored {
-		// If the pattern ends with '*', anything remaining is fine.
-		if strings.HasSuffix(pattern, "*") {
-			return true
-		}
-		return pos == len(path)
+		return len(path)-len(last) >= pos && strings.HasSuffix(path, last)
 	}
-	return true
+	return strings.Contains(path[pos:], last)
 }

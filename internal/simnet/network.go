@@ -112,9 +112,9 @@ type Network struct {
 	// servers, lossy paths). Set before traffic flows, like Latency.
 	Faults FaultInjector
 
-	// ephemeral numbers the ephemeral ports of every address from one
-	// network-wide counter: a port only has to differ from its address's
-	// other listeners, and nothing a census records carries one.
+	// ephemeral numbers the source ports of outbound connections from one
+	// network-wide counter: no server reply spells one out. A port-0
+	// listener takes its address's lowest free port instead (see Listen).
 	ephemeral atomic.Uint32
 
 	Stats Stats
@@ -199,16 +199,23 @@ func (l *Listener) Close() error {
 // Addr returns the bound address.
 func (l *Listener) Addr() net.Addr { return l.addr }
 
-// Listen binds an explicit listener. Port 0 picks an ephemeral port.
+// Listen binds an explicit listener. Port 0 picks the address's lowest
+// free port in the ephemeral range. A server announces that port (an FTP
+// PASV reply spells it out), so it must depend on the address's own
+// listeners only, not on how connections elsewhere in the network were
+// scheduled: a reply whose length varied with scheduling would move a
+// byte-counted transport fault from one command to another.
 func (nw *Network) Listen(ip IP, port uint16) (*Listener, error) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	cur := *nw.listeners.Load()
 	if port == 0 {
-		for {
-			port = nw.nextEphemeral()
+		for port = ephemeralFirst; ; port++ {
 			if _, taken := cur[Addr{IP: ip, Port: port}]; !taken {
 				break
+			}
+			if port == ephemeralLast {
+				return nil, fmt.Errorf("simnet: no free port on %s", ip)
 			}
 		}
 	}
@@ -231,10 +238,16 @@ func (nw *Network) Listen(ip IP, port uint16) (*Listener, error) {
 	return l, nil
 }
 
-// nextEphemeral assigns a port from the ephemeral range 32768-60999,
-// Linux-style, for an outbound connection or a port-0 listener.
+// The ephemeral port range, Linux-style.
+const (
+	ephemeralFirst = 32768
+	ephemeralLast  = 60999
+)
+
+// nextEphemeral assigns a source port from the ephemeral range for an
+// outbound connection.
 func (nw *Network) nextEphemeral() uint16 {
-	return uint16(32768 + nw.ephemeral.Add(1)%28232)
+	return uint16(ephemeralFirst + nw.ephemeral.Add(1)%(ephemeralLast-ephemeralFirst+1))
 }
 
 // Probe is the SYN-scan fast path: it reports whether dst:port would accept

@@ -2,6 +2,7 @@ package zmap
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,4 +270,84 @@ func mustSpan(t *testing.T, size, seed uint64) uint64 {
 		t.Fatal(err)
 	}
 	return pm.Span()
+}
+
+// TestScannerSettlesWithoutTheConsumer: a paused scan settles on probing
+// alone. With nobody reading the results, every worker ends up blocked
+// sending its batch on, yet Pause parks the producer and Settle returns:
+// every offset behind the committed cursor is counted dead or responsive,
+// and every responsive address has been through OnFound. Resumed and
+// drained, the scan still finds each host exactly once.
+func TestScannerSettlesWithoutTheConsumer(t *testing.T) {
+	base := simnet.MustParseIP("10.0.0.0")
+	const size = 20000
+	hosts := &sparseHosts{base: base, every: 3, size: size}
+	var found atomic.Uint64
+	s, err := NewScanner(Config{
+		Network: simnet.NewNetwork(hosts), Base: base, Size: size, Port: 21, Seed: 5,
+		Workers: 4,
+		OnFound: func(batch []Result) { found.Add(uint64(len(batch))) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []Result)
+	scanned := make(chan error, 1)
+	go func() { scanned <- s.RunBatches(context.Background(), out) }()
+	// One batch is taken, so four workers and the producer fill up
+	// behind a consumer that reads nothing more.
+	first := <-out
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	paused := make(chan struct{})
+	go func() {
+		s.Pause()
+		close(paused)
+	}()
+	select {
+	case <-paused:
+	case <-ctx.Done():
+		t.Fatal("Pause waited on the consumer")
+	}
+	if !s.Settle(ctx) {
+		t.Fatal("Settle waited on the consumer")
+	}
+	emitted, dead := s.Emitted(), s.Dead()
+	if dead+found.Load() != emitted || emitted == 0 || emitted == size {
+		t.Fatalf("settled with %d dead and %d found of %d emitted", dead, found.Load(), emitted)
+	}
+	if got := s.Stats.Responded.Load(); got != found.Load() {
+		t.Errorf("responded %d, OnFound saw %d", got, found.Load())
+	}
+	if n := uint64(len(first)); n > found.Load() {
+		t.Errorf("the consumer got %d hosts, OnFound saw %d", n, found.Load())
+	}
+
+	s.Resume()
+	seen := map[simnet.IP]int{}
+	for _, batch := range append([][]Result{first}, drainBatches(out)...) {
+		for _, r := range batch {
+			seen[r.IP]++
+		}
+	}
+	if err := <-scanned; err != nil {
+		t.Fatal(err)
+	}
+	if want := (size + 2) / 3; len(seen) != want || found.Load() != uint64(want) {
+		t.Errorf("found %d distinct hosts, OnFound saw %d, want %d", len(seen), found.Load(), want)
+	}
+	for ip, n := range seen {
+		if n != 1 {
+			t.Errorf("%v delivered %d times", ip, n)
+		}
+	}
+}
+
+// drainBatches reads out until the scan closes it.
+func drainBatches(out <-chan []Result) [][]Result {
+	var all [][]Result
+	for batch := range out {
+		all = append(all, batch)
+	}
+	return all
 }

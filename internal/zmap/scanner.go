@@ -45,6 +45,12 @@ type Config struct {
 	// Exclusions lists ranges that must never be probed (opt-out
 	// requests, critical infrastructure); nil means none.
 	Exclusions *ExclusionList
+	// OnFound, when non-nil, receives each probe batch's responsive
+	// addresses as the worker counts them, before the batch goes
+	// downstream: a checkpoint coordinator records them there as in
+	// flight. The slice is only valid during the call. It is called from
+	// many workers at once.
+	OnFound func([]Result)
 	// Metrics, when non-nil, registers the scanner's counters under
 	// zmap.* so live progress and snapshots can read probe rates.
 	Metrics *obs.Registry
@@ -69,11 +75,14 @@ type Scanner struct {
 	// parked or after it stops, which is exactly when checkpoints read it.
 	// emitted counts offsets handed to probe workers; dead counts offsets
 	// that can never yield a record (excluded, or non-responsive after
-	// retries). emitted − dead − accepted-downstream is the pipeline's
-	// in-flight count: zero means the cursor is an exact watermark.
-	cursor  atomic.Uint64
-	emitted atomic.Uint64
-	dead    atomic.Uint64
+	// retries) and responded the responsive ones, each counted once its
+	// batch has been through OnFound. emitted == dead + responded means
+	// every offset behind the cursor has been probed: each responsive
+	// address is downstream or already handled (see Settle).
+	cursor    atomic.Uint64
+	emitted   atomic.Uint64
+	dead      atomic.Uint64
+	responded atomic.Uint64
 
 	// halted asks the producer to stop at the next offset boundary;
 	// haltCh wakes a parked producer so Halt works mid-pause.
@@ -82,8 +91,11 @@ type Scanner struct {
 	haltCh   chan struct{}
 
 	// Pause/Resume handshake: pauseFlag is the producer's cheap per-offset
-	// check; the channels carry the parked/resume edges.
+	// check; pauseReq closes when a pause is asked for, waking a producer
+	// blocked handing over a batch; the channels carry the parked/resume
+	// edges.
 	pauseFlag atomic.Bool
+	pauseReq  atomic.Pointer[chan struct{}]
 	mu        sync.Mutex
 	paused    bool
 	parkedCh  chan struct{}
@@ -91,6 +103,9 @@ type Scanner struct {
 	// prodDone closes when the producer goroutine exits, so Pause never
 	// blocks on a walk that already finished.
 	prodDone chan struct{}
+	// settledCh, when set, is closed by the probe worker that settles the
+	// last emitted offset while the producer is paused (see Settle).
+	settledCh chan struct{}
 }
 
 // NewScanner validates configuration.
@@ -104,19 +119,26 @@ func NewScanner(cfg Config) (*Scanner, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 64
 	}
-	return &Scanner{cfg: cfg, Stats: Stats{
+	s := &Scanner{cfg: cfg, Stats: Stats{
 		Probed:    cfg.Metrics.Counter("zmap.probed"),
 		Responded: cfg.Metrics.Counter("zmap.responded"),
 		Excluded:  cfg.Metrics.Counter("zmap.excluded"),
-	}, haltCh: make(chan struct{}), prodDone: make(chan struct{})}, nil
+	}, haltCh: make(chan struct{}), prodDone: make(chan struct{})}
+	req := make(chan struct{})
+	s.pauseReq.Store(&req)
+	return s, nil
 }
 
 // Cursor returns the last committed permutation position (group steps
-// consumed). It is an exact resume watermark only once the scanner is
-// halted or parked and everything it emitted has drained downstream.
+// consumed). It is an exact resume watermark once the scanner is halted or
+// parked and Settle has returned: every offset before it has been probed,
+// and every responsive one has gone through Config.OnFound. Downstream
+// work on those addresses may still be in flight; a checkpoint carries
+// them beside the cursor.
 func (s *Scanner) Cursor() uint64 { return s.cursor.Load() }
 
-// Emitted returns the number of offsets handed to probe workers.
+// Emitted returns the number of offsets handed to probe workers. It is
+// frozen while the producer is parked, and once it has stopped.
 func (s *Scanner) Emitted() uint64 { return s.emitted.Load() }
 
 // Dead returns the number of emitted offsets that terminated inside the
@@ -138,8 +160,9 @@ func (s *Scanner) Halt() {
 // Pause asks the producer to park at the next offset boundary and blocks
 // until it has (or until the walk finishes on its own). While parked the
 // cursor is committed and no new offsets enter the pipeline, so a
-// checkpoint coordinator can wait for in-flight work to drain and then
-// snapshot a consistent (cursor, aggregate) pair. Resume continues the walk.
+// checkpoint coordinator can Settle the emitted offsets and cut the
+// pipeline at the cursor without waiting for anything downstream. Resume
+// continues the walk.
 func (s *Scanner) Pause() {
 	s.mu.Lock()
 	if s.paused {
@@ -156,11 +179,52 @@ func (s *Scanner) Pause() {
 	s.resumeCh = make(chan struct{})
 	parked := s.parkedCh
 	s.pauseFlag.Store(true)
+	close(*s.pauseReq.Load())
 	s.mu.Unlock()
 	select {
 	case <-parked:
 	case <-s.prodDone:
 	}
+}
+
+// Settle blocks until the probe workers are done with every offset the
+// producer emitted: each is counted dead or responsive, and every
+// responsive address has gone through Config.OnFound. It waits only on
+// probing, never on the consumer of the results, since a worker counts its
+// batch before sending it on. Call it between Pause and Resume, when
+// Emitted is frozen. It reports false if ctx ends first.
+func (s *Scanner) Settle(ctx context.Context) bool {
+	s.mu.Lock()
+	if s.settled() {
+		s.mu.Unlock()
+		return true
+	}
+	ch := make(chan struct{})
+	s.settledCh = ch
+	s.mu.Unlock()
+	select {
+	case <-ch:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// settled reports whether every emitted offset has been counted.
+func (s *Scanner) settled() bool {
+	return s.dead.Load()+s.responded.Load() == s.emitted.Load()
+}
+
+// signalSettled wakes a Settle waiting on the last emitted offset. Workers
+// call it after counting a batch, and only while paused, so the walk
+// itself never takes the lock.
+func (s *Scanner) signalSettled() {
+	s.mu.Lock()
+	if s.settledCh != nil && s.settled() {
+		close(s.settledCh)
+		s.settledCh = nil
+	}
+	s.mu.Unlock()
 }
 
 // Resume releases a paused producer. A no-op when not paused.
@@ -172,6 +236,8 @@ func (s *Scanner) Resume() {
 	}
 	s.paused = false
 	s.pauseFlag.Store(false)
+	req := make(chan struct{})
+	s.pauseReq.Store(&req)
 	close(s.resumeCh)
 }
 
@@ -222,8 +288,11 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 	s.cursor.Store(perm.Cursor())
 
 	// The permutation is drained by one goroutine into a work channel of
-	// offset batches; probe workers fan out from there.
-	work := make(chan []uint64, 64)
+	// offset batches; probe workers fan out from there. The channel is
+	// unbuffered, so an emitted batch is always in a worker's hands: a
+	// paused scan settles once the batches being probed are counted, not
+	// after a queue of them behind workers that wait on the consumer.
+	work := make(chan []uint64)
 	var limiter *time.Ticker
 	var perTick int
 	if rate := s.cfg.RatePerSec; rate > 0 {
@@ -240,13 +309,23 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 
 	// Probe workers hand drained batches back through free, so the walk
 	// allocates only the batches in flight at once, not one per flush. Its
-	// size holds every batch that can be out: a full work queue plus one
-	// per worker.
-	free := make(chan []uint64, cap(work)+s.cfg.Workers)
+	// size holds every batch that can be out: one per worker, plus the
+	// one the producer fills.
+	free := make(chan []uint64, s.cfg.Workers+1)
 	go func() {
 		defer close(s.prodDone)
 		defer close(work)
 		batch := make([]uint64, 0, BatchSize)
+		// start is the walk position at the batch's first offset: the
+		// offsets of a batch not yet handed over are not emitted, so a
+		// walk stopped with one in hand commits start, and a resumed
+		// walk produces that batch again.
+		start := perm.Cursor()
+		// flush hands the batch to a worker. It gives up, keeping the
+		// batch, when a pause or halt is asked for meanwhile, so the
+		// producer parks at once even while every worker waits on the
+		// consumer; it reports false only on cancellation. The caller
+		// checks the flags next.
 		flush := func() bool {
 			if len(batch) == 0 {
 				return true
@@ -259,23 +338,26 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				default:
 					batch = make([]uint64, 0, BatchSize)
 				}
+				start = perm.Cursor()
+				return true
+			case <-*s.pauseReq.Load():
+				return true
+			case <-s.haltCh:
 				return true
 			case <-ctx.Done():
 				return false
 			}
 		}
 		budget := perTick
+		exhausted := false
 		for {
 			// Halt/pause are checked between offsets, where the walk
 			// position and the emitted set agree exactly: every offset
-			// the permutation has produced is in a flushed batch, so the
-			// committed cursor is a precise watermark once the pipeline
-			// drains. The atomic flags keep the common case to two loads.
+			// before start has been handed to a worker, so the committed
+			// cursor is a precise watermark once those batches are
+			// probed. The atomic flags keep the common case to two loads.
 			if s.halted.Load() || s.pauseFlag.Load() {
-				if !flush() {
-					return
-				}
-				s.cursor.Store(perm.Cursor())
+				s.cursor.Store(start)
 				if s.halted.Load() {
 					return
 				}
@@ -284,9 +366,15 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				}
 				continue
 			}
-			off, ok := perm.Next()
-			if !ok {
-				break
+			if len(batch) == BatchSize || (exhausted && len(batch) > 0) {
+				if !flush() {
+					return
+				}
+				continue
+			}
+			if exhausted {
+				s.cursor.Store(perm.Cursor())
+				return
 			}
 			if limiter != nil {
 				if budget == 0 {
@@ -296,8 +384,11 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 					// the cursor at its last committed value: a
 					// hard-canceled scan has no consistent position
 					// to report, and no checkpoint reads it.
-					if !flush() {
-						return
+					if len(batch) > 0 {
+						if !flush() {
+							return
+						}
+						continue
 					}
 					select {
 					case <-limiter.C:
@@ -308,15 +399,13 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				}
 				budget--
 			}
-			batch = append(batch, off)
-			if len(batch) == BatchSize {
-				if !flush() {
-					return
-				}
+			off, ok := perm.Next()
+			if !ok {
+				exhausted = true
+				continue
 			}
+			batch = append(batch, off)
 		}
-		flush()
-		s.cursor.Store(perm.Cursor())
 	}()
 
 	var wg sync.WaitGroup
@@ -343,10 +432,14 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				case free <- batch[:0]:
 				default:
 				}
-				// The counters move once per batch, before the batch's
-				// offsets count as dead or reach downstream, so a
-				// checkpoint that sees the pipeline drained also sees
-				// every probe counted.
+				// The batch is handed to OnFound and the counters move
+				// once per batch, before its offsets count as settled or
+				// reach downstream, so a checkpoint that sees the scanner
+				// settled also sees every probe counted and every
+				// responsive address recorded.
+				if len(found) > 0 && s.cfg.OnFound != nil {
+					s.cfg.OnFound(found)
+				}
 				if excluded > 0 {
 					s.Stats.Excluded.Add(excluded)
 				}
@@ -358,6 +451,10 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				}
 				if dead := excluded + probed - uint64(len(found)); dead > 0 {
 					s.dead.Add(dead)
+				}
+				s.responded.Add(uint64(len(found)))
+				if s.pauseFlag.Load() {
+					s.signalSettled()
 				}
 				if len(found) == 0 {
 					continue

@@ -1,14 +1,16 @@
 // Command checkmetrics validates a metrics snapshot written by
 // -metrics-out: it must parse as an obs.Snapshot, carry non-zero pipeline
 // counters, account for every host the world built (evicted or still
-// resident), and include populated enumerator latency histograms. Used by
-// scripts/smoke.sh.
+// resident), include populated enumerator latency histograms, and, when the
+// census wrote checkpoints, hold one scanner pause per periodic checkpoint.
+// Used by scripts/smoke.sh.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"ftpcloud/internal/obs"
 )
@@ -55,7 +57,30 @@ func run() error {
 			return fmt.Errorf("histogram %s missing or empty", name)
 		}
 	}
+	if err := checkPauses(snap); err != nil {
+		return err
+	}
 	fmt.Printf("checkmetrics: %d counters, %d gauges, %d histograms; %d hosts enumerated\n",
 		len(snap.Counters), len(snap.Gauges), len(snap.Histograms), snap.Counters["enum.hosts"])
+	return nil
+}
+
+// checkPauses requires a census.checkpoint.pause sample per periodic
+// checkpoint. census.checkpoints also counts a truncated run's truncation
+// checkpoint, which parks nothing.
+func checkPauses(snap obs.Snapshot) error {
+	periodic := snap.Counters["census.checkpoints"]
+	if periodic == 0 {
+		return nil
+	}
+	for name, n := range snap.Counters {
+		if strings.HasPrefix(name, "census.truncated.") && n > 0 {
+			periodic--
+			break
+		}
+	}
+	if got := snap.Histograms["census.checkpoint.pause"].Count; got != periodic {
+		return fmt.Errorf("histogram census.checkpoint.pause holds %d samples for %d periodic checkpoints", got, periodic)
+	}
 	return nil
 }
