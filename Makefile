@@ -66,14 +66,15 @@ race-full: race
 # set the drain removes them from, and the drain takes its half of the cut
 # (ledger flush, counts, pending hosts) between two records while the
 # scanner runs again (TestPeriodicCheckpointDoesNotDrain,
-# TestKillAndResumeFromEveryPeriodicCheckpoint, TestLedgerPrefix); mid-scan
-# halts, resume validation and the resume's re-fold of the ledger prefix
-# cut across the same structures, and TestCensusEvictsHosts has hundreds
+# TestKillAndResumeFromEveryPeriodicCheckpoint, TestLedgerPrefix); a kill is
+# the same cut, taken once cancellation has stopped every stage
+# (TestKillAndResumeCutsHostsInFlight); resume validation and the resume's
+# re-fold of the ledger prefix cut across the same structures, and TestCensusEvictsHosts has hundreds
 # of connections pin and release hosts on one world; TestWorkerCounts runs
 # the pipeline at up to eight times the default workers, through a mid-run
 # deadline too.
 race-census:
-	$(GO) test -race -run 'TestSnapshot|TestKillAndResume|TestPeriodicCheckpointDoesNotDrain|TestResumeValidation|TestResumeRefuses|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts|TestWorkerCounts' \
+	$(GO) test -race -run 'TestSnapshot|TestKillAndResume|TestKillAndResumeCutsHostsInFlight|TestPeriodicCheckpointDoesNotDrain|TestResumeValidation|TestResumeRefuses|TestCheckpoint|TestLedgerPrefix|TestCensusEvicts|TestWorkerCounts' \
 		./internal/core ./internal/analysis
 
 # Server core under the race detector: pooled sessions, the connection

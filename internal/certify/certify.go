@@ -124,6 +124,9 @@ func (a *Auditor) Audit(ctx context.Context, target string) (*Report, error) {
 		Timeout:   timeout,
 		TryTLS:    true,
 	}, target)
+	if rec == nil {
+		return nil, ctx.Err()
+	}
 	if !rec.FTP {
 		return nil, fmt.Errorf("certify: %s is not an FTP server (%s)", target, rec.Error)
 	}

@@ -15,7 +15,6 @@ import (
 	"maps"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ftpcloud/internal/analysis"
@@ -156,13 +155,11 @@ type CensusConfig struct {
 	// byte-for-byte, which the resume-equivalence tests rely on.
 	Now func() time.Time
 
-	// Checkpoint, when non-nil, makes the census resumable: caller
-	// cancellation halts the scanner at a batch boundary and drains
-	// everything in flight before the run returns, and the policy's Write
-	// receives a checkpoint on truncation (and at periodic cuts when Every
-	// is set). A checkpoint is a position in the StreamTo ledger plus the
-	// hosts in flight at it, so a policy needs StreamTo. See
-	// CheckpointPolicy.
+	// Checkpoint, when non-nil, makes the census resumable: the policy's
+	// Write receives a checkpoint when caller cancellation truncates the
+	// run (and at periodic cuts when Every is set). A checkpoint is a
+	// position in the StreamTo ledger plus the hosts in flight at it, so a
+	// policy needs StreamTo. See CheckpointPolicy.
 	Checkpoint *CheckpointPolicy
 	// Resume, when non-nil, continues a census from the checkpoint a
 	// previous run wrote. See Resume.
@@ -280,9 +277,10 @@ type Result struct {
 
 	// Truncated reports that the run was cut short by caller
 	// cancellation or deadline expiry. The result still holds every
-	// record drained before the cut — a scan stopped at its deadline is
-	// a usable (truncated) dataset, not a failure. TruncatedBy names the
-	// cause: TruncateDeadline or TruncateCanceled.
+	// record finished before the cut — a scan stopped at its deadline is
+	// a usable (truncated) dataset, not a failure — and no record of a
+	// host whose enumeration or identification the cut interrupted.
+	// TruncatedBy names the cause: TruncateDeadline or TruncateCanceled.
 	Truncated   bool
 	TruncatedBy string
 
@@ -307,9 +305,11 @@ type Result struct {
 // inside that pass, so the join is always consistent with the records that
 // actually flowed, even when the run is cancelled mid-flight.
 //
-// Run also owns the checkpoint machinery (see checkpoint.go): the detached
-// pipeline context, the halt watcher, the periodic cut coordinator, and
-// the truncation checkpoint write.
+// Caller cancellation stops the run at once: the scanner commits its
+// cursor, and every host in flight is cut and yields no record. Run also
+// owns the checkpoint machinery (see checkpoint.go): the periodic cut
+// coordinator and the truncation checkpoint, which lists the hosts the
+// cancellation cut.
 func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	start := time.Now()
 
@@ -318,20 +318,12 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	// With a checkpoint policy the pipeline runs under a context detached
-	// from the caller's: cancellation must not abort in-flight work, or
-	// the committed cursor would not cover what drained. The halt watcher
-	// below translates caller cancellation into a graceful stop. Without a
-	// policy caller cancellation cuts the pipeline directly.
-	policy := c.Config.Checkpoint
-	var pipeCtx context.Context
-	var cancel context.CancelFunc
-	if policy != nil {
-		pipeCtx, cancel = context.WithCancel(context.WithoutCancel(callerCtx))
-	} else {
-		pipeCtx, cancel = context.WithCancel(callerCtx)
-	}
+	pipeCtx, cancel := context.WithCancel(callerCtx)
 	defer cancel()
+	// canceledAt receives the time of the caller's cancel, which starts
+	// census.shutdown's measurement.
+	canceledAt := make(chan time.Time, 1)
+	defer context.AfterFunc(callerCtx, func() { canceledAt <- time.Now() })()
 
 	collector, err := c.newCollector()
 	if err != nil {
@@ -363,39 +355,8 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: scanner: %w", err)
 	}
-	scanner := rt.scanner
 
-	pipeDone := make(chan struct{})
-	var hardCanceled atomic.Bool
-	var watcherDone chan struct{}
-	if policy != nil {
-		watcherDone = make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			select {
-			case <-pipeDone:
-				return
-			case <-callerCtx.Done():
-			}
-			// Halt the scanner at its next batch boundary; in-flight
-			// work keeps draining under the detached pipeline context,
-			// so when the pipeline finishes the cursor is exact.
-			scanner.Halt()
-			grace := policy.DrainGrace
-			if grace <= 0 {
-				grace = 30 * time.Second
-			}
-			select {
-			case <-pipeDone:
-			case <-time.After(grace):
-				// The drain is stuck; cut it. The cursor no longer
-				// bounds what drained, so the checkpoint is skipped.
-				hardCanceled.Store(true)
-				cancel()
-			}
-		}()
-	}
-
+	policy := c.Config.Checkpoint
 	var stopTicker func()
 	if policy != nil && policy.Every > 0 {
 		stopTicker = obs.Every(pipeCtx, policy.Every, func() {
@@ -404,12 +365,8 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	}
 
 	o := c.runPipeline(pipeCtx, cancel, start, collector, fold, rt)
-	close(pipeDone)
 	if stopTicker != nil {
 		stopTicker()
-	}
-	if watcherDone != nil {
-		<-watcherDone
 	}
 	// Every client has closed its connections; wait for the world's
 	// servers to see those closes, so the hosts they release are evicted
@@ -417,29 +374,25 @@ func (c *Census) Run(callerCtx context.Context) (*Result, error) {
 	c.World.WaitIdle()
 
 	closeErr := fold.sink.Close()
-
-	// With the pipeline detached from the caller, truncation shows on
-	// callerCtx, not pipeCtx — assemble reads whichever context carries
-	// the caller's intent.
-	assembleCtx := pipeCtx
-	if policy != nil {
-		assembleCtx = callerCtx
+	result, runErr := c.assemble(callerCtx, start, fold, o, closeErr)
+	if result == nil || !result.Truncated {
+		return result, runErr
 	}
-	result, runErr := c.assemble(assembleCtx, start, fold, o, closeErr)
 
 	// The truncation checkpoint: the same cut as a periodic one, taken
-	// after everything drained, so its pending list is empty and it is
-	// the exact state an uninterrupted run would have passed through.
-	// Skipped after a hard cancel (cursor not exact) and after a sink
-	// failure (the ledger is suspect).
-	if policy != nil && runErr == nil && result != nil && result.Truncated && !hardCanceled.Load() {
+	// once the pipeline has returned. The scanner's cursor is exact, and
+	// every responsive host behind it without a record, the ones the
+	// cancellation cut included, is pending. A run whose sink failed is
+	// not flagged truncated and writes none: its ledger is suspect.
+	if policy != nil {
 		cut := fold.cut(rt.pending.behind(math.MaxUint64))
-		if werr := policy.Write(c.checkpoint(scanner.Cursor(), result.Probed, result.Responded, true, cut)); werr != nil {
+		if werr := policy.Write(c.checkpoint(rt.scanner.Cursor(), result.Probed, result.Responded, true, cut)); werr != nil {
 			runErr = fmt.Errorf("core: writing truncation checkpoint: %w", werr)
 		} else {
 			c.wrote(cut)
 		}
 	}
+	c.Config.Metrics.Histogram("census.shutdown").Observe(time.Since(<-canceledAt))
 	return result, runErr
 }
 
@@ -682,10 +635,10 @@ func (c *Census) assemble(ctx context.Context, start time.Time, fold *censusFold
 		return nil, fmt.Errorf("core: discovery scan: %w", o.scanErr)
 	}
 
-	// Caller cancellation is graceful truncation, not failure: everything
-	// drained before the cut is a usable dataset — the paper's days-long
-	// measurement had to survive exactly this. Every drained record is
-	// already folded in, and the cause is recorded once.
+	// Caller cancellation is graceful truncation, not failure: every
+	// record finished before the cut is a usable dataset — the paper's
+	// days-long measurement had to survive exactly this. Every such record
+	// is already folded in, and the cause is recorded once.
 	if err := ctx.Err(); err != nil {
 		result.Truncated = true
 		result.TruncatedBy = TruncateCanceled

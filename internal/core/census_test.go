@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +13,8 @@ import (
 	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/enumerator"
 	"ftpcloud/internal/obs"
+	"ftpcloud/internal/simnet"
+	"ftpcloud/internal/worldgen"
 )
 
 // fixedClock stamps every record's ScannedAt with one instant, so streamed
@@ -268,6 +273,135 @@ func TestCensusDeadlineTruncation(t *testing.T) {
 	if out := res.ComputeTables().Render(); !strings.Contains(out, "Table I") {
 		t.Error("partial tables failed to render")
 	}
+}
+
+// TestTruncatedRunStreamsOnlyWholeRecords: a run cut without a checkpoint
+// policy streams no record the cut shortened. The first session to ask for
+// a directory listing stalls there, mid-traversal, and the run is cancelled
+// while it stalls. Every record the run streams must equal, byte for byte,
+// the same host's record from an uninterrupted run: a host the cut
+// interrupted is left out, not recorded with part of its tree and no mark
+// of the cut.
+func TestTruncatedRunStreamsOnlyWholeRecords(t *testing.T) {
+	cfg := CensusConfig{Seed: 7, Scale: 32768, Now: fixedClock}
+	var ref bytes.Buffer
+	refCfg := cfg
+	refCfg.StreamTo = dataset.NewWriterSink(&ref)
+	refCensus, err := NewCensus(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := refCensus.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantLines := ledgerByIP(t, ref.Bytes())
+
+	var ledger bytes.Buffer
+	cutCfg := cfg
+	cutCfg.StreamTo = dataset.NewWriterSink(&ledger)
+	c, err := NewCensus(cutCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := &listingGate{World: c.World, gate: make(chan struct{}), stalled: make(chan struct{})}
+	c.Network.SetProvider(lg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-lg.stalled:
+			cancel()
+		case <-done:
+		}
+		close(lg.gate)
+	}()
+	res, err := c.Run(ctx)
+	if err != nil || !res.Truncated {
+		t.Fatalf("cut run: err=%v truncated=%v", err, res != nil && res.Truncated)
+	}
+	stalled := simnet.IP(lg.ip.Load()).String()
+	for ip, line := range ledgerByIP(t, ledger.Bytes()) {
+		if line != wantLines[ip] {
+			t.Errorf("host %s: the cut run streamed\n%s\nthe uninterrupted run\n%s", ip, line, wantLines[ip])
+		}
+	}
+	if _, ok := wantLines[stalled]; !ok {
+		t.Errorf("the stalled host %s has no record in the uninterrupted run", stalled)
+	}
+}
+
+// listingGate serves the world's hosts, except that the first session to
+// send a directory listing request stalls before its server reads it, until
+// gate closes: a host cut mid-traversal.
+type listingGate struct {
+	*worldgen.World
+	gate    chan struct{}
+	stalled chan struct{} // closed when the stall begins
+	begun   atomic.Bool
+	ip      atomic.Uint32 // the stalled host's address
+}
+
+func (g *listingGate) Lookup(ip simnet.IP) simnet.Host {
+	h := g.World.Lookup(ip)
+	if h == nil {
+		return nil
+	}
+	return listingHost{Host: h, g: g, ip: ip}
+}
+
+type listingHost struct {
+	simnet.Host
+	g  *listingGate
+	ip simnet.IP
+}
+
+func (h listingHost) Handler(port uint16) simnet.Handler {
+	inner := h.Host.Handler(port)
+	if inner == nil {
+		return nil
+	}
+	return simnet.HandlerFunc(func(nw *simnet.Network, conn net.Conn) {
+		inner.ServeConn(nw, &listingConn{Conn: conn, h: h})
+	})
+}
+
+// listingConn is a server's end of a session; its first listing request
+// may be the one that stalls.
+type listingConn struct {
+	net.Conn
+	h listingHost
+}
+
+func (c *listingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if verb := string(p[:min(n, 4)]); verb == "LIST" || verb == "MLSD" {
+		if g := c.h.g; g.begun.CompareAndSwap(false, true) {
+			g.ip.Store(uint32(c.h.ip))
+			close(g.stalled)
+			<-g.gate
+		}
+	}
+	return n, err
+}
+
+// ledgerByIP maps each record of a JSONL ledger to its line.
+func ledgerByIP(t *testing.T, raw []byte) map[string]string {
+	t.Helper()
+	records, err := dataset.ReadAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	if len(lines) != len(records) {
+		t.Fatalf("%d ledger lines hold %d records", len(lines), len(records))
+	}
+	byIP := make(map[string]string, len(records))
+	for i, rec := range records {
+		byIP[rec.IP] = lines[i]
+	}
+	return byIP
 }
 
 // cancelAfterSink counts the records it is handed and its Close calls,

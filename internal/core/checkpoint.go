@@ -17,14 +17,14 @@ import (
 	"ftpcloud/internal/zmap"
 )
 
-// CheckpointPolicy makes a census resumable. With a policy configured,
-// caller cancellation no longer tears the pipeline down: the scanner halts
-// at a batch boundary, everything already emitted drains through the sink
-// chain, and Write receives a checkpoint whose cursor exactly covers the
-// records the run streamed. A checkpoint is a position in the StreamTo
-// ledger, which a policy therefore needs. A later run configured with
-// Resume re-folds that ledger prefix and continues as if the interruption
-// never happened.
+// CheckpointPolicy makes a census resumable. Caller cancellation stops the
+// pipeline at once; once it has returned, Write receives a checkpoint: the
+// scanner's cursor, the records the run streamed, and the responsive hosts
+// behind the cursor without a record, the ones the cancellation cut
+// included. A checkpoint is a position in the StreamTo ledger, which a
+// policy therefore needs. A later run configured with Resume re-folds that
+// ledger prefix, enumerates the pending hosts first and continues as if
+// the interruption never happened.
 type CheckpointPolicy struct {
 	// Write persists one checkpoint — on truncation always, and at each
 	// periodic cut when Every is set. The snapshot carries the observed
@@ -43,11 +43,6 @@ type CheckpointPolicy struct {
 	// SIGKILL loses at most one interval of work. Zero disables periodic
 	// writes (truncation still checkpoints).
 	Every time.Duration
-	// DrainGrace bounds how long truncation waits for in-flight work to
-	// drain before hard-canceling the pipeline. After a hard cancel no
-	// checkpoint is written — the cursor is no longer exact. Zero means
-	// 30s.
-	DrainGrace time.Duration
 }
 
 // ErrCheckpointMismatch rejects a Resume checkpoint written under a
@@ -59,8 +54,8 @@ type CheckpointPolicy struct {
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match census configuration")
 
 // pipeRuntime exposes the running pipeline's live pieces to the checkpoint
-// coordinator: the scanner (halt/pause/cursor), the set of responsive
-// hosts in flight, and the drain's side of a cut.
+// coordinator: the scanner (pause/cursor), the set of responsive hosts in
+// flight, and the drain's side of a cut.
 type pipeRuntime struct {
 	scanner *zmap.Scanner
 	pending *pendingSet

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"ftpcloud/internal/analysis"
 	"ftpcloud/internal/asdb"
 	"ftpcloud/internal/dataset"
 	"ftpcloud/internal/notify"
+	"ftpcloud/internal/obs"
 	"ftpcloud/internal/simnet"
 )
 
@@ -118,8 +122,9 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			wantRender, wantLedger, wantRes := runReference(t, cfg)
 
 			// First leg: same census, killed after 5 records reach the
-			// ledger. The checkpoint policy turns the cancellation into a
-			// graceful halt + drain + checkpoint write.
+			// ledger. The cancellation cuts the hosts in flight, and the
+			// checkpoint policy writes a truncation checkpoint that lists
+			// them.
 			var checkpoint *analysis.Snapshot
 			var ledger bytes.Buffer
 			ctx, cancel := context.WithCancel(context.Background())
@@ -163,9 +168,9 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			if cp.Shards != 1 || len(cp.Cursors) != 1 {
 				t.Fatalf("checkpoint has %d shards and %d cursors, want 1 and 1", cp.Shards, len(cp.Cursors))
 			}
-			// The halt drained everything emitted: the ledger holds
-			// exactly the records the checkpoint counts, no truncation
-			// needed before appending.
+			// The checkpoint is taken once the pipeline has returned: the
+			// ledger holds exactly the records the checkpoint counts, no
+			// truncation needed before appending.
 			if got := len(sortedLines(t, ledger.Bytes())); got != cp.Streamed {
 				t.Fatalf("ledger holds %d records, checkpoint says %d", got, cp.Streamed)
 			}
@@ -223,6 +228,84 @@ func TestKillAndResumeEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res2.Robustness, wantRes.Robustness) {
 				t.Errorf("Robustness %+v, want %+v — the kill must not outlive the resume", res2.Robustness, wantRes.Robustness)
+			}
+		})
+	}
+}
+
+// TestKillAndResumeCutsHostsInFlight: a kill stops a hostile census at
+// once instead of waiting for its slow hosts. The truncation checkpoint is
+// a cut that lists the hosts the kill caught in flight, the run reports how
+// long it took to stop, and resuming from the checkpoint gives the
+// uninterrupted run's full report, sorted ledger and robustness counters —
+// at the default worker counts and at four times them.
+func TestKillAndResumeCutsHostsInFlight(t *testing.T) {
+	for _, mult := range workerScales {
+		t.Run(fmt.Sprintf("%dx-workers", mult), func(t *testing.T) {
+			cfg := withWorkers(resumeConfig(5, 32768, true), mult)
+			var ref bytes.Buffer
+			refCfg := cfg
+			refCfg.StreamTo = dataset.NewWriterSink(&ref)
+			refCensus, err := NewCensus(refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refCensus.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantReport, wantLedger := want.ComputeTables().RenderFull(), sortedLines(t, ref.Bytes())
+
+			// Kill a third of the way through the records, with the walk
+			// paced so the kill lands mid-scan (see
+			// TestKillAndResumeEquivalence).
+			ledger := &syncBuffer{}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			reg := obs.NewRegistry()
+			killCfg := cfg
+			killCfg.ScanRate = 100_000
+			killCfg.Metrics = reg
+			killCfg.StreamTo = &cancelAtSink{inner: dataset.NewWriterSink(ledger), n: want.Observed / 3, cancel: cancel}
+			var takeCuts func() []capturedCut
+			killCfg.Checkpoint, takeCuts = capturePolicy(t, 0, ledger, nil)
+			c, err := NewCensus(killCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run(ctx)
+			if err != nil || !res.Truncated {
+				t.Fatalf("kill leg: err=%v truncated=%v", err, res != nil && res.Truncated)
+			}
+			cuts := takeCuts()
+			if len(cuts) != 1 || !cuts[0].cp.Truncated {
+				t.Fatalf("kill leg wrote %d checkpoints, want one truncation checkpoint", len(cuts))
+			}
+			cp := cuts[0].cp
+			if len(cp.Pending) == 0 {
+				t.Fatalf("truncation checkpoint lists no pending host (%d responded, %d streamed): the kill waited for the hosts in flight", cp.Responded, cp.Streamed)
+			}
+			if uint64(len(cp.Pending)) != cp.Responded-uint64(cp.Streamed) {
+				t.Errorf("%d pending hosts, but %d responded and %d streamed", len(cp.Pending), cp.Responded, cp.Streamed)
+			}
+			// A hostile host can stall an operation for the whole 15 s
+			// enumeration timeout; a cut host is not waited for.
+			shutdown := reg.Snapshot().Histograms["census.shutdown"]
+			if shutdown.Count != 1 {
+				t.Errorf("census.shutdown holds %d samples, want 1", shutdown.Count)
+			} else if d := time.Duration(shutdown.SumNanos); d > 5*time.Second {
+				t.Errorf("the killed run took %v to stop", d)
+			}
+
+			report, lines, got := resumeFrom(t, cfg, cuts[0])
+			if report != wantReport {
+				t.Error("resumed report diverges from the uninterrupted run")
+			}
+			if !slices.Equal(lines, wantLedger) {
+				t.Errorf("resumed ledger of %d records, want the uninterrupted %d", len(lines), len(wantLedger))
+			}
+			if !reflect.DeepEqual(got.Robustness, want.Robustness) {
+				t.Errorf("resumed robustness %+v, want %+v", got.Robustness, want.Robustness)
 			}
 		})
 	}

@@ -314,3 +314,26 @@ func TestChaosConnectLatencyWithinTimeout(t *testing.T) {
 		t.Errorf("slow-to-accept host mishandled: %+v", rec)
 	}
 }
+
+// TestChaosCancelInterruptsStalledRead: cancellation cuts a host at once.
+// The data channel stalls under a 30 s idle timeout; a cancel while the
+// read blocks closes the connection, and Enumerate returns nil instead of
+// waiting out the timeout and recording the stall.
+func TestChaosCancelInterruptsStalledRead(t *testing.T) {
+	nw := chaosNet(t, wideFS(4))
+	nw.Faults = portFaults{match: dataPort, prof: simnet.FaultProfile{StallAfterBytes: 16}}
+	cfg := enumConfig(nw)
+	cfg.Timeout = 30 * time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The first data read blocks for the whole timeout; by then the
+	// stall has long begun.
+	time.AfterFunc(200*time.Millisecond, cancel)
+	start := time.Now()
+	if rec := Enumerate(ctx, cfg, srvIP.String()); rec != nil {
+		t.Errorf("a host cut mid-read yielded a record: class=%q partial=%v", rec.FailureClass, rec.Partial)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("Enumerate returned %v after its start, want soon after the cancel at 200ms", d)
+	}
+}

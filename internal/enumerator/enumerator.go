@@ -21,6 +21,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"ftpcloud/internal/campaigns"
@@ -51,8 +52,9 @@ type Dialer interface {
 type Collector interface {
 	// Addr is the collector endpoint to place in PORT arguments.
 	Addr() ftp.HostPort
-	// Saw reports whether serverIP connected within the wait window.
-	Saw(serverIP string, wait time.Duration) bool
+	// Saw reports whether serverIP connected within the wait window. It
+	// gives up early, reporting false, when ctx ends.
+	Saw(ctx context.Context, serverIP string, wait time.Duration) bool
 }
 
 // Config controls enumeration.
@@ -240,6 +242,8 @@ func newHostConn() *hostConn {
 
 // session carries one enumeration's state.
 type session struct {
+	ctx     context.Context
+	open    openConns
 	cfg     Config
 	slot    *slot     // the Fleet's lease: source address and hc; nil for Enumerate
 	hc      *hostConn // taken at the first connection
@@ -253,8 +257,10 @@ type session struct {
 }
 
 // Enumerate performs the full follow-up protocol against one discovered
-// host. It always returns a record — partial data plus Error/FailureClass
-// fields on failure. Hostile servers cannot make it hang (per-command and
+// host. It returns a record — partial data plus Error/FailureClass fields on
+// failure — unless ctx ends first: then it stops at once and returns nil,
+// since a record missing whatever the cancellation interrupted would pass
+// for the host's. Hostile servers cannot make it hang (per-command and
 // rolling data deadlines), hold it forever (host time budget), or feed it
 // unbounded data (byte budget); transient transport faults are retried with
 // jittered backoff.
@@ -264,7 +270,10 @@ func Enumerate(ctx context.Context, cfg Config, targetIP string) *dataset.HostRe
 
 // enumerate is Enumerate for a Fleet host when sl is non-nil: the host dials
 // from sl's source address, borrows its hostConn from sl's lender, and waits
-// out connect-phase backoffs parked (see session.pause).
+// out connect-phase backoffs parked (see session.pause). A cancelled ctx
+// closes the session's open connections, so a blocked read or write returns
+// at once, and no request or wait starts after it; the host is cut and
+// yields no record.
 func enumerate(ctx context.Context, cfg Config, targetIP string, sl *slot) *dataset.HostRecord {
 	cfg = cfg.withDefaults()
 	if sl != nil {
@@ -280,7 +289,7 @@ func enumerate(ctx context.Context, cfg Config, targetIP string, sl *slot) *data
 		PortOpen:  true,
 		PortCheck: dataset.PortNotTested,
 	}
-	s := &session{cfg: cfg, slot: sl, rec: rec, target: targetIP, lat: noLatencies}
+	s := &session{ctx: ctx, cfg: cfg, slot: sl, rec: rec, target: targetIP, lat: noLatencies}
 	if cfg.Metrics != nil {
 		s.lat = newLatencies(cfg.Metrics)
 	}
@@ -289,11 +298,22 @@ func enumerate(ctx context.Context, cfg Config, targetIP string, sl *slot) *data
 	}
 	s.bud.maxBytes = cfg.ByteBudget
 
-	// Deferred first so it runs last, after the connection is closed.
+	defer context.AfterFunc(ctx, s.open.close)()
+	// Deferred before run so it runs after run has closed the connection.
 	defer s.putHostConn()
+	s.run()
+	if ctx.Err() != nil {
+		return nil
+	}
+	return rec
+}
+
+// run is one enumeration from the dial to QUIT, filling s.rec.
+func (s *session) run() {
+	rec := s.rec
 	banner, ok := s.connect()
 	if !ok {
-		return rec
+		return
 	}
 	defer s.conn.Close()
 	rec.FTP = true
@@ -312,25 +332,24 @@ func enumerate(ctx context.Context, cfg Config, targetIP string, sl *slot) *data
 	}
 
 	if !rec.BannerOptOut {
-		s.login(ctx)
+		s.login()
 	}
 
 	// FEAT is collected before traversal so the crawler can prefer
 	// RFC 3659 MLSD listings (explicit permission facts) when offered.
 	s.collectMeta()
 	if rec.AnonymousOK {
-		s.fetchRobots(ctx)
-		s.traverse(ctx)
+		s.fetchRobots()
+		s.traverse()
 		s.confirmAnonUploads()
 		s.probePortValidation()
 	}
 
-	if cfg.TryTLS {
+	if s.cfg.TryTLS {
 		s.tryTLS()
 	}
 	s.closing = true
 	s.cmd("QUIT", "")
-	return rec
 }
 
 // retryableDial reports whether a dial error is worth retrying: refusal is a
@@ -356,6 +375,7 @@ func (s *session) connect() (ftp.Reply, bool) {
 		nc, err = s.cfg.Dialer.Dial("tcp", addr)
 		s.lat.dial.Since(start)
 		if err == nil {
+			s.open.track(&s.open.ctl, nc)
 			break
 		}
 		if attempt >= pol.Attempts || !retryableDial(err) {
@@ -365,7 +385,9 @@ func (s *session) connect() (ftp.Reply, bool) {
 			return ftp.Reply{}, false
 		}
 		s.rec.Retries++
-		s.pause(pol.backoff(s.target, attempt))
+		if !s.pause(pol.backoff(s.target, attempt)) {
+			return ftp.Reply{}, false
+		}
 	}
 
 	for attempt := 1; ; attempt++ {
@@ -399,7 +421,9 @@ func (s *session) connect() (ftp.Reply, bool) {
 		// Transient (reset, timeout, premature EOF): a fresh session
 		// costs one dial and often succeeds against flaky gear.
 		s.rec.Retries++
-		s.pause(pol.backoff(s.target, attempt))
+		if !s.pause(pol.backoff(s.target, attempt)) {
+			return ftp.Reply{}, false
+		}
 		redial := time.Now()
 		nc, err = s.cfg.Dialer.Dial("tcp", addr)
 		s.lat.dial.Since(redial)
@@ -408,21 +432,69 @@ func (s *session) connect() (ftp.Reply, bool) {
 			s.rec.FailureClass = class
 			return ftp.Reply{}, false
 		}
+		s.open.track(&s.open.ctl, nc)
 	}
 }
 
 // pause waits d before a connect-phase redial. No connection is open, so a
 // Fleet host parks: its hostConn goes back to the pool and its slot to the
 // fleet for the wait, and it redials from whichever slot it takes next.
-// Enumerate sleeps in place.
-func (s *session) pause(d time.Duration) {
+// Enumerate sleeps in place. It reports false when ctx ends first.
+func (s *session) pause(d time.Duration) bool {
 	if s.slot == nil {
-		time.Sleep(d)
-		return
+		return sleep(s.ctx, d)
 	}
 	s.putHostConn()
-	s.slot.park(d)
+	ok := s.slot.park(s.ctx, d)
 	s.cfg.Dialer = s.slot.dialer()
+	return ok
+}
+
+// sleep waits d, or until ctx ends; it reports whether d passed first.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// openConns holds a session's open control and data connections for a
+// cancelled context to close.
+type openConns struct {
+	mu        sync.Mutex
+	closed    bool
+	ctl, data net.Conn
+}
+
+// track records c in *field (ctl or data); once close has run it closes
+// c instead.
+func (o *openConns) track(field *net.Conn, c net.Conn) {
+	o.mu.Lock()
+	closed := o.closed
+	if !closed {
+		*field = c
+	}
+	o.mu.Unlock()
+	if closed {
+		c.Close()
+	}
+}
+
+// close closes the tracked connections, and every one tracked after it.
+func (o *openConns) close() {
+	o.mu.Lock()
+	o.closed = true
+	ctl, data := o.ctl, o.data
+	o.mu.Unlock()
+	for _, c := range []net.Conn{ctl, data} {
+		if c != nil {
+			c.Close()
+		}
+	}
 }
 
 // putHostConn hands a Fleet host's hostConn back to the pool. The wrapper
@@ -463,8 +535,12 @@ func isPrivateIP(sIP string) bool {
 // cmd issues one request, accounting against the cap, the rate limit, and
 // the host budget, with a per-command deadline. ok=false means this session
 // can issue no further requests; the record explains why (ListingTruncated,
-// ConnTerminated, or Partial+FailureClass).
+// ConnTerminated, or Partial+FailureClass), unless ctx has ended, which cuts
+// the session and its record with it.
 func (s *session) cmd(name, arg string) (ftp.Reply, bool) {
+	if s.ctx.Err() != nil {
+		return ftp.Reply{}, false
+	}
 	if s.used >= s.cfg.RequestCap {
 		s.rec.ListingTruncated = true
 		return ftp.Reply{}, false
@@ -475,8 +551,8 @@ func (s *session) cmd(name, arg string) (ftp.Reply, bool) {
 		}
 		return ftp.Reply{}, false
 	}
-	if s.cfg.RequestDelay > 0 && s.used > 0 {
-		time.Sleep(s.cfg.RequestDelay)
+	if s.cfg.RequestDelay > 0 && s.used > 0 && !sleep(s.ctx, s.cfg.RequestDelay) {
+		return ftp.Reply{}, false
 	}
 	s.used++
 	s.rec.RequestsUsed = s.used
@@ -515,7 +591,7 @@ func (s *session) cmd(name, arg string) (ftp.Reply, bool) {
 
 // login attempts the RFC 1635 anonymous login, upgrading to TLS first when
 // the server demands it.
-func (s *session) login(ctx context.Context) {
+func (s *session) login() {
 	r, ok := s.cmd("USER", "anonymous")
 	if !ok {
 		return
@@ -546,7 +622,6 @@ func (s *session) login(ctx context.Context) {
 	if r.Code == ftp.CodeLoggedIn {
 		s.rec.AnonymousOK = true
 	}
-	_ = ctx
 }
 
 // upgradeTLS performs AUTH TLS and records the certificate.
@@ -661,6 +736,7 @@ func (s *session) dialData(addr string) (net.Conn, bool) {
 		dc, err := s.cfg.Dialer.Dial("tcp", addr)
 		s.lat.dial.Since(start)
 		if err == nil {
+			s.open.track(&s.open.data, dc)
 			dc.SetDeadline(time.Now().Add(s.opTimeout()))
 			return dc, true
 		}
@@ -669,7 +745,9 @@ func (s *session) dialData(addr string) (net.Conn, bool) {
 			return nil, true
 		}
 		s.rec.Retries++
-		time.Sleep(pol.backoff(addr, attempt))
+		if !sleep(s.ctx, pol.backoff(addr, attempt)) {
+			return nil, false
+		}
 	}
 }
 
@@ -775,8 +853,7 @@ func (s *session) retrieve(path string) (string, bool) {
 
 // fetchRobots retrieves and parses robots.txt per the Robots Exclusion
 // Standard.
-func (s *session) fetchRobots(ctx context.Context) {
-	_ = ctx
+func (s *session) fetchRobots() {
 	body, ok := s.retrieve("robots.txt")
 	if !ok || body == "" {
 		return
@@ -853,7 +930,7 @@ func (s *session) list(verb, dir string) (string, listStatus) {
 
 // traverse walks the accessible tree breadth-first, respecting robots rules
 // and the request cap, and harvesting write evidence.
-func (s *session) traverse(ctx context.Context) {
+func (s *session) traverse() {
 	var rules *robots.Rules
 	if s.rec.RobotsTxt != "" {
 		rules = robots.Parse(s.rec.RobotsTxt)
@@ -876,12 +953,7 @@ func (s *session) traverse(ctx context.Context) {
 	refSet := campaigns.ReferenceSet()
 	now := time.Now()
 
-	for len(queue) > 0 {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
+	for len(queue) > 0 && s.ctx.Err() == nil {
 		item := queue[0]
 		queue = queue[1:]
 
@@ -1013,7 +1085,7 @@ func (s *session) probePortValidation() {
 	if r, ok := s.cmd("LIST", "/"); ok && r.Preliminary() {
 		s.drainCompletion()
 	}
-	if s.cfg.Collector.Saw(s.target, 2*time.Second) {
+	if s.cfg.Collector.Saw(s.ctx, s.target, 2*time.Second) {
 		s.rec.PortCheck = dataset.PortNotValidated
 	} else {
 		s.rec.PortCheck = dataset.PortValidated

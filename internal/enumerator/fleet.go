@@ -37,10 +37,6 @@ type Fleet struct {
 	Metrics *obs.Registry
 }
 
-// deliverGrace bounds how long a host waits to hand over a finished record
-// after cancellation before giving up on the consumer.
-const deliverGrace = 5 * time.Second
-
 // lender is what a Fleet lends its hosts: the free source-address slots,
 // and the control-channel wrappers and data buffers that go with an open
 // connection.
@@ -59,14 +55,15 @@ type slot struct {
 
 func (s *slot) dialer() simnet.Dialer { return simnet.Dialer{Net: s.nw, Src: s.src} }
 
-// park waits d holding no source address, then takes whichever slot is
-// free first.
-func (s *slot) park(d time.Duration) {
+// park waits d, or until ctx ends, holding no source address, then takes
+// whichever slot is free first. It reports whether d passed first.
+func (s *slot) park(ctx context.Context, d time.Duration) bool {
 	s.parked.Inc()
 	s.slots <- s.src
-	time.Sleep(d)
+	ok := sleep(ctx, d)
 	s.src = <-s.slots
 	s.parked.Dec()
+	return ok
 }
 
 // Run enumerates every IP from in, sending records to out in completion
@@ -75,12 +72,13 @@ func (s *slot) park(d time.Duration) {
 // while it waits out a connect-phase backoff (see Workers). Parked hosts are
 // bounded by the admission rate times the backoff, not by Workers.
 //
-// Cancellation is graceful with respect to finished work: a record whose
-// enumeration completed is still delivered after ctx is cancelled — losing
-// it would turn a deadline expiry into data loss. Consumers must therefore
-// keep draining out until it closes (the census drain does); a consumer
-// that stops reading entirely only delays shutdown by a bounded grace
-// period per admitted host.
+// Cancellation stops the fleet at once: no host is admitted after it, and
+// an admitted host is cut where it stands and yields no record (see
+// Enumerate). A finished record is sent unless ctx ends first, so Run
+// returns promptly even when the consumer has stopped reading. A caller
+// that must account for every host therefore treats the hosts it handed
+// in without getting a record back as still to do; the census keeps them
+// pending in its checkpoint.
 func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *dataset.HostRecord) {
 	defer close(out)
 	workers := f.Workers
@@ -127,20 +125,14 @@ func (f *Fleet) Run(ctx context.Context, in <-chan simnet.IP, out chan<- *datase
 			defer wg.Done()
 			start := time.Now()
 			rec := enumerate(ctx, cfg, ip.String(), sl)
-			hostDur.Since(start)
 			inflight.Dec()
-			hosts.Inc()
-			select {
-			case out <- rec:
-			case <-ctx.Done():
-				// The work is done; give the consumer a bounded
-				// window to take the record before dropping it.
-				t := time.NewTimer(deliverGrace)
+			if rec != nil {
+				hostDur.Since(start)
 				select {
 				case out <- rec:
-				case <-t.C:
+					hosts.Inc()
+				case <-ctx.Done():
 				}
-				t.Stop()
 			}
 			// The slot goes back only once the record is taken, so a
 			// slow consumer holds admission back.
@@ -213,16 +205,18 @@ func (c *SimCollector) acceptLoop() {
 // Addr implements Collector.
 func (c *SimCollector) Addr() ftp.HostPort { return c.addr }
 
-// Saw implements Collector: it waits up to the window for serverIP to
-// connect.
-func (c *SimCollector) Saw(serverIP string, wait time.Duration) bool {
+// Saw implements Collector: it waits up to the window, or until ctx ends,
+// for serverIP to connect.
+func (c *SimCollector) Saw(ctx context.Context, serverIP string, wait time.Duration) bool {
 	deadline := time.Now().Add(wait)
-	timer := time.AfterFunc(wait, func() {
+	wake := func() {
 		c.mu.Lock()
 		c.cond.Broadcast()
 		c.mu.Unlock()
-	})
+	}
+	timer := time.AfterFunc(wait, wake)
 	defer timer.Stop()
+	defer context.AfterFunc(ctx, wake)()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,7 +224,7 @@ func (c *SimCollector) Saw(serverIP string, wait time.Duration) bool {
 		if c.seen[serverIP] {
 			return true
 		}
-		if c.done || !time.Now().Before(deadline) {
+		if c.done || ctx.Err() != nil || !time.Now().Before(deadline) {
 			return false
 		}
 		c.cond.Wait()

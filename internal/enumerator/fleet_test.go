@@ -230,7 +230,9 @@ func TestFleetInClosesDuringBackoff(t *testing.T) {
 }
 
 // TestFleetCancelDuringBackoff: ctx is cancelled while the only slot's host
-// is parked. Run must return and close out, and leave no goroutine behind.
+// is parked. The park ends at once: Run returns and closes out well inside
+// the backoff (at least 100 ms of a 200 ms base), the cut host yields no
+// record, and no goroutine is left behind.
 func TestFleetCancelDuringBackoff(t *testing.T) {
 	nw, a := slotNet(t)
 	close(a.gate)
@@ -247,8 +249,13 @@ func TestFleetCancelDuringBackoff(t *testing.T) {
 	}()
 	<-a.hungUp
 	cancel()
+	start := time.Now()
 	waitRun(t, done)
-	for range out {
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Errorf("Run returned %v after the cancel, want well inside the backoff", d)
+	}
+	for rec := range out {
+		t.Errorf("the host cut in its backoff delivered a record: %+v", rec)
 	}
 	// Server sessions and pipe timers wind down on their own after Run;
 	// poll until the count is back.

@@ -80,7 +80,9 @@ type Result struct {
 }
 
 // Identify classifies one endpoint with a single connection: wait for a
-// banner, else send the trigger, sniff whatever came back first.
+// banner, else send the trigger, sniff whatever came back first. A cancelled
+// ctx closes the connection, so the call returns at once; its result then
+// says nothing about the endpoint, and Stage.Run drops it.
 func Identify(ctx context.Context, cfg Config, ip string) Result {
 	res := Result{IP: ip, Protocol: fingerprint.ProtoNone}
 	wait := cfg.BannerWait
@@ -98,9 +100,7 @@ func Identify(ctx context.Context, cfg Config, ip string) Result {
 		return res
 	}
 	defer conn.Close()
-	if d, ok := ctx.Deadline(); ok && time.Until(d) < wait {
-		wait = time.Until(d)
-	}
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 
 	buf := make([]byte, maxBytes)
 	conn.SetReadDeadline(time.Now().Add(wait))
@@ -193,6 +193,9 @@ func newStageMetrics(reg *obs.Registry) stageMetrics {
 // (in identification-completion order) and everything else to shed. It
 // closes ftp and shed when done — the enumerator fleet downstream sees a
 // normal intake close, and the drain knows the shed stream is complete.
+// Cancellation stops it at once: an identification the cancellation cut
+// is neither forwarded nor shed, and counts in no identify.* counter, so
+// passed + shed == dials holds on a cut run too.
 func (s *Stage) Run(ctx context.Context, in <-chan simnet.IP, ftp chan<- simnet.IP, shed chan<- Result) {
 	defer close(ftp)
 	defer close(shed)
@@ -222,6 +225,9 @@ func (s *Stage) Run(ctx context.Context, in <-chan simnet.IP, ftp chan<- simnet.
 					}
 					start := time.Now()
 					res := Identify(ctx, cfg, ip.String())
+					if ctx.Err() != nil {
+						return
+					}
 					m.latency.Since(start)
 					m.dials.Inc()
 					if res.Triggered {

@@ -2,6 +2,7 @@ package zmap
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,81 +87,82 @@ func TestPermutationSeekBounds(t *testing.T) {
 	}
 }
 
-// TestScannerHaltResumeCoversExactlyOnce: a scan halted mid-walk and a
-// second scan resumed from its committed cursor together probe every address
-// exactly once — no gap, no overlap. This is the kill-and-resume foundation.
-func TestScannerHaltResumeCoversExactlyOnce(t *testing.T) {
+// TestScannerCancelResumeCoversExactlyOnce: a scan cancelled mid-walk and a
+// second scan resumed from the cursor it committed together probe every
+// address exactly once — no gap, no overlap. This is the kill-and-resume
+// foundation. Responsive hosts are counted where the scanner hands them
+// over, through OnFound: a cancelled worker may drop its batch instead of
+// sending it downstream.
+func TestScannerCancelResumeCoversExactlyOnce(t *testing.T) {
 	base := simnet.MustParseIP("10.0.0.0")
 	const size = 4000
 	hosts := &sparseHosts{base: base, every: 7, size: size}
 	nw := simnet.NewNetwork(hosts)
+	var mu sync.Mutex
+	seen := make(map[simnet.IP]int)
+	onFound := func(batch []Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range batch {
+			seen[r.IP]++
+		}
+	}
 
-	// Rate-limit the first scan so Pause lands mid-walk deterministically:
-	// at 200 offsets/s the full walk needs 20s, and the scan below is
-	// paused once its first offsets are out.
+	// Rate-limit the first scan so the cancel lands mid-walk
+	// deterministically: at 200 offsets/s the full walk needs 20s, and
+	// the scan below is cancelled once its first offsets are out.
 	s1, err := NewScanner(Config{
 		Network: nw, Base: base, Size: size, Port: 21, Seed: 13,
-		Workers: 4, RatePerSec: 200,
+		Workers: 4, RatePerSec: 200, OnFound: onFound,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan struct{})
-	var firstHalf []Result
 	go func() {
 		defer close(done)
-		var err error
-		firstHalf, err = s1.Collect(context.Background())
-		if err != nil {
-			t.Errorf("halted scan returned error: %v", err)
+		if _, err := s1.Collect(ctx); err != context.Canceled {
+			t.Errorf("cancelled scan returned %v, want context.Canceled", err)
 		}
 	}()
 	waitEmitted(t, s1, 1, done)
-	s1.Pause()
-	cursor := s1.Cursor()
-	s1.Halt()
+	cancel()
 	<-done
 
+	cursor := s1.Cursor()
 	span := mustSpan(t, size, 13)
 	if cursor == 0 || cursor >= span {
-		t.Fatalf("halt cursor %d not mid-walk (span %d)", cursor, span)
+		t.Fatalf("cancel cursor %d not mid-walk (span %d)", cursor, span)
 	}
-	if got := s1.Cursor(); got != cursor {
-		t.Fatalf("cursor moved after halt: %d != %d", got, cursor)
-	}
-	// Everything emitted must be accounted: found + dead == emitted once
-	// RunBatches returns.
-	if acc := s1.Dead() + uint64(len(firstHalf)); acc != s1.Emitted() {
-		t.Fatalf("accounting: dead %d + found %d != emitted %d",
-			s1.Dead(), len(firstHalf), s1.Emitted())
+	// Everything emitted is accounted once RunBatches returns: each
+	// offset is dead or went through OnFound.
+	mu.Lock()
+	found := uint64(len(seen))
+	mu.Unlock()
+	if acc := s1.Dead() + found; acc != s1.Emitted() {
+		t.Fatalf("accounting: dead %d + found %d != emitted %d", s1.Dead(), found, s1.Emitted())
 	}
 
 	s2, err := NewScanner(Config{
 		Network: nw, Base: base, Size: size, Port: 21, Seed: 13,
-		Workers: 4, StartCursor: cursor,
+		Workers: 4, StartCursor: cursor, OnFound: onFound,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	secondHalf, err := s2.Collect(context.Background())
-	if err != nil {
+	if _, err := s2.Collect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	seen := make(map[simnet.IP]int)
-	for _, r := range firstHalf {
-		seen[r.IP]++
-	}
-	for _, r := range secondHalf {
-		seen[r.IP]++
-	}
 	want := size/7 + 1
 	if len(seen) != want {
-		t.Errorf("halt+resume found %d distinct hosts, want %d", len(seen), want)
+		t.Errorf("cancel+resume found %d distinct hosts, want %d", len(seen), want)
 	}
 	for ip, n := range seen {
 		if n != 1 {
-			t.Errorf("%v probed by both halves (%d times)", ip, n)
+			t.Errorf("%v found by both halves (%d times)", ip, n)
 		}
 	}
 	// Probe volume must split exactly too: the two halves together probe

@@ -40,7 +40,7 @@ type Config struct {
 	Retries int
 	// StartCursor resumes the permutation walk at this many group steps
 	// from its start — the value a previous scan's Cursor() reported when
-	// it was halted. Zero starts from the beginning.
+	// it stopped. Zero starts from the beginning.
 	StartCursor uint64
 	// Exclusions lists ranges that must never be probed (opt-out
 	// requests, critical infrastructure); nil means none.
@@ -84,12 +84,6 @@ type Scanner struct {
 	dead      atomic.Uint64
 	responded atomic.Uint64
 
-	// halted asks the producer to stop at the next offset boundary;
-	// haltCh wakes a parked producer so Halt works mid-pause.
-	halted   atomic.Bool
-	haltOnce sync.Once
-	haltCh   chan struct{}
-
 	// Pause/Resume handshake: pauseFlag is the producer's cheap per-offset
 	// check; pauseReq closes when a pause is asked for, waking a producer
 	// blocked handing over a batch; the channels carry the parked/resume
@@ -123,18 +117,19 @@ func NewScanner(cfg Config) (*Scanner, error) {
 		Probed:    cfg.Metrics.Counter("zmap.probed"),
 		Responded: cfg.Metrics.Counter("zmap.responded"),
 		Excluded:  cfg.Metrics.Counter("zmap.excluded"),
-	}, haltCh: make(chan struct{}), prodDone: make(chan struct{})}
+	}, prodDone: make(chan struct{})}
 	req := make(chan struct{})
 	s.pauseReq.Store(&req)
 	return s, nil
 }
 
 // Cursor returns the last committed permutation position (group steps
-// consumed). It is an exact resume watermark once the scanner is halted or
-// parked and Settle has returned: every offset before it has been probed,
-// and every responsive one has gone through Config.OnFound. Downstream
-// work on those addresses may still be in flight; a checkpoint carries
-// them beside the cursor.
+// consumed). It is an exact resume watermark once RunBatches has returned,
+// for any reason, or while the producer is parked and Settle has returned:
+// every offset before it has been probed, and every responsive one has gone
+// through Config.OnFound. Downstream work on those addresses may still be
+// in flight, or dropped by a cancelled consumer; a checkpoint carries them
+// beside the cursor.
 func (s *Scanner) Cursor() uint64 { return s.cursor.Load() }
 
 // Emitted returns the number of offsets handed to probe workers. It is
@@ -144,18 +139,6 @@ func (s *Scanner) Emitted() uint64 { return s.emitted.Load() }
 // Dead returns the number of emitted offsets that terminated inside the
 // scanner: excluded addresses and addresses that never responded.
 func (s *Scanner) Dead() uint64 { return s.dead.Load() }
-
-// Halt asks the producer to stop emitting at the next offset boundary and
-// commit its cursor. Unlike context cancellation, a halt does not abort
-// in-flight work: probe workers and downstream stages keep draining
-// everything already emitted, so the scan ends with the cursor an exact
-// watermark — the foundation of checkpoint-on-truncation. Idempotent.
-func (s *Scanner) Halt() {
-	s.haltOnce.Do(func() {
-		s.halted.Store(true)
-		close(s.haltCh)
-	})
-}
 
 // Pause asks the producer to park at the next offset boundary and blocks
 // until it has (or until the walk finishes on its own). While parked the
@@ -241,7 +224,7 @@ func (s *Scanner) Resume() {
 	close(s.resumeCh)
 }
 
-// park blocks the producer until Resume, halt, or pipeline cancellation.
+// park blocks the producer until Resume or cancellation.
 // It reports whether the walk should continue.
 func (s *Scanner) park(ctx context.Context) bool {
 	s.mu.Lock()
@@ -256,8 +239,6 @@ func (s *Scanner) park(ctx context.Context) bool {
 	select {
 	case <-resume:
 		return true
-	case <-s.haltCh:
-		return false
 	case <-ctx.Done():
 		return false
 	}
@@ -270,8 +251,9 @@ const BatchSize = 256
 
 // RunBatches scans the target range, delivering discovered hosts to out in
 // slices. The channel is closed when the scan finishes. RunBatches blocks
-// until complete or ctx cancels. Each delivered slice is owned by the
-// receiver.
+// until complete or ctx cancels; cancellation is how a scan is stopped
+// early, and the cursor it commits then is an exact resume point (see
+// Cursor). Each delivered slice is owned by the receiver.
 func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 	defer close(out)
 	perm, err := NewPermutation(s.cfg.Size, s.cfg.Seed)
@@ -317,15 +299,16 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 		defer close(work)
 		batch := make([]uint64, 0, BatchSize)
 		// start is the walk position at the batch's first offset: the
-		// offsets of a batch not yet handed over are not emitted, so a
-		// walk stopped with one in hand commits start, and a resumed
-		// walk produces that batch again.
+		// offsets of a batch not yet handed over are not emitted, so the
+		// walk commits start whenever it stops, and a resumed walk
+		// produces that batch again.
 		start := perm.Cursor()
+		defer func() { s.cursor.Store(start) }()
 		// flush hands the batch to a worker. It gives up, keeping the
-		// batch, when a pause or halt is asked for meanwhile, so the
-		// producer parks at once even while every worker waits on the
-		// consumer; it reports false only on cancellation. The caller
-		// checks the flags next.
+		// batch, when a pause is asked for meanwhile, so the producer
+		// parks at once even while every worker waits on the consumer; it
+		// reports false only on cancellation. The caller checks the flag
+		// next.
 		flush := func() bool {
 			if len(batch) == 0 {
 				return true
@@ -342,8 +325,6 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				return true
 			case <-*s.pauseReq.Load():
 				return true
-			case <-s.haltCh:
-				return true
 			case <-ctx.Done():
 				return false
 			}
@@ -351,16 +332,13 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 		budget := perTick
 		exhausted := false
 		for {
-			// Halt/pause are checked between offsets, where the walk
-			// position and the emitted set agree exactly: every offset
-			// before start has been handed to a worker, so the committed
-			// cursor is a precise watermark once those batches are
-			// probed. The atomic flags keep the common case to two loads.
-			if s.halted.Load() || s.pauseFlag.Load() {
+			// A pause is checked between offsets, where the walk position
+			// and the emitted set agree exactly: every offset before start
+			// has been handed to a worker, so the committed cursor is a
+			// precise watermark once those batches are probed. The atomic
+			// flag keeps the common case to one load.
+			if s.pauseFlag.Load() {
 				s.cursor.Store(start)
-				if s.halted.Load() {
-					return
-				}
 				if !s.park(ctx) {
 					return
 				}
@@ -373,17 +351,14 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 				continue
 			}
 			if exhausted {
-				s.cursor.Store(perm.Cursor())
+				start = perm.Cursor()
 				return
 			}
 			if limiter != nil {
 				if budget == 0 {
 					// Flush the partial batch before blocking so
 					// workers stay busy while the producer waits
-					// out the tick. The cancellation returns leave
-					// the cursor at its last committed value: a
-					// hard-canceled scan has no consistent position
-					// to report, and no checkpoint reads it.
+					// out the tick.
 					if len(batch) > 0 {
 						if !flush() {
 							return
@@ -470,35 +445,10 @@ func (s *Scanner) RunBatches(ctx context.Context, out chan<- []Result) error {
 		}()
 	}
 	wg.Wait()
-	if s.halted.Load() && ctx.Err() == nil {
-		// A halted scan is a deliberate early stop, not a failure: the
-		// caller holds the cursor and resumes later.
-		return nil
-	}
+	// The producer commits its cursor as it stops; a cancelled scan can
+	// lose its workers before the producer sees the cancellation.
+	<-s.prodDone
 	return ctx.Err()
-}
-
-// Run scans the target range, sending results to out one at a time. The
-// channel is closed when the scan finishes. Run blocks until complete or
-// ctx cancels. It adapts RunBatches for callers that prefer a flat stream.
-func (s *Scanner) Run(ctx context.Context, out chan<- Result) error {
-	defer close(out)
-	batches := make(chan []Result, 64)
-	errc := make(chan error, 1)
-	go func() { errc <- s.RunBatches(ctx, batches) }()
-	for batch := range batches {
-		for _, r := range batch {
-			select {
-			case out <- r:
-			case <-ctx.Done():
-				for range batches {
-					// Drain so the scan goroutine can finish.
-				}
-				return <-errc
-			}
-		}
-	}
-	return <-errc
 }
 
 // Collect runs the scan and gathers all results into a slice.

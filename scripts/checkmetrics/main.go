@@ -1,8 +1,9 @@
 // Command checkmetrics validates a metrics snapshot written by
 // -metrics-out: it must parse as an obs.Snapshot, carry non-zero pipeline
 // counters, account for every host the world built (evicted or still
-// resident), include populated enumerator latency histograms, and, when the
-// census wrote checkpoints, hold one scanner pause per periodic checkpoint.
+// resident), include populated enumerator latency histograms, when the
+// census wrote checkpoints, hold one scanner pause per periodic checkpoint,
+// and, when it was truncated, hold its shutdown time.
 // Used by scripts/smoke.sh.
 package main
 
@@ -60,8 +61,34 @@ func run() error {
 	if err := checkPauses(snap); err != nil {
 		return err
 	}
+	if err := checkShutdown(snap); err != nil {
+		return err
+	}
 	fmt.Printf("checkmetrics: %d counters, %d gauges, %d histograms; %d hosts enumerated\n",
 		len(snap.Counters), len(snap.Gauges), len(snap.Histograms), snap.Counters["enum.hosts"])
+	return nil
+}
+
+// truncated reports whether any census.truncated.* counter is non-zero.
+func truncated(snap obs.Snapshot) bool {
+	for name, n := range snap.Counters {
+		if strings.HasPrefix(name, "census.truncated.") && n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// checkShutdown requires one census.shutdown sample, the time from the
+// cancel to the census returning, on a truncated run, and none otherwise.
+func checkShutdown(snap obs.Snapshot) error {
+	want := uint64(0)
+	if truncated(snap) {
+		want = 1
+	}
+	if got := snap.Histograms["census.shutdown"].Count; got != want {
+		return fmt.Errorf("histogram census.shutdown holds %d samples, want %d", got, want)
+	}
 	return nil
 }
 
@@ -73,11 +100,8 @@ func checkPauses(snap obs.Snapshot) error {
 	if periodic == 0 {
 		return nil
 	}
-	for name, n := range snap.Counters {
-		if strings.HasPrefix(name, "census.truncated.") && n > 0 {
-			periodic--
-			break
-		}
+	if truncated(snap) {
+		periodic--
 	}
 	if got := snap.Histograms["census.checkpoint.pause"].Count; got != periodic {
 		return fmt.Errorf("histogram census.checkpoint.pause holds %d samples for %d periodic checkpoints", got, periodic)
